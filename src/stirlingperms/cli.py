@@ -171,6 +171,9 @@ def _cmd_poly(args) -> int:
 
 def _cmd_gamma(args) -> int:
     parts = _parse_m(args.m)
+    if not parts and not args.combinatorial:
+        # the empty word's base monomial x is not symmetric in x, y
+        raise _UsageError("--m: the gamma expansion needs a nonempty multiset")
     table = (
         gamma_mod.gamma_combinatorial(parts)
         if args.combinatorial

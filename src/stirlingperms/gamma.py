@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ._backend import kernel
 from .poly import MultiPoly, TruncatedSeries, series_divide
+from .stats import project_counts
 from .words import check_composition, total_of
 
 
@@ -76,24 +76,7 @@ class GammaTable:
 
 def triple_counts(parts: Iterable[int]) -> dict[tuple[int, int, int], int]:
     """Histogram of (asc, des, plat) over all words with content ``parts``."""
-    parts = check_composition(parts)
-    out: dict[tuple[int, int, int], int] = {}
-    for w in kernel.words_of(parts):
-        p = kernel.profile12(w)
-        key = (p[0], p[2], p[1])
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def quintuple_counts(parts: Iterable[int]) -> dict[tuple[int, int, int, int, int], int]:
-    """Histogram of (sdes, mdes, fplat, uplat, asc)."""
-    parts = check_composition(parts)
-    out: dict[tuple[int, int, int, int, int], int] = {}
-    for w in kernel.words_of(parts):
-        p = kernel.profile12(w)
-        key = (p[3], p[4], p[5], p[6], p[0])
-        out[key] = out.get(key, 0) + 1
-    return out
+    return project_counts(parts, lambda p: (p[0], p[2], p[1]))
 
 
 def s_poly(parts: Iterable[int]) -> MultiPoly:
@@ -185,15 +168,13 @@ def gamma_combinatorial(parts: Iterable[int]) -> GammaTable:
     tabulated by ``(mdup, ascpp)``."""
     parts = check_composition(parts)
     entries: dict[tuple[int, int], int] = {}
-    for w in kernel.words_of(parts):
-        if not w:
-            # the empty word's ascpp = 0 sits outside the j >= 1 range
-            # of the expansion, which starts from a nonempty multiset
-            continue
-        p = kernel.profile12(w)
-        if p[8] == 0 and p[9] == 0:  # sddes, fdesp
-            key = (p[11], p[10])  # (mdup, ascpp)
-            entries[key] = entries.get(key, 0) + 1
+    # the empty word's ascpp = 0 sits outside the j >= 1 range of the
+    # expansion, which starts from a nonempty multiset
+    if parts:
+        by_class = project_counts(parts, lambda p: (p[8], p[9], p[11], p[10]))
+        for (sddes, fdesp, mdup, ascpp), c in by_class.items():
+            if sddes == fdesp == 0:
+                entries[(mdup, ascpp)] = c
     return GammaTable(total_of(parts) + 1, entries, True)
 
 
@@ -261,13 +242,9 @@ class SeriesReport:
     passed: bool
 
 
-def _descent_numerator(parts: tuple[int, ...], order: int) -> list[int]:
-    num = [0] * (order + 1)
-    for w in kernel.words_of(parts):
-        num[kernel.profile12(w)[2]] += 1
-    while num and num[-1] == 0:
-        num.pop()
-    return num
+def _descent_numerator(parts: tuple[int, ...]) -> list[int]:
+    by_des = project_counts(parts, lambda p: p[2])
+    return [by_des.get(k, 0) for k in range(max(by_des) + 1)]
 
 
 def classical_series_check(kind: str, n: int, order: int) -> SeriesReport:
@@ -285,11 +262,11 @@ def classical_series_check(kind: str, n: int, order: int) -> SeriesReport:
     if order < n + 2:
         raise ValueError("order must be at least n + 2")
     if kind == "eulerian":
-        num = _descent_numerator((1,) * n, order)
+        num = _descent_numerator((1,) * n)
         expanded = series_divide(num, n + 1, order)
         target = tuple(k**n for k in range(order + 1))
     elif kind == "second_order":
-        num = _descent_numerator((2,) * n, order)
+        num = _descent_numerator((2,) * n)
         expanded = series_divide(num, 2 * n + 1, order)
         target = tuple(
             _stirling2_row(n + k, k)[k] for k in range(order + 1)

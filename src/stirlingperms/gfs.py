@@ -113,12 +113,13 @@ def orbit_partition(parts: Iterable[int]) -> dict[Word, list[Word]]:
     """Partition of the whole word set into hop orbits, keyed by the
     canonical representative; deterministic (keys and members sorted)."""
     parts = check_composition(parts)
-    remaining = set(kernel.words_of(parts))
+    seen: set[bytes] = set()
     out: dict[Word, list[Word]] = {}
-    while remaining:
-        w = min(remaining)
+    for w in kernel.words_of(parts):  # sorted, so each orbit starts at its least word
+        if w in seen:
+            continue
         orb = orbit(unpack_word(w))
-        remaining.difference_update(pack_word(u) for u in orb)
+        seen.update(pack_word(u) for u in orb)
         rep = next((u for u in orb if is_representative(u)), None)
         if rep is None:
             raise RuntimeError(f"orbit of {unpack_word(w)} has no representative")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._backend import kernel
 from .poly import MultiPoly
+from .stats import project_counts
 from .words import check_composition, total_of
 
 
@@ -234,10 +234,9 @@ def s_mi(parts: Iterable[int], level: int) -> UniPoly:
     if not 0 <= level <= max(total - 1, 0):
         raise ValueError(f"plateau level must lie in 0..{max(total - 1, 0)}")
     coeffs = [0] * (total + 2)
-    for w in kernel.words_of(parts):
-        prof = kernel.profile12(w)
-        if prof[1] == level:
-            coeffs[prof[2]] += 1
+    for (plat, des), c in project_counts(parts, lambda p: (p[1], p[2])).items():
+        if plat == level:
+            coeffs[des] += c
     return UniPoly.of(coeffs)
 
 
@@ -435,8 +434,3 @@ def stability_probe(
         for v, c in coords.items()
     }
     return check(final)
-
-
-def refined_descent_poly(parts: Iterable[int], level: int) -> UniPoly:
-    """Alias of :func:`s_mi`, named for the CLI."""
-    return s_mi(parts, level)

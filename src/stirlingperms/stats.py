@@ -20,10 +20,11 @@ profile ``asc=1, plat=0, des=0`` (all pattern statistics 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Hashable, Iterable, Sequence
 
 from ._backend import kernel
-from .words import pack_word
+from .words import Composition, check_composition, pack_word
 
 #: Labeling symbols in the order (single descent, multiple descent,
 #: first plateau, unmovable plateau, ascent).
@@ -97,6 +98,46 @@ def profile(word: Sequence[int]) -> StatProfile:
     (2, 1, 2)
     """
     return StatProfile(*kernel.profile12(pack_word(word)))
+
+
+def joint_counts(parts: Iterable[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Joint histogram of all twelve statistics over the word set, as
+    ``(profile12 tuple, word count)`` pairs in order of first occurrence.
+
+    Every word-set histogram (triples, gamma counts, plateau slices, the
+    lemma and grammar suites) is a projection of this one table, so each
+    composition is enumerated and profiled once per process.  The result
+    is cached and immutable.
+
+    >>> joint_counts((2,))
+    (((1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1), 1),)
+    """
+    return _joint_counts(check_composition(parts))
+
+
+@lru_cache(maxsize=None)
+def _joint_counts(parts: Composition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    hist: dict[tuple[int, ...], int] = {}
+    for w in kernel.words_of(parts):
+        p = kernel.profile12(w)
+        hist[p] = hist.get(p, 0) + 1
+    return tuple(hist.items())
+
+
+def project_counts(
+    parts: Iterable[int], key: Callable[[tuple[int, ...]], Hashable]
+) -> dict:
+    """Histogram of ``key(profile12 tuple)`` over the word set, summed
+    from :func:`joint_counts`; a fresh dict on every call.
+
+    >>> project_counts((2, 2), lambda p: p[1])  # plateaux
+    {2: 2, 1: 1}
+    """
+    out: dict = {}
+    for p, c in joint_counts(parts):
+        k = key(p)
+        out[k] = out.get(k, 0) + c
+    return out
 
 
 def labeling(word: Sequence[int]) -> Labeling:

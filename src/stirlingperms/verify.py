@@ -11,15 +11,21 @@ Report ordering is deterministic (suites in declaration order,
 compositions in colex grouped by total), and the rendered output is
 independent of the worker count, so runs with different ``--jobs``
 values are byte-identical.
+
+The word-set suites read one cached joint statistic histogram per
+composition (``stats.joint_counts``), so each composition is enumerated
+and profiled once per process rather than once per suite.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from time import perf_counter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._backend import backend_name, kernel
 from . import gamma as gamma_mod
@@ -28,7 +34,7 @@ from . import jacobi as jacobi_mod
 from . import roots as roots_mod
 from .grammar import QUINTUPLE_VARS, quintuple_exponents, quintuple_poly
 from .poly import MultiPoly
-from .stats import WORKED_EXAMPLE_NOTE
+from .stats import WORKED_EXAMPLE_NOTE, project_counts
 from .words import (
     Composition,
     compositions_up_to,
@@ -40,17 +46,6 @@ from .words import (
 JACOBI_MAX_N = 3
 SERIES_MAX_N = 4
 SERIES_ORDER = 8
-
-SUITE_NAMES = (
-    "counting",
-    "lemma-equidistribution",
-    "grammar-claim",
-    "gfs-properties",
-    "theorem",
-    "jacobi",
-    "realroot",
-    "series",
-)
 
 
 @dataclass(frozen=True)
@@ -121,36 +116,30 @@ def check_counting(parts: Composition) -> VerifyReport:
     return _report("counting", f"m={format_composition(parts)}", t0, failure)
 
 
+#: The lemma's equidistributions as (kind, left key, right key) on
+#: profile12 tuples: (des, plat, asc) ~ (fplat+sdes, mdup, asc), and
+#: (sdes, mdes, fplat, uplat, asc) ~ (sdes, fplat, mdes, uplat, asc).
+_LEMMA_PAIRS = (
+    ("triple", lambda p: (p[2], p[1], p[0]), lambda p: (p[5] + p[3], p[11], p[0])),
+    (
+        "quintuple",
+        lambda p: (p[3], p[4], p[5], p[6], p[0]),
+        lambda p: (p[3], p[5], p[4], p[6], p[0]),
+    ),
+)
+
+
 def check_lemma(parts: Composition) -> VerifyReport:
     """Triple equidistribution (des, plat, asc) ~ (fplat+sdes, mdup, asc)
     and the quintuple swap (sdes, mdes, fplat, uplat, asc) ~
     (sdes, fplat, mdes, uplat, asc)."""
     t0 = perf_counter()
-    lhs: dict = {}
-    rhs: dict = {}
-    quint_lhs: dict = {}
-    quint_rhs: dict = {}
-    for w in kernel.words_of(parts):
-        p = kernel.profile12(w)
-        asc, plat, des, sdes, mdes, fplat, uplat = p[0], p[1], p[2], p[3], p[4], p[5], p[6]
-        mdup = p[11]
-        k1 = (des, plat, asc)
-        k2 = (fplat + sdes, mdup, asc)
-        lhs[k1] = lhs.get(k1, 0) + 1
-        rhs[k2] = rhs.get(k2, 0) + 1
-        q1 = (sdes, mdes, fplat, uplat, asc)
-        q2 = (sdes, fplat, mdes, uplat, asc)
-        quint_lhs[q1] = quint_lhs.get(q1, 0) + 1
-        quint_rhs[q2] = quint_rhs.get(q2, 0) + 1
     failure = None
-    if lhs != rhs:
-        failure = {"m": list(parts), "kind": "triple", "diff": _hist_diff(lhs, rhs)}
-    elif quint_lhs != quint_rhs:
-        failure = {
-            "m": list(parts),
-            "kind": "quintuple",
-            "diff": _hist_diff(quint_lhs, quint_rhs),
-        }
+    for kind, left, right in _LEMMA_PAIRS:
+        lhs, rhs = project_counts(parts, left), project_counts(parts, right)
+        if lhs != rhs:
+            failure = {"m": list(parts), "kind": kind, "diff": _hist_diff(lhs, rhs)}
+            break
     return _report(
         "lemma-equidistribution", f"m={format_composition(parts)}", t0, failure
     )
@@ -165,17 +154,17 @@ def _hist_diff(a: dict, b: dict) -> dict:
     }
 
 
+def _label_exponents(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponents over QUINTUPLE_VARS of one word's label monomial."""
+    return quintuple_exponents((p[3], p[4], p[5], p[6], p[0]))
+
+
 def check_grammar(parts: Composition) -> VerifyReport:
     """The iterated grammar derivative of z equals the enumeration-side
     joint generating polynomial of (sdes, mdes, fplat, uplat, asc)."""
     t0 = perf_counter()
     derived = quintuple_poly(parts)
-    terms: dict[tuple[int, ...], int] = {}
-    for w in kernel.words_of(parts):
-        p = kernel.profile12(w)
-        key = quintuple_exponents((p[3], p[4], p[5], p[6], p[0]))
-        terms[key] = terms.get(key, 0) + 1
-    enumerated = MultiPoly(QUINTUPLE_VARS, terms)
+    enumerated = MultiPoly(QUINTUPLE_VARS, project_counts(parts, _label_exponents))
     failure = None
     if derived != enumerated:
         failure = {
@@ -233,9 +222,10 @@ def check_gfs(parts: Composition) -> VerifyReport:
                 if images[images[w][x]][y] != images[images[w][y]][x]:
                     return fail("commutation", word=_word_str(w), letters=[x, y])
 
-    remaining = set(words)
-    while remaining:
-        seed = min(remaining)
+    seen: set[bytes] = set()
+    for seed in words:  # sorted, so each orbit is seeded by its least word
+        if seed in seen:
+            continue
         orb = {seed}
         frontier = [seed]
         while frontier:
@@ -246,7 +236,7 @@ def check_gfs(parts: Composition) -> VerifyReport:
                         orb.add(img)
                         nxt.append(img)
             frontier = nxt
-        remaining -= orb
+        seen |= orb
         if len(orb) & (len(orb) - 1):
             return fail("orbit-size", orbit_size=len(orb), seed=_word_str(seed))
         reps = [w for w in orb if profiles[w][8] == 0 and profiles[w][9] == 0]
@@ -263,18 +253,21 @@ def check_gfs(parts: Composition) -> VerifyReport:
             return fail("identity-ascpp", representative=_word_str(rep))
         if dasc != m_total + 1 - mdup - 2 * ascpp:
             return fail("identity-dasc", representative=_word_str(rep))
-        lhs = MultiPoly.zero(("x", "y"))
+        # sum of x^asc y^(fplat+sdes) over the orbit, against the expansion
+        # of (xy)^ascpp (x+y)^dasc; dasc = m+1-mdup-2*ascpp was just checked
+        orbit_sum: dict[tuple[int, int], int] = {}
         for w in orb:
             p = profiles[w]
-            lhs = lhs + MultiPoly(("x", "y"), {(p[0], p[5] + p[3]): 1})
-        x_, y_ = MultiPoly.var("x"), MultiPoly.var("y")
-        rhs = (x_ * y_) ** ascpp * (x_ + y_) ** (m_total + 1 - mdup - 2 * ascpp)
-        if lhs != rhs:
+            key = (p[0], p[5] + p[3])
+            orbit_sum[key] = orbit_sum.get(key, 0) + 1
+        closed = {(ascpp + k, ascpp + dasc - k): comb(dasc, k) for k in range(dasc + 1)}
+        if orbit_sum != closed:
+            x_, y_ = MultiPoly.var("x"), MultiPoly.var("y")
             return fail(
                 "orbit-sum",
                 representative=_word_str(rep),
-                lhs=lhs.to_json_dict(),
-                rhs=rhs.to_json_dict(),
+                lhs=MultiPoly(("x", "y"), orbit_sum).to_json_dict(),
+                rhs=((x_ * y_) ** ascpp * (x_ + y_) ** dasc).to_json_dict(),
             )
     return _report("gfs-properties", f"m={format_composition(parts)}", t0, None)
 
@@ -358,53 +351,60 @@ def check_series(kind: str, n: int) -> VerifyReport:
 
 # -- harness ------------------------------------------------------------
 
-def _tasks_for(suite: str, max_total: int) -> list[tuple]:
-    comps = compositions_up_to(max_total)
-    nonempty = [m for m in comps if m]
-    if suite == "counting":
-        return [("counting", m) for m in comps]
-    if suite == "lemma-equidistribution":
-        return [("lemma-equidistribution", m) for m in comps]
-    if suite == "grammar-claim":
-        return [("grammar-claim", m) for m in comps]
-    if suite == "gfs-properties":
+def _every_composition(max_total: int) -> list[tuple]:
+    return [(m,) for m in compositions_up_to(max_total)]
+
+
+def _nonempty_compositions(max_total: int) -> list[tuple]:
+    return [(m,) for m in compositions_up_to(max_total) if m]
+
+
+def _suite_table() -> dict[str, tuple[Callable[..., VerifyReport], Callable[[int], list[tuple]]]]:
+    """Suite name -> (check function, argument tuples of its tasks for a
+    given ``max_total``), in declaration order.
+
+    Built on each call, so the ``check_*`` functions are read from the
+    module when a task runs and a patched or wrapped attribute (a test
+    double, a tracing wrapper) is the one that runs."""
+    return {
+        "counting": (check_counting, _every_composition),
+        "lemma-equidistribution": (check_lemma, _every_composition),
+        "grammar-claim": (check_grammar, _every_composition),
         # the empty word's grammar-base convention (asc = 1) sits outside
         # the orbit identities, so the action suite starts at total 1
-        return [("gfs-properties", m) for m in nonempty]
-    if suite == "theorem":
-        return [("theorem", m) for m in nonempty]
-    if suite == "jacobi":
-        return [("jacobi", n) for n in range(1, JACOBI_MAX_N + 1)]
-    if suite == "realroot":
-        return [("realroot", m) for m in nonempty]
-    if suite == "series":
-        return [
-            ("series", (kind, n))
-            for kind in ("eulerian", "second_order")
-            for n in range(1, SERIES_MAX_N + 1)
-        ]
-    raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+        "gfs-properties": (check_gfs, _nonempty_compositions),
+        "theorem": (check_theorem, _nonempty_compositions),
+        "jacobi": (check_jacobi, lambda _: [(n,) for n in range(1, JACOBI_MAX_N + 1)]),
+        "realroot": (check_realroot, _nonempty_compositions),
+        "series": (
+            check_series,
+            lambda _: [
+                (kind, n)
+                for kind in ("eulerian", "second_order")
+                for n in range(1, SERIES_MAX_N + 1)
+            ],
+        ),
+    }
+
+
+SUITE_NAMES = tuple(_suite_table())
+
+
+def _tasks_for(suite: str, max_total: int) -> list[tuple]:
+    try:
+        _, task_args = _suite_table()[suite]
+    except KeyError:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}") from None
+    return [(suite, args) for args in task_args(max_total)]
 
 
 def _run_task(task: tuple) -> VerifyReport:
-    suite, arg = task
-    if suite == "counting":
-        return check_counting(arg)
-    if suite == "lemma-equidistribution":
-        return check_lemma(arg)
-    if suite == "grammar-claim":
-        return check_grammar(arg)
-    if suite == "gfs-properties":
-        return check_gfs(arg)
-    if suite == "theorem":
-        return check_theorem(arg)
-    if suite == "jacobi":
-        return check_jacobi(arg)
-    if suite == "realroot":
-        return check_realroot(arg)
-    if suite == "series":
-        return check_series(*arg)
-    raise ValueError(f"unknown suite {suite!r}")
+    suite, args = task
+    try:
+        check, _ = _suite_table()[suite]
+    except KeyError:
+        raise ValueError(f"unknown suite {suite!r}") from None
+    return check(*args)
 
 
 def verify_all(
@@ -415,7 +415,8 @@ def verify_all(
     """Run the requested suites; returns (reports, informational notes).
 
     The report list is ordered by (suite declaration order, parameter
-    order) regardless of ``jobs``.
+    order) regardless of ``jobs``.  The worker count is clamped to the
+    number of tasks and of CPUs.
     """
     if max_total < 1:
         raise ValueError("max-total must be at least 1")
@@ -426,6 +427,7 @@ def verify_all(
     tasks: list[tuple] = []
     for s in chosen:
         tasks.extend(_tasks_for(s, max_total))
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
         reports = [_run_task(t) for t in tasks]
     else:

@@ -66,10 +66,6 @@ def enumerate_words(parts: Iterable[int]) -> list[Word]:
     return [tuple(w) for w in kernel.words_of(parts)]
 
 
-def iter_words(parts: Iterable[int]) -> Iterator[Word]:
-    return iter(enumerate_words(parts))
-
-
 def count_words(parts: Iterable[int]) -> int:
     """Closed-form size of the word set: the i-th block can land in
     ``1 + m_1 + ... + m_{i-1}`` gaps."""

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
 
+from stirlingperms import verify
 from stirlingperms.cli import main
 
 
@@ -49,6 +51,14 @@ def test_gamma_csv_and_combinatorial(capsys):
     assert code == 0 and out == "i,j,gamma\n1,2,1\n2,1,1\n"
     code, out2, _ = run_cli(capsys, "gamma", "--m", "2,2", "--combinatorial", "--format", "csv")
     assert code == 0 and out2 == out
+
+
+def test_gamma_empty_m(capsys):
+    code, out, err = run_cli(capsys, "gamma", "--m", "")
+    assert code == 2 and out == ""
+    assert "--m" in err and "nonempty" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "gamma", "--m", "", "--combinatorial")
+    assert code == 0 and out == "positive: true\n"
 
 
 def test_grammar_dumont(capsys):
@@ -130,6 +140,45 @@ def test_verify_single_suite_json(capsys):
     assert data["passed"] is True
     assert all(r["suite"] == "theorem" for r in data["reports"])
     assert all("wall_ms" not in r for r in data["reports"])
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    runs the tasks in this process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [
+        ("1000000", 64, [3]),  # clamped to the 3 jacobi tasks
+        ("1000000", 2, [2]),  # clamped to the CPUs
+        ("0", 64, [3]),  # 0 = machine parallelism, then clamped to the tasks
+        ("1000000", 1, []),  # one worker runs in process, without a pool
+    ],
+)
+def test_verify_jobs_clamped(capsys, monkeypatch, jobs, cpus, workers):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "jacobi", "--max-total", "1", "--jobs", jobs
+    )
+    assert code == 0 and out.splitlines()[-1] == "RESULT PASS (3 checks)"
+    assert RecordingPool.created == workers
 
 
 def test_usage_errors(capsys):

@@ -79,7 +79,10 @@ def test_toggle_and_mdup_invariance(parts):
 def test_orbit_structure_and_identities(parts):
     total = sum(parts)
     covered = 0
-    for rep, orb in gfs.orbit_partition(parts).items():
+    partition = gfs.orbit_partition(parts)
+    assert list(partition) == sorted(partition)
+    for rep, orb in partition.items():
+        assert orb == sorted(orb)
         covered += len(orb)
         assert len(orb) & (len(orb) - 1) == 0  # power of two
         reps = [w for w in orb if gfs.is_representative(w)]
