@@ -1,22 +1,17 @@
 """Build script for the optional compiled kernel.
 
 The package works without the extension (a pure-Python fallback is
-selected at import time), so a missing compiler or Cython only costs
-speed, not functionality.
+selected at import time), so a missing compiler only costs speed, not
+functionality.  ``package_dir`` repeats the ``src`` layout that
+``pyproject.toml`` declares, so ``build_ext --inplace`` also puts the
+extension next to the sources in a checkout that has only this file and
+``src/``.
 """
 
 from setuptools import setup
 from setuptools.extension import Extension
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("stirlingperms._core", ["src/stirlingperms/_core.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    package_dir={"": "src"},
+    ext_modules=[Extension("stirlingperms._core", ["src/stirlingperms/_core.c"], optional=True)],
+)

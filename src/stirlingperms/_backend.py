@@ -1,32 +1,15 @@
 """Kernel backend selection.
 
-The compiled extension ``stirlingperms._core`` is preferred when it
-imports; otherwise the pure-Python mirror ``stirlingperms._pure`` is
-used.  Set ``STIRLINGPERMS_BACKEND=pure`` or ``=c`` to force a choice
-(forcing ``c`` raises if the extension is unavailable).
+The compiled extension ``stirlingperms._core`` is used when it imports;
+otherwise the pure-Python mirror ``stirlingperms._pure`` is.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pure
-
-_forced = os.environ.get("STIRLINGPERMS_BACKEND", "").strip().lower()
-
-if _forced == "pure":
-    kernel = _pure
-elif _forced in ("c", "core", "compiled"):
-    from . import _core as kernel  # type: ignore[no-redef]
-else:
-    if _forced:
-        raise RuntimeError(
-            f"unknown STIRLINGPERMS_BACKEND value {_forced!r}; use 'c' or 'pure'"
-        )
-    try:
-        from . import _core as kernel  # type: ignore[no-redef]
-    except ImportError:
-        kernel = _pure
+try:
+    from . import _core as kernel
+except ImportError:
+    from . import _pure as kernel  # type: ignore[no-redef]
 
 
 def backend_name() -> str:

@@ -1,7 +1,7 @@
 """Pure-Python kernels.
 
 This module is the reference implementation of the hot primitives; the
-Cython module ``stirlingperms._core`` mirrors it function for function.
+C module ``stirlingperms._core`` mirrors it function for function.
 Both operate on *packed words*: a word is a ``bytes`` object whose byte
 values are the letters (so letters are limited to 1..255), and a
 multiplicity vector is a tuple of positive ints.  The boundary sentinel
@@ -136,23 +136,6 @@ def brute_count(parts):
             count += 1
         if not _next_permutation(arr):
             return count
-
-
-def brute_words(parts):
-    """Materialized brute-force enumeration, lexicographically sorted."""
-    _check_parts(parts)
-    arr = _sorted_letters(parts)
-    if not arr:
-        return [b""]
-    mult = [0] * (len(parts) + 1)
-    for k, mk in enumerate(parts, start=1):
-        mult[k] = mk
-    out = []
-    while True:
-        if _stirling_property(arr, mult):
-            out.append(bytes(arr))
-        if not _next_permutation(arr):
-            return out
 
 
 def profile12(word):

@@ -24,10 +24,12 @@ from . import roots as roots_mod
 from . import verify as verify_mod
 from .grammar import dumont_poly, quintuple_poly
 from .words import (
+    composition_of,
     count_words,
     enumerate_words,
     format_composition,
     format_word,
+    is_stirling,
     parse_composition,
     parse_word,
 )
@@ -203,6 +205,12 @@ def _cmd_grammar(args) -> int:
 
 def _cmd_gfs(args) -> int:
     word = _parse_the_word(args.word)
+    try:
+        stirling = is_stirling(word, composition_of(word))
+    except ValueError as exc:
+        raise _UsageError(f"--word: {exc}") from None
+    if not stirling:
+        raise _UsageError(f"--word: {args.word!r} is not a generalized Stirling word")
     try:
         if args.phi is not None:
             out = format_word(gfs_mod.phi(word, args.phi))

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .poly import MultiPoly, TruncatedSeries, series_divide
 from .stats import project_counts
-from .words import check_composition, total_of
+from .words import check_composition
 
 
 class NotHomogeneousError(ValueError):
@@ -175,7 +175,7 @@ def gamma_combinatorial(parts: Iterable[int]) -> GammaTable:
         for (sddes, fdesp, mdup, ascpp), c in by_class.items():
             if sddes == fdesp == 0:
                 entries[(mdup, ascpp)] = c
-    return GammaTable(total_of(parts) + 1, entries, True)
+    return GammaTable(sum(parts) + 1, entries, True)
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def verify_theorem(parts: Iterable[int]) -> TheoremReport:
     """Check that the two gamma tables agree entrywise, with all entries
     nonnegative and every internal j = 0 coefficient equal to zero."""
     parts = check_composition(parts)
-    if total_of(parts) < 1:
+    if sum(parts) < 1:
         raise ValueError("the expansion statement needs a nonempty multiset")
     expansion = partial_gamma(s_poly(parts))
     combinatorial = gamma_combinatorial(parts)

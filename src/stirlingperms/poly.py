@@ -329,18 +329,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)})"
 
 
-def unipoly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Dense convolution of integer coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def series_divide(numerator: Sequence[int], r: int, order: int) -> TruncatedSeries:
     """Expansion of ``numerator / (1 - t)^r`` through ``t^order``.
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .poly import MultiPoly
 from .stats import project_counts
-from .words import check_composition, total_of
+from .words import check_composition
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def s_mi(parts: Iterable[int], level: int) -> UniPoly:
     """Descent polynomial of the words with exactly ``level`` plateaux:
     sum of ``x^des`` over that slice of the word set."""
     parts = check_composition(parts)
-    total = total_of(parts)
+    total = sum(parts)
     if not 0 <= level <= max(total - 1, 0):
         raise ValueError(f"plateau level must lie in 0..{max(total - 1, 0)}")
     coeffs = [0] * (total + 2)

@@ -40,7 +40,6 @@ from .words import (
     compositions_up_to,
     count_words,
     format_composition,
-    total_of,
 )
 
 JACOBI_MAX_N = 3
@@ -185,7 +184,7 @@ def check_gfs(parts: Composition) -> VerifyReport:
     words = kernel.words_of(parts)
     n = len(parts)
     letters = list(range(1, n + 1))
-    m_total = total_of(parts)
+    m_total = sum(parts)
     word_set = set(words)
     profiles = {w: kernel.profile12(w) for w in words}
     images: dict[bytes, dict[int, bytes]] = {}
@@ -320,7 +319,7 @@ def check_realroot(parts: Composition) -> VerifyReport:
     and certified real-rooted."""
     t0 = perf_counter()
     failure = None
-    for level in range(total_of(parts)):
+    for level in range(sum(parts)):
         p = roots_mod.s_mi(parts, level)
         if p.is_zero():
             continue

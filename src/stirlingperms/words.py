@@ -32,10 +32,6 @@ def check_composition(parts: Iterable[int]) -> Composition:
     return tup
 
 
-def total_of(parts: Sequence[int]) -> int:
-    return sum(parts)
-
-
 def pack_word(word: Iterable[int]) -> bytes:
     """Tuple-of-letters to the packed bytes form used by the kernels."""
     w = bytes(word)

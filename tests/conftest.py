@@ -27,6 +27,18 @@ def oracle_words(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(w for w in set(permutations(letters)) if oracle_is_stirling(w))
 
 
+def unipoly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Dense convolution of integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
 def compositions_up_to(max_total: int) -> list[tuple[int, ...]]:
     out = []
     for total in range(max_total + 1):

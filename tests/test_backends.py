@@ -1,35 +1,74 @@
-"""Pure-Python and compiled kernels must agree bit for bit."""
+"""Pure-Python and compiled kernels must agree bit for bit.
+
+The compiled kernel is the one that imports; when none does, it is built
+from ``setup.py`` into a temporary directory (never into ``src/``) and
+loaded from there, so these tests run wherever a C compiler exists.
+"""
+
+import importlib.util
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from stirlingperms import _pure
 from conftest import compositions_up_to
 
-core = pytest.importorskip(
-    "stirlingperms._core", reason="compiled backend not built"
-)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def core(tmp_path_factory):
+    try:
+        return importlib.import_module("stirlingperms._core")
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip(f"compiled kernel not built and no C compiler {cc[:1]} on PATH")
+    out = tmp_path_factory.mktemp("core")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = sorted((out / "stirlingperms").glob("_core.*"))
+    assert proc.returncode == 0 and built, f"building the compiled kernel failed:\n{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("stirlingperms._core", built[0])
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.BACKEND_NAME == "c"
+    return mod
+
+
+@pytest.fixture(params=["pure", "c"])
+def backend(request):
+    return _pure if request.param == "pure" else request.getfixturevalue("core")
 
 
 @pytest.mark.parametrize("parts", compositions_up_to(6))
-def test_enumeration_agrees(parts):
+def test_enumeration_agrees(core, parts):
     assert core.words_of(parts) == _pure.words_of(parts)
     assert core.enum_counts(parts) == _pure.enum_counts(parts)
 
 
 @pytest.mark.parametrize("parts", compositions_up_to(6))
-def test_brute_force_agrees(parts):
+def test_brute_force_agrees(core, parts):
     assert core.brute_count(parts) == _pure.brute_count(parts)
-    assert core.brute_words(parts) == _pure.brute_words(parts)
 
 
 @pytest.mark.parametrize("parts", compositions_up_to(6))
-def test_profiles_agree(parts):
+def test_profiles_agree(core, parts):
     for w in core.words_of(parts):
         assert core.profile12(w) == _pure.profile12(w)
 
 
 @pytest.mark.parametrize("parts", [p for p in compositions_up_to(5) if p])
-def test_action_agrees(parts):
+def test_action_agrees(core, parts):
     n = len(parts)
     for w in core.words_of(parts):
         for x in range(1, n + 1):
@@ -37,7 +76,7 @@ def test_action_agrees(parts):
             assert core.phi_letter(w, x) == _pure.phi_letter(w, x)
 
 
-def test_is_stirling_agrees_on_non_words():
+def test_is_stirling_agrees_on_non_words(core):
     cases = [
         (b"\x01\x02\x01\x02", (2, 2)),
         (b"\x01\x02\x02\x01", (2, 2)),
@@ -49,16 +88,43 @@ def test_is_stirling_agrees_on_non_words():
         assert core.is_stirling(w, parts) == _pure.is_stirling(w, parts)
 
 
-def test_value_class_constants_agree():
+def test_value_class_constants_agree(core):
     assert core.FIXED == _pure.FIXED
     assert core.FREE_DESCENT_PLATEAU == _pure.FREE_DESCENT_PLATEAU
     assert core.SINGLE_DOUBLE_DESCENT == _pure.SINGLE_DOUBLE_DESCENT
     assert core.DOUBLE_ASCENT == _pure.DOUBLE_ASCENT
 
 
-def test_errors_agree():
-    for mod in (core, _pure):
+def test_empty_inputs(backend):
+    assert backend.words_of(()) == [b""]
+    assert backend.enum_counts(()) == (1, 1)
+    assert backend.brute_count(()) == 1
+    assert backend.is_stirling(b"", ())
+    assert backend.profile12(b"") == (1,) + (0,) * 11
+
+
+def test_is_stirling_rejects_letters_outside_1_to_n(backend):
+    assert not backend.is_stirling(b"\x00\x01", (1, 1))
+    assert not backend.is_stirling(b"\x01\x03", (1, 1))
+
+
+@pytest.mark.parametrize("x", [-1, 0, 3, 256, 2**70])
+def test_absent_letter_is_value_error(backend, x):
+    for fn in (backend.classify_letter, backend.phi_letter):
         with pytest.raises(ValueError):
-            mod.words_of((0,))
+            fn(b"\x01\x02\x01", x)
+
+
+@pytest.mark.parametrize("parts", [(0,), (1, -1), (1,) * 256])
+def test_bad_composition_is_value_error(backend, parts):
+    for fn in (backend.words_of, backend.enum_counts, backend.brute_count):
         with pytest.raises(ValueError):
-            mod.classify_letter(b"\x01\x01", 3)
+            fn(parts)
+    with pytest.raises(ValueError):
+        backend.is_stirling(b"\x01", parts)
+
+
+def test_non_integer_part_raises(backend):
+    for fn in (backend.words_of, backend.enum_counts, backend.brute_count):
+        with pytest.raises(TypeError):
+            fn((1, 1.5))

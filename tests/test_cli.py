@@ -85,6 +85,27 @@ def test_gfs_commands(capsys):
     assert code == 0 and out.strip() == "DOUBLE_ASCENT"
 
 
+@pytest.mark.parametrize(
+    "word, reason",
+    [("1,2,1,2", "not a generalized Stirling word"), ("1,3,3,1", "without gaps"),
+     (",".join(map(str, range(1, 257))), "at most 255")],
+)
+def test_gfs_non_stirling_word_is_usage_error(capsys, word, reason):
+    for op in (["--rep"], ["--orbit"], ["--phi", "1"], ["--classify", "1"]):
+        code, out, err = run_cli(capsys, "gfs", "--word", word, *op)
+        assert code == 2 and out == ""
+        assert "--word" in err and reason in err and "Traceback" not in err
+
+
+def test_gfs_empty_word(capsys):
+    code, out, _ = run_cli(capsys, "gfs", "--word", "", "--rep")
+    assert code == 0 and out == "\n"
+    code, out, _ = run_cli(capsys, "gfs", "--word", "", "--format", "json", "--rep")
+    assert code == 0 and json.loads(out) == {"word": "", "representative": ""}
+    code, _, err = run_cli(capsys, "gfs", "--word", "", "--phi", "1")
+    assert code == 2 and "--word/--phi" in err
+
+
 def test_gfs_absent_letter_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "gfs", "--word", "1,1", "--phi", "3")
     assert code == 2 and "--word/--phi" in err

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms.poly import MultiPoly, TruncatedSeries, series_divide, unipoly_mul
+from stirlingperms.poly import MultiPoly, TruncatedSeries, series_divide
+from conftest import unipoly_mul
 
 X, Y, Z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
 

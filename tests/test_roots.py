@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stirlingperms import gamma, roots
 from stirlingperms.poly import MultiPoly
 from stirlingperms.roots import UniPoly
-from conftest import compositions_up_to
+from conftest import compositions_up_to, unipoly_mul
 
 X, Y = MultiPoly.var("x"), MultiPoly.var("y")
 
@@ -67,8 +67,6 @@ def test_squarefree_part():
 def test_sturm_on_constructed_products(linear, quad_constants):
     # known-answer oracle: distinct real roots of prod (a x - b) prod (x^2 + c)
     coeffs = [1]
-    from stirlingperms.poly import unipoly_mul
-
     for a, b in linear:
         coeffs = unipoly_mul(coeffs, [-b, a])
     for c in quad_constants:
