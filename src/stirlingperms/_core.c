@@ -12,6 +12,12 @@ enum { FIXED, FREE_DESCENT_PLATEAU, SINGLE_DOUBLE_DESCENT, DOUBLE_ASCENT };
 
 #define MAX_LETTERS 255
 
+/* setup.py defines this as the sha256 of this file, so a test can tell
+ * an extension built from another revision of it. */
+#ifndef SOURCE_SHA256
+#define SOURCE_SHA256 ""
+#endif
+
 /* Validate ``parts`` into ``buf`` and its sum into ``*total``; returns
  * the number of letters, or -1 with an exception set. */
 static Py_ssize_t
@@ -432,6 +438,7 @@ PyInit__core(void)
     PyObject *mod = PyModule_Create(&core_module);
     if (mod == NULL
         || PyModule_AddStringConstant(mod, "BACKEND_NAME", "c") < 0
+        || PyModule_AddStringConstant(mod, "SOURCE_SHA256", SOURCE_SHA256) < 0
         || PyModule_AddIntConstant(mod, "FIXED", FIXED) < 0
         || PyModule_AddIntConstant(mod, "FREE_DESCENT_PLATEAU", FREE_DESCENT_PLATEAU) < 0
         || PyModule_AddIntConstant(mod, "SINGLE_DOUBLE_DESCENT", SINGLE_DOUBLE_DESCENT) < 0

@@ -18,6 +18,7 @@ generates the bivariate ascent/descent polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping
 
 from .poly import MultiPoly
@@ -67,15 +68,37 @@ def derive(g: Grammar, p: MultiPoly) -> MultiPoly:
     >>> print(derive(d, MultiPoly.var("x")))
     x*y
     """
-    out = MultiPoly.zero(p.vars)
+    # Rules of the variables that occur, looked up in term order so the
+    # first missing one raises.
+    rules: dict[int, MultiPoly] = {}
+    for evec in p.terms:
+        for pos, e in enumerate(evec):
+            if e and pos not in rules:
+                rules[pos] = g.rule(p.vars[pos])
+    out_vars = tuple(sorted(set(p.vars).union(*(r.vars for r in rules.values()))))
+    index = {v: i for i, v in enumerate(out_vars)}
+    lift = [index[v] for v in p.vars]
+    # Replacing one occurrence of the variable at ``pos`` by a rule term
+    # adds ``delta`` = (rule exponents) - (unit vector at pos) to the
+    # exponents of the term.
+    deltas = {
+        pos: [
+            (tuple(e - (i == lift[pos]) for i, e in enumerate(revec)), rc)
+            for revec, rc in rule.with_vars(out_vars).terms.items()
+        ]
+        for pos, rule in rules.items()
+    }
+    acc: dict[tuple[int, ...], int] = {}
     for evec, c in p.terms.items():
-        for pos, (v, e) in enumerate(zip(p.vars, evec)):
-            if not e:
-                continue
-            reduced = list(evec)
-            reduced[pos] -= 1
-            out = out + MultiPoly(p.vars, {tuple(reduced): c * e}) * g.rule(v)
-    return out
+        base = [0] * len(out_vars)
+        for i, e in zip(lift, evec):
+            base[i] = e
+        for pos, e in enumerate(evec):
+            if e:
+                for d, rc in deltas[pos]:
+                    key = tuple(map(add, base, d))
+                    acc[key] = acc.get(key, 0) + c * e * rc
+    return MultiPoly(out_vars, acc)
 
 
 def derive_n(g: Grammar, p: MultiPoly, n: int) -> MultiPoly:

@@ -14,11 +14,22 @@ from __future__ import annotations
 
 import json
 from math import comb
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
 def _merge_vars(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(set(a) | set(b)))
+
+
+def _convolve(a, b) -> dict[tuple[int, ...], int]:
+    """Product of two sparse term lists over the same variables."""
+    out: dict[tuple[int, ...], int] = {}
+    for k1, c1 in a:
+        for k2, c2 in b:
+            key = tuple(map(add, k1, k2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 class MultiPoly:
@@ -250,6 +261,9 @@ class MultiPoly:
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise ValueError(f"no value for variables {missing}")
+        values = [assignment[v] for v in self.vars]
+        if all(isinstance(val, MultiPoly) for val in values):
+            return self._substitute(values)
         total = 0
         for evec, c in self.terms.items():
             term = c
@@ -258,6 +272,36 @@ class MultiPoly:
                     term = term * assignment[v] ** e
             total = total + term
         return total
+
+    def _substitute(self, values: Sequence["MultiPoly"]):
+        """``evaluate`` with a polynomial value for each variable, in one
+        pass.  As in the generic loop, the result spans the values of the
+        variables that occur, and is an int (the constant term, or 0)
+        when none occurs."""
+        top: dict[int, int] = {}
+        for evec in self.terms:
+            for i, e in enumerate(evec):
+                if e > top.get(i, 0):
+                    top[i] = e
+        if not top:
+            return sum(self.terms.values())
+        out_vars = tuple(sorted({v for i in top for v in values[i].vars}))
+        zero = (0,) * len(out_vars)
+        powers: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
+        for i, e_max in top.items():
+            base = list(values[i].with_vars(out_vars).terms.items())
+            power = [(zero, 1)]
+            for e in range(1, e_max + 1):
+                power = powers[i, e] = list(_convolve(power, base).items())
+        acc: dict[tuple[int, ...], int] = {}
+        for evec, c in self.terms.items():
+            partial = {zero: c}
+            for i, e in enumerate(evec):
+                if e:
+                    partial = _convolve(partial.items(), powers[i, e])
+            for key, val in partial.items():
+                acc[key] = acc.get(key, 0) + val
+        return MultiPoly(out_vars, acc)
 
     # -- rendering ----------------------------------------------------
 

@@ -8,6 +8,8 @@ consecutive occurrences.
 
 from itertools import permutations
 
+from stirlingperms.poly import MultiPoly
+
 
 def oracle_is_stirling(word: tuple[int, ...]) -> bool:
     """Every letter's consecutive occurrences enclose only larger letters."""
@@ -25,6 +27,21 @@ def oracle_words(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     for k, mk in enumerate(parts, start=1):
         letters.extend([k] * mk)
     return sorted(w for w in set(permutations(letters)) if oracle_is_stirling(w))
+
+
+def naive_derive(g, p: MultiPoly) -> MultiPoly:
+    """Grammar derivative term by term through ``MultiPoly`` arithmetic:
+    each occurrence of a variable is replaced by its rule and the
+    products are summed one at a time."""
+    out = MultiPoly.zero(p.vars)
+    for evec, c in p.terms.items():
+        for pos, (v, e) in enumerate(zip(p.vars, evec)):
+            if not e:
+                continue
+            reduced = list(evec)
+            reduced[pos] -= 1
+            out = out + MultiPoly(p.vars, {tuple(reduced): c * e}) * g.rule(v)
+    return out
 
 
 def unipoly_mul(a: list[int], b: list[int]) -> list[int]:

@@ -1,10 +1,12 @@
 """Pure-Python and compiled kernels must agree bit for bit.
 
-The compiled kernel is the one that imports; when none does, it is built
-from ``setup.py`` into a temporary directory (never into ``src/``) and
-loaded from there, so these tests run wherever a C compiler exists.
+The compiled kernel is the one that imports, when it was built from the
+current ``_core.c``; otherwise it is built from ``setup.py`` into a
+temporary directory (never into ``src/``) and loaded from there, so these
+tests run wherever a C compiler exists.
 """
 
+import hashlib
 import importlib.util
 import shlex
 import shutil
@@ -19,14 +21,21 @@ from stirlingperms import _pure
 from conftest import compositions_up_to
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCE_SHA256 = hashlib.sha256((ROOT / "src/stirlingperms/_core.c").read_bytes()).hexdigest()
+
+
+def imported_core():
+    try:
+        return importlib.import_module("stirlingperms._core")
+    except ImportError:
+        return None
 
 
 @pytest.fixture(scope="module")
 def core(tmp_path_factory):
-    try:
-        return importlib.import_module("stirlingperms._core")
-    except ImportError:
-        pass
+    mod = imported_core()
+    if mod is not None and getattr(mod, "SOURCE_SHA256", None) == SOURCE_SHA256:
+        return mod
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip(f"compiled kernel not built and no C compiler {cc[:1]} on PATH")
@@ -42,7 +51,18 @@ def core(tmp_path_factory):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     assert mod.BACKEND_NAME == "c"
+    assert mod.SOURCE_SHA256 == SOURCE_SHA256
     return mod
+
+
+def test_imported_core_is_built_from_current_source():
+    mod = imported_core()
+    if mod is None:
+        return  # the pure fallback runs, so nothing can be stale
+    assert getattr(mod, "SOURCE_SHA256", None) == SOURCE_SHA256, (
+        f"{mod.__file__} was built from another _core.c; "
+        "rebuild with `python3 setup.py build_ext --inplace`"
+    )
 
 
 @pytest.fixture(params=["pure", "c"])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import gamma, stats, words
+from stirlingperms import gamma, grammar, stats, words
 from stirlingperms.poly import MultiPoly
 from conftest import compositions_up_to
 
@@ -14,6 +14,22 @@ def test_s_poly_examples():
     assert gamma.s_poly((2, 2)) == X**2 * Y**2 * Z + (X**2 * Y + X * Y**2) * Z**2
     # empty word: the grammar-base convention makes its monomial x^1
     assert gamma.s_poly(()) == X
+
+
+#: Label variables to (asc, des, plat) variables: descents x, xt -> y,
+#: plateaux y, yt -> z, ascents z -> x.
+LABELS_TO_TRIPLE = {"x": Y, "xt": Y, "y": Z, "yt": Z, "z": X}
+
+
+@pytest.mark.parametrize("parts", compositions_up_to(6))
+def test_quintuple_poly_substitutes_to_s_poly(parts):
+    assert grammar.quintuple_poly(parts).evaluate(LABELS_TO_TRIPLE) == gamma.s_poly(parts)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_substituted_permutation_poly_spans_x_y(n):
+    # only x and z occur in quintuple_poly((1,)*n); their values are y and x
+    assert grammar.quintuple_poly((1,) * n).evaluate(LABELS_TO_TRIPLE).vars == ("x", "y")
 
 
 def test_gamma_expand_examples():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from stirlingperms import grammar, stats, words
 from stirlingperms.poly import MultiPoly
-from conftest import compositions_up_to
+from conftest import compositions_up_to, naive_derive
 
 X, Y = MultiPoly.var("x"), MultiPoly.var("y")
 
@@ -112,6 +112,49 @@ def test_derive_is_linear(terms_p, terms_q):
     p = MultiPoly(("x", "y"), terms_p)
     q = MultiPoly(("x", "y"), terms_q)
     assert grammar.derive(g, p + q) == grammar.derive(g, p) + grammar.derive(g, q)
+
+
+GRAMMARS = [grammar.gk(k) for k in range(1, 5)] + [grammar.dumont_grammar()]
+
+
+@given(
+    st.sampled_from(GRAMMARS),
+    st.dictionaries(
+        st.tuples(*(st.integers(0, 3) for _ in grammar.QUINTUPLE_VARS)),
+        st.integers(-50, 50),
+        max_size=6,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_derive_matches_naive_oracle(g, terms):
+    # Variables without a rule (xt, yt, z under the Dumont grammar) keep
+    # exponent 0, so p.vars still lists them.
+    ruled = [v in g.rules for v in grammar.QUINTUPLE_VARS]
+    p = MultiPoly(
+        grammar.QUINTUPLE_VARS,
+        {tuple(e * r for e, r in zip(evec, ruled)): c for evec, c in terms.items()},
+    )
+    fast, slow = grammar.derive(g, p), naive_derive(g, p)
+    assert fast == slow
+    assert fast.vars == slow.vars
+
+
+def test_derive_skips_rule_lookup_for_absent_variables():
+    g = grammar.dumont_grammar()
+    p = MultiPoly(("q", "x"), {(0, 1): 1})
+    d = grammar.derive(g, p)
+    assert d == X * Y
+    assert d.vars == ("q", "x", "y") == naive_derive(g, p).vars
+
+
+def test_derive_raises_for_first_missing_rule_like_naive():
+    g = grammar.dumont_grammar()
+    p = MultiPoly(("q", "r", "x"), {(0, 1, 1): 1, (1, 0, 0): 2})
+    with pytest.raises(grammar.MissingRuleError) as fast:
+        grammar.derive(g, p)
+    with pytest.raises(grammar.MissingRuleError) as slow:
+        naive_derive(g, p)
+    assert fast.value.var == slow.value.var
 
 
 def test_derive_leibniz_on_product():

@@ -112,6 +112,54 @@ def test_evaluate():
         p.evaluate({"x": 3})
 
 
+def naive_evaluate(p, assignment):
+    """Term-by-term substitution through ``MultiPoly`` arithmetic."""
+    total = 0
+    for evec, c in p.terms.items():
+        term = c
+        for v, e in zip(p.vars, evec):
+            if e:
+                term = term * assignment[v] ** e
+        total = total + term
+    return total
+
+
+def test_evaluate_numeric_values():
+    p = 3 * X**2 * Z - X * Y + 7
+    assert p.evaluate({"x": 2, "y": -5, "z": 4}) == 3 * 4 * 4 + 10 + 7
+    assert p.evaluate({"x": 2, "y": Y, "z": 1}) == 19 - 2 * Y
+
+
+@given(
+    rand_poly(("a", "b", "c")),
+    st.lists(rand_poly(("x", "y")) | rand_poly(("y", "z")), min_size=3, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_with_polynomial_values_matches_naive(p, values):
+    assignment = dict(zip(("a", "b", "c"), values))
+    got, want = p.evaluate(assignment), naive_evaluate(p, assignment)
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(want, MultiPoly):
+        assert got.vars == want.vars
+
+
+def test_evaluate_with_polynomial_values_edge_cases():
+    values = {"x": Y, "y": Z, "z": X + 1}
+    # the zero polynomial and a constant give ints, as with numeric values
+    for p, want in ((MultiPoly.zero(("x", "y")), 0), (MultiPoly(("x",), {(0,): 5}), 5)):
+        got = p.evaluate(values)
+        assert type(got) is int and got == want
+    # a constant term next to polynomial values
+    got = (X * Y + 2).evaluate(values)
+    assert got == Y * Z + 2
+    assert got.vars == ("y", "z")
+    # the result spans the values of the occurring variables only
+    assert MultiPoly(("x", "y", "z"), {(2, 0, 0): 3}).evaluate(values).vars == ("y",)
+    # values of several terms are expanded
+    assert (Z**2 * X).evaluate(values) == (X + 1) ** 2 * Y
+
+
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         MultiPoly(("x",), {(-1,): 1})
