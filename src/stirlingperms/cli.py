@@ -288,7 +288,8 @@ def _cmd_realroot(args) -> int:
         payload = {"m": list(parts), "i": args.i, "poly": "0", "zero": True}
         _emit(json.dumps(payload) if args.format == "json" else "polynomial: 0 (empty slice)")
         return 0
-    chain = roots_mod._sturm_chain(roots_mod.squarefree_part(p))
+    # lengths of the chain that certifies p: it ends at gcd(p, p')
+    lengths = [f.degree + 1 for f in roots_mod._sturm_chain(p)]
     real_rooted = roots_mod.is_real_rooted(p)
     palindromic = roots_mod.is_palindromic(p)
     distinct = roots_mod.sturm_real_roots(p)
@@ -300,14 +301,14 @@ def _cmd_realroot(args) -> int:
             "real_rooted": real_rooted,
             "palindromic": palindromic,
             "distinct_real_roots": distinct,
-            "sturm_chain_lengths": [f.degree + 1 for f in chain],
+            "sturm_chain_lengths": lengths,
         }))
     else:
         _emit(f"polynomial: {p}")
         _emit(f"real_rooted: {str(real_rooted).lower()}")
         _emit(f"palindromic: {str(palindromic).lower()}")
         _emit(f"distinct_real_roots: {distinct}")
-        _emit(f"sturm_chain_lengths: {[f.degree + 1 for f in chain]}")
+        _emit(f"sturm_chain_lengths: {lengths}")
     return 0
 
 

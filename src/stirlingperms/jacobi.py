@@ -11,11 +11,11 @@ keeps all letters between the two copies of an unbarred letter larger
 than it (barred letters occur once, so the same nesting condition is
 vacuous for them).
 
-``m_of_s`` produces the multiplicity vector of the surviving alphabet
-after collapsing it onto 1..(2n-|S|); ``compress`` performs that
-order-preserving collapse on a word, so enumeration, statistics and the
-trivariate generating polynomials all transport to the plain word
-machinery and back.
+``present_ranks`` lists the surviving alphabet; ``m_of_s`` reads off
+its multiplicity vector after collapsing it onto 1..(2n-|S|);
+``compress`` performs that order-preserving collapse on a word, so
+enumeration, statistics and the trivariate generating polynomials all
+transport to the plain word machinery and back.
 """
 
 from __future__ import annotations
@@ -41,23 +41,6 @@ def _check_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
     return s
 
 
-def m_of_s(n: int, subset: Iterable[int]) -> Composition:
-    """Multiplicity vector of the surviving alphabet: position
-    ``p + #{a not in S : a <= p}`` carries the doubled letter p, all
-    other positions carry a once-occurring barred letter.
-
-    >>> m_of_s(7, {1, 2, 5, 7})
-    (2, 2, 1, 2, 1, 2, 2, 1, 2, 2)
-    """
-    s = _check_subset(n, subset)
-    out = [1] * (2 * n - len(s))
-    others = [a for a in range(1, n + 1) if a not in s]
-    for p in range(1, n + 1):
-        idx = p + sum(1 for a in others if a <= p)
-        out[idx - 1] = 2
-    return tuple(out)
-
-
 def present_ranks(n: int, subset: Iterable[int]) -> list[tuple[int, int]]:
     """Surviving (rank, multiplicity) pairs in increasing rank order."""
     s = _check_subset(n, subset)
@@ -67,6 +50,17 @@ def present_ranks(n: int, subset: Iterable[int]) -> list[tuple[int, int]]:
             out.append((2 * k - 1, 1))
         out.append((2 * k, 2))
     return out
+
+
+def m_of_s(n: int, subset: Iterable[int]) -> Composition:
+    """Multiplicity vector of the surviving alphabet, read off
+    :func:`present_ranks`: each doubled letter p carries 2, each
+    once-occurring barred letter carries 1.
+
+    >>> m_of_s(7, {1, 2, 5, 7})
+    (2, 2, 1, 2, 1, 2, 2, 1, 2, 2)
+    """
+    return tuple(mult for _, mult in present_ranks(n, subset))
 
 
 def compress(n: int, subset: Iterable[int], jword: Sequence[int]) -> Word:
@@ -160,31 +154,41 @@ def jsp_level_poly(n: int, level: int) -> MultiPoly:
 @dataclass(frozen=True)
 class ConjectureReport:
     """Per-level gamma tables for one alphabet size, plus the identity
-    tying each level aggregate to the collapsed word polynomials."""
+    tying each level aggregate to the collapsed word polynomials.
+    ``mismatch`` is the first subset (levels in order, colex within one)
+    whose direct and collapsed polynomials differ, with both, or None."""
 
     n: int
     tables: tuple[GammaTable, ...]
     aggregation_ok: bool
     passed: bool
     detail: str
+    mismatch: tuple[tuple[int, ...], MultiPoly, MultiPoly] | None
 
     def __bool__(self) -> bool:
         return self.passed
 
 
 def verify_conjecture(n: int) -> ConjectureReport:
-    """For every level i: the aggregate polynomial equals the sum of the
-    collapsed-word polynomials, and its gamma table is nonnegative."""
+    """Every subset's word polynomial equals its collapsed ``s_poly``;
+    for every level i, the aggregate of the subsets' polynomials equals
+    the sum of the collapsed ones, and its gamma table is nonnegative.
+    One pass: each subset's words are enumerated and profiled once."""
     if n < 1:
         raise ValueError("n must be at least 1")
     tables = []
     detail = ""
     aggregation_ok = True
+    mismatch = None
     for level in range(n + 1):
-        agg = jsp_level_poly(n, level)
-        via_collapse = MultiPoly.zero(("x", "y", "z"))
+        agg = via_collapse = MultiPoly.zero(("x", "y", "z"))
         for s in level_subsets(n, level):
-            via_collapse = via_collapse + s_poly(m_of_s(n, s))
+            direct = jsp_stat_poly(n, s)
+            collapsed = s_poly(m_of_s(n, s))
+            if mismatch is None and direct != collapsed:
+                mismatch = (s, direct, collapsed)
+            agg = agg + direct
+            via_collapse = via_collapse + collapsed
         if agg != via_collapse:
             aggregation_ok = False
             detail = f"level {level}: aggregate differs from collapsed sum"
@@ -192,8 +196,10 @@ def verify_conjecture(n: int) -> ConjectureReport:
         tables.append(table)
         if not table.positive and not detail:
             detail = f"level {level}: negative gamma coefficient"
-    passed = aggregation_ok and all(t.positive for t in tables)
-    return ConjectureReport(n, tuple(tables), aggregation_ok, passed, detail)
+    if mismatch is not None and not detail:
+        detail = f"subset {list(mismatch[0])}: direct polynomial differs from collapsed"
+    passed = mismatch is None and aggregation_ok and all(t.positive for t in tables)
+    return ConjectureReport(n, tuple(tables), aggregation_ok, passed, detail, mismatch)
 
 
 def format_jword(jword: Sequence[int]) -> str:

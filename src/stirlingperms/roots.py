@@ -3,8 +3,10 @@
 Univariate polynomials carry big-integer coefficients; root counting
 uses a Sturm chain built from sign-corrected pseudo-remainders with
 content stripped at every step, so no rationals or floats enter the
-certification path.  ``is_real_rooted`` certifies by comparing the
-Sturm count of the squarefree part against its degree.
+certification path.  The chain of ``p`` ends at ``gcd(p, p')``, so
+``is_real_rooted`` certifies from that one chain: its count of distinct
+real roots must equal ``deg p - deg gcd(p, p')``, the number of
+distinct complex roots.
 
 ``stability_probe`` is the opposite of a certificate: it randomly
 samples points with strictly positive imaginary parts (optionally
@@ -104,6 +106,10 @@ def _pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def _sturm_chain(p: UniPoly) -> list[UniPoly]:
+    # The chain is the Euclidean remainder sequence of p and p', so it
+    # ends at gcd(p, p') up to a constant factor.  Every member is a
+    # multiple of that gcd, which changes no sign at minus or plus
+    # infinity, so a p with repeated roots needs no squarefree reduction.
     chain = [_primitive(p)]
     dered = _primitive(p.derivative())
     if not dered.is_zero():
@@ -127,9 +133,16 @@ def _sturm_chain(p: UniPoly) -> list[UniPoly]:
     return chain
 
 
-def _sign_variations(signs: Sequence[int]) -> int:
-    cleaned = [s for s in signs if s]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
+def _distinct_real_roots(chain: Sequence[UniPoly]) -> int:
+    """Sign variations of a Sturm chain at minus infinity less those at
+    plus infinity; its members are nonzero, so no sign is zero."""
+    at_pos = [1 if f.leading() > 0 else -1 for f in chain]
+    at_neg = [s if f.degree % 2 == 0 else -s for f, s in zip(chain, at_pos)]
+
+    def variations(signs: list[int]) -> int:
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(at_neg) - variations(at_pos)
 
 
 def sturm_real_roots(p: UniPoly) -> int:
@@ -141,75 +154,17 @@ def sturm_real_roots(p: UniPoly) -> int:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
-    if p.degree == 0:
-        return 0
-    chain = _sturm_chain(p)
-    at_pos = [1 if f.leading() > 0 else -1 for f in chain]
-    at_neg = [
-        s if f.degree % 2 == 0 else -s for f, s in zip(chain, at_pos)
-    ]
-    return _sign_variations(at_neg) - _sign_variations(at_pos)
-
-
-def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    a, b = _primitive(a), _primitive(b)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        if b.degree == 0:
-            return UniPoly((1,))
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    if a.is_zero():
-        return UniPoly((1,))
-    if a.leading() < 0:
-        a = UniPoly(tuple(-c for c in a.coeffs))
-    return a
-
-
-def _exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Quotient a / b, asserting exact division over the integers."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(a.coeffs)
-    out = [0] * max(a.degree - b.degree + 1, 0)
-    while len(rem) - 1 >= b.degree and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < b.degree:
-            break
-        q, r = divmod(rem[-1], b.leading())
-        if r:
-            raise ArithmeticError(f"inexact polynomial division of {a} by {b}")
-        k = len(rem) - 1 - b.degree
-        out[k] = q
-        for i in range(b.degree + 1):
-            rem[k + i] -= q * b.coeffs[i]
-    if any(rem):
-        raise ArithmeticError(f"inexact polynomial division of {a} by {b}")
-    return UniPoly.of(out)
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """``p / gcd(p, p')`` after content removal."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no squarefree part")
-    pp = _primitive(p)
-    if pp.degree == 0:
-        return UniPoly((1,))
-    g = _poly_gcd(pp, pp.derivative())
-    return _primitive(_exact_div(pp, g))
+    return _distinct_real_roots(_sturm_chain(p))
 
 
 def is_real_rooted(p: UniPoly) -> bool:
-    """True when every complex root is real: the squarefree part must
-    have as many distinct real roots as its degree."""
+    """True when every complex root is real.  The Sturm chain of ``p``
+    ends at ``gcd(p, p')``, so ``p`` has ``deg p - deg gcd`` distinct
+    complex roots; all are real when the chain counts that many."""
     if p.is_zero():
         raise ValueError("the zero polynomial is excluded")
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return True
-    return sturm_real_roots(q) == q.degree
+    chain = _sturm_chain(p)
+    return _distinct_real_roots(chain) == p.degree - chain[-1].degree
 
 
 def is_palindromic(p: UniPoly) -> bool:
@@ -242,7 +197,7 @@ def s_mi(parts: Iterable[int], level: int) -> UniPoly:
 
 # -- stability falsification probe -------------------------------------
 
-#: Default sampling box: real parts in [-5, 5], imaginary parts in (0, 5].
+#: Sampling box: real parts in [-5, 5], imaginary parts in (0, 5].
 DEFAULT_BOX = ((-5, 5), (0, 5))
 
 _DYADIC = 2**12  # random samples are dyadic, so float conversion is lossless
@@ -325,18 +280,12 @@ def _to_complex(point: dict[str, tuple[Fraction, Fraction]]) -> dict[str, comple
     return {v: complex(float(re), float(im)) for v, (re, im) in point.items()}
 
 
-def stability_probe(
-    p: MultiPoly,
-    trials: int,
-    seed: int,
-    refine: bool = False,
-    box: tuple[tuple[int, int], tuple[int, int]] = DEFAULT_BOX,
-) -> ProbeHit | None:
+def stability_probe(p: MultiPoly, trials: int, seed: int, refine: bool = False) -> ProbeHit | None:
     """Hunt for a zero with every imaginary part strictly positive.
 
-    Draws ``trials`` dyadic-rational points from ``box`` (seeded, so
-    reproducible), flagging a point when the float value sits inside its
-    rounding guard and confirming with exact rational arithmetic.  With
+    Draws ``trials`` dyadic-rational points from ``DEFAULT_BOX`` (seeded,
+    so reproducible), flagging a point when the float value sits inside
+    its rounding guard and confirming with exact rational arithmetic.  With
     ``refine=True`` a small structured grid of simple points is also
     evaluated exactly, followed by a local descent from the best sample
     with snap-to-rational retesting.  Returns the first hit, else None.
@@ -346,9 +295,7 @@ def stability_probe(
         raise ValueError("trials must be at least 1")
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    (re_lo, re_hi), (im_lo, im_hi) = box
-    if im_lo < 0 or im_hi <= im_lo:
-        raise ValueError("imaginary box must sit in the upper half plane")
+    (re_lo, re_hi), (im_lo, im_hi) = DEFAULT_BOX
     rng = random.Random(seed)
     names = p.vars or ("x",)
 

@@ -133,6 +133,23 @@ def test_realroot_command(capsys):
     assert any(line.startswith("sturm_chain_lengths:") for line in lines)
 
 
+def test_realroot_prints_the_chain_of_p(capsys):
+    # the chain of x^3 is x^3, x^2: it ends at gcd(p, p') = x^2, not at x
+    code, out, _ = run_cli(capsys, "realroot", "--m", "2,2,2", "--i", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "polynomial: x^3",
+        "real_rooted: true",
+        "palindromic: true",
+        "distinct_real_roots: 1",
+        "sturm_chain_lengths: [4, 3]",
+    ]
+    code, out, _ = run_cli(capsys, "realroot", "--m", "2,2,2", "--i", "1", "--format", "json")
+    data = json.loads(out)
+    assert data["sturm_chain_lengths"] == [4, 3]
+    assert data["distinct_real_roots"] == 1 and data["real_rooted"] is True
+
+
 def test_probe_command(capsys):
     code, out, _ = run_cli(capsys, "probe", "--m", "2,2", "--trials", "100", "--seed", "42")
     assert code == 0

@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+
 import pytest
 
-from stirlingperms import gamma, jacobi
+from stirlingperms import gamma, jacobi, verify
+from stirlingperms.poly import MultiPoly
 
 def all_subsets(n):
     for size in range(n + 1):
@@ -86,6 +90,38 @@ def test_verify_conjecture(n):
     assert report.passed and report.aggregation_ok
     assert len(report.tables) == n + 1
     assert all(t.positive for t in report.tables)
+
+def test_check_jacobi_reports_the_first_subset_mismatch(monkeypatch):
+    """A polynomial skewed on every one-letter subset fails at the first
+    of them, with the direct and collapsed polynomials as the payload."""
+    real = jacobi.jsp_stat_poly
+    bump = MultiPoly(("x", "y", "z"), {(0, 0, 9): 1})
+
+    def skewed(n, s):
+        p = real(n, s)
+        return p + bump if len(tuple(s)) == 1 else p
+
+    monkeypatch.setattr(jacobi, "jsp_stat_poly", skewed)
+    report = jacobi.verify_conjecture(2)
+    assert not report.passed and not report.aggregation_ok
+    assert report.mismatch[0] == (1,)
+    expected = {
+        "n": 2,
+        "subset": [1],
+        "direct": (real(2, (1,)) + bump).to_json_dict(),
+        "collapsed": gamma.s_poly((2, 1, 2)).to_json_dict(),
+    }
+    assert verify.check_jacobi(2).counterexample == json.dumps(expected, sort_keys=True)
+
+
+def test_check_jacobi_reports_a_negative_level(monkeypatch):
+    real = jacobi.partial_gamma
+    monkeypatch.setattr(jacobi, "partial_gamma", lambda p: replace(real(p), positive=False))
+    report = verify.check_jacobi(2)
+    assert not report.passed
+    expected = {"n": 2, "detail": "level 0: negative gamma coefficient"}
+    assert report.counterexample == json.dumps(expected, sort_keys=True)
+
 
 def test_jword_text_round_trip():
     assert jacobi.parse_jword("1b,1,1") == (1, 2, 2)

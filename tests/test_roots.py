@@ -52,13 +52,6 @@ def test_is_palindromic_examples():
     assert roots.is_palindromic(UniPoly.of([0, 0, 7]))
 
 
-def test_squarefree_part():
-    # (x+1)^2 (x-2) -> (x+1)(x-2)
-    p = UniPoly.of([-2, -3, 0, 1])
-    assert roots.squarefree_part(p) == UniPoly.of([-2, -1, 1])
-    assert roots.squarefree_part(UniPoly.of([0, 0, 0, 5])) == UniPoly.of([0, 1])
-
-
 @given(
     st.lists(st.tuples(st.integers(1, 4), st.integers(-6, 6)), min_size=0, max_size=3),
     st.lists(st.integers(1, 9), min_size=0, max_size=2),
@@ -80,20 +73,35 @@ def test_sturm_on_constructed_products(linear, quad_constants):
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_sturm_against_sympy(coeffs):
+    # count_roots counts distinct real roots, so p need not be squarefree
     p = UniPoly.of(coeffs)
     if p.is_zero() or p.degree == 0:
         return
     x = sympy.Symbol("x")
     expr = sum(c * x**i for i, c in enumerate(p.coeffs))
     expected = sympy.Poly(expr, x).count_roots(-sympy.oo, sympy.oo)
-    # sympy counts with multiplicity collapsed to distinct? count_roots counts
-    # real roots with multiplicity ignored on the squarefree part; compare on
-    # the squarefree part to remove ambiguity
-    q = roots.squarefree_part(p)
-    expr_q = sum(c * x**i for i, c in enumerate(q.coeffs))
-    expected_q = sympy.Poly(expr_q, x).count_roots(-sympy.oo, sympy.oo)
-    assert roots.sturm_real_roots(q) == expected_q
-    assert roots.sturm_real_roots(p) == roots.sturm_real_roots(q)
+    assert roots.sturm_real_roots(p) == expected
+
+
+_factor = st.one_of(
+    st.tuples(st.integers(-5, 5), st.integers(1, 4)),  # b + a x
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 3)),  # c + b x + a x^2
+)
+
+
+@given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_is_real_rooted_against_sympy_with_multiplicity(factors):
+    # linear and quadratic factors, each raised to the power 1, 2 or 3;
+    # sympy's real_roots lists every real root with its multiplicity
+    coeffs = [1]
+    for f, power in factors:
+        for _ in range(power):
+            coeffs = unipoly_mul(coeffs, list(f))
+    p = UniPoly.of(coeffs)
+    x = sympy.Symbol("x")
+    expr = sum(c * x**i for i, c in enumerate(p.coeffs))
+    assert roots.is_real_rooted(p) == (len(sympy.Poly(expr, x).real_roots()) == p.degree)
 
 
 @pytest.mark.parametrize("parts", [p for p in compositions_up_to(6) if p])
