@@ -58,7 +58,7 @@ two_args(const char *name, Py_ssize_t nargs)
 }
 
 static PyObject *
-words_of(PyObject *self, PyObject *arg)
+words_of(PyObject *Py_UNUSED(self), PyObject *arg)
 {
     Py_ssize_t parts[MAX_LETTERS], total;
     Py_ssize_t n = fill_parts(arg, parts, &total), k, i, g;
@@ -118,9 +118,9 @@ fail:
 }
 
 static PyObject *
-enum_counts(PyObject *self, PyObject *arg)
+enum_counts(PyObject *Py_UNUSED(self), PyObject *arg)
 {
-    PyObject *ws = words_of(self, arg);
+    PyObject *ws = words_of(NULL, arg);
     Py_ssize_t i, total, distinct = 0;
     if (ws == NULL)
         return NULL;
@@ -163,7 +163,7 @@ stirling_property(const unsigned char *w, Py_ssize_t m, const Py_ssize_t *mult)
 }
 
 static PyObject *
-is_stirling(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+is_stirling(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t parts[MAX_LETTERS], mult[MAX_LETTERS + 1] = {0};
     Py_ssize_t n, m, k, total;
@@ -211,7 +211,7 @@ next_permutation(unsigned char *a, Py_ssize_t m)
 }
 
 static PyObject *
-brute_count(PyObject *self, PyObject *arg)
+brute_count(PyObject *Py_UNUSED(self), PyObject *arg)
 {
     Py_ssize_t parts[MAX_LETTERS], mult[MAX_LETTERS + 1] = {0};
     Py_ssize_t m, n = fill_parts(arg, parts, &m), k, i;
@@ -238,7 +238,7 @@ brute_count(PyObject *self, PyObject *arg)
 }
 
 static PyObject *
-profile12(PyObject *self, PyObject *arg)
+profile12(PyObject *Py_UNUSED(self), PyObject *arg)
 {
     Py_ssize_t mult[256] = {0}, first[256] = {0}, m, i;
     Py_ssize_t asc = 0, plat = 0, des = 0, sdes = 0, mdes = 0, fplat = 0, uplat = 0;
@@ -298,82 +298,33 @@ profile12(PyObject *self, PyObject *arg)
                          uplat, dasc, sddes, fdesp, ascpp, mdup);
 }
 
-/* Shared by classify_letter and phi_letter: the value class of letter
- * ``*x`` from the window around its leftmost occurrence (0-based in
- * ``*pos``), with the word as bytes in ``*wb``; or -1 with an exception set
- * (ValueError when the letter does not occur). */
+/* The value class of letter ``x`` from the window around its leftmost
+ * occurrence ``pos`` (0-based) in the word ``w`` of length ``m``. */
 static int
-classify(const char *name, PyObject *const *args, Py_ssize_t nargs,
-         PyObject **wb, long *x, Py_ssize_t *pos)
+letter_class(const unsigned char *w, Py_ssize_t m, Py_ssize_t pos, long x)
 {
-    const unsigned char *w;
-    Py_ssize_t i, m, cnt = 0;
-    unsigned char p, nx;
-    int overflow;
-
-    if (!two_args(name, nargs))
-        return -1;
-    *x = PyLong_AsLongAndOverflow(args[1], &overflow);
-    if ((*x == -1 && PyErr_Occurred()) || (*wb = PyBytes_FromObject(args[0])) == NULL)
-        return -1;
-    w = (const unsigned char *)PyBytes_AS_STRING(*wb);
-    m = PyBytes_GET_SIZE(*wb);
-    for (i = 0; i < m && !overflow && w[i] != *x; i++)
-        ;
-    if (i == m || overflow) {
-        Py_CLEAR(*wb);
-        PyErr_Format(PyExc_ValueError, "letter %R does not occur in the word", args[1]);
-        return -1;
-    }
-    *pos = i;
-    p = i >= 1 ? w[i - 1] : 0;
-    nx = i + 1 < m ? w[i + 1] : 0;
-    if (p > *x && *x == nx)
+    unsigned char p = pos >= 1 ? w[pos - 1] : 0, nx = pos + 1 < m ? w[pos + 1] : 0;
+    Py_ssize_t i, cnt = 0;
+    if (p > x && x == nx)
         return FREE_DESCENT_PLATEAU;
-    if (p > *x && *x > nx) {
+    if (p > x && x > nx) {
         for (i = 0; i < m; i++)
-            cnt += w[i] == *x;
+            cnt += w[i] == x;
         if (cnt == 1)
             return SINGLE_DOUBLE_DESCENT;
     }
-    if (p < *x && *x < nx)
+    if (p < x && x < nx)
         return DOUBLE_ASCENT;
     return FIXED;
 }
 
-static PyObject *
-classify_letter(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* Write the hop of letter ``x`` of class ``cls`` (not FIXED), whose
+ * leftmost occurrence in ``w`` is ``pos``, into the ``m`` bytes at
+ * ``dst``. */
+static void
+hop(const unsigned char *w, Py_ssize_t m, Py_ssize_t pos, long x, int cls, unsigned char *dst)
 {
-    PyObject *wb;
-    long x;
-    Py_ssize_t pos;
-    int cls = classify("classify_letter", args, nargs, &wb, &x, &pos);
-    if (cls < 0)
-        return NULL;
-    Py_DECREF(wb);
-    return PyLong_FromLong(cls);
-}
-
-static PyObject *
-phi_letter(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *wb, *nw;
-    long x;
-    Py_ssize_t pos, m, k, l1;
-    const unsigned char *w;
-    unsigned char *dst;
-    int cls = classify("phi_letter", args, nargs, &wb, &x, &pos);
-
-    if (cls < 0)
-        return NULL;
-    if (cls == FIXED)
-        return wb;
-    w = (const unsigned char *)PyBytes_AS_STRING(wb);
-    m = PyBytes_GET_SIZE(wb);
-    l1 = pos + 1; /* 1-based leftmost occurrence */
-    if ((nw = PyBytes_FromStringAndSize(NULL, m)) == NULL)
-        goto done;
-    dst = (unsigned char *)PyBytes_AS_STRING(nw);
+    Py_ssize_t k, l1 = pos + 1; /* 1-based leftmost occurrence */
     if (cls == FREE_DESCENT_PLATEAU || cls == SINGLE_DOUBLE_DESCENT) {
         /* hop left: land after the nearest smaller letter (the left
          * neighbour is larger, so k starts at 0 or beyond) */
@@ -393,9 +344,143 @@ phi_letter(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         dst[k - 2] = (unsigned char)x;
         memcpy(dst + k - 1, w + k - 1, m - k + 1);
     }
-done:
+}
+
+/* Shared by classify_letter and phi_letter: parse ``(word, x)`` into the
+ * word as bytes in ``*wb``, the letter in ``*x`` and its leftmost
+ * occurrence (0-based) in ``*pos``, and return its value class; or -1
+ * with an exception set (ValueError when the letter does not occur). */
+static int
+classify(const char *name, PyObject *const *args, Py_ssize_t nargs,
+         PyObject **wb, long *x, Py_ssize_t *pos)
+{
+    const unsigned char *w;
+    Py_ssize_t i, m;
+    int overflow;
+
+    if (!two_args(name, nargs))
+        return -1;
+    *x = PyLong_AsLongAndOverflow(args[1], &overflow);
+    if ((*x == -1 && PyErr_Occurred()) || (*wb = PyBytes_FromObject(args[0])) == NULL)
+        return -1;
+    w = (const unsigned char *)PyBytes_AS_STRING(*wb);
+    m = PyBytes_GET_SIZE(*wb);
+    for (i = 0; i < m && !overflow && w[i] != *x; i++)
+        ;
+    if (i == m || overflow) {
+        Py_CLEAR(*wb);
+        PyErr_Format(PyExc_ValueError, "letter %R does not occur in the word", args[1]);
+        return -1;
+    }
+    *pos = i;
+    return letter_class(w, m, i, *x);
+}
+
+static PyObject *
+classify_letter(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *wb;
+    long x;
+    Py_ssize_t pos;
+    int cls = classify("classify_letter", args, nargs, &wb, &x, &pos);
+    if (cls < 0)
+        return NULL;
+    Py_DECREF(wb);
+    return PyLong_FromLong(cls);
+}
+
+static PyObject *
+phi_letter(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *wb, *nw;
+    long x;
+    Py_ssize_t pos;
+    int cls = classify("phi_letter", args, nargs, &wb, &x, &pos);
+
+    if (cls < 0)
+        return NULL;
+    if (cls == FIXED)
+        return wb;
+    nw = PyBytes_FromStringAndSize(NULL, PyBytes_GET_SIZE(wb));
+    if (nw != NULL)
+        hop((const unsigned char *)PyBytes_AS_STRING(wb), PyBytes_GET_SIZE(wb), pos, x, cls,
+            (unsigned char *)PyBytes_AS_STRING(nw));
     Py_DECREF(wb);
     return nw;
+}
+
+/* Index of the ``m``-byte word ``w`` in the sorted list ``words`` of
+ * ``m``-byte words, or -1. */
+static Py_ssize_t
+find_word(PyObject *words, const unsigned char *w, Py_ssize_t m)
+{
+    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(words), mid;
+    int c;
+    while (lo < hi) {
+        mid = lo + (hi - lo) / 2;
+        c = memcmp(PyBytes_AS_STRING(PyList_GET_ITEM(words, mid)), w, (size_t)m);
+        if (c == 0)
+            return mid;
+        if (c < 0)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return -1;
+}
+
+static PyObject *
+hop_tables(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    PyObject *words = words_of(NULL, arg), *phis = NULL, *classes = NULL, *px, *cx, *v;
+    Py_ssize_t count, m, n = 0, i, pos, j;
+    const unsigned char *w;
+    unsigned char *img = NULL, *cls_out;
+    long x;
+    int cls;
+
+    if (words == NULL)
+        return NULL;
+    count = PyList_GET_SIZE(words);
+    w = (const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(words, 0));
+    m = PyBytes_GET_SIZE(PyList_GET_ITEM(words, 0));
+    for (i = 0; i < m; i++) /* every letter occurs, so n is the largest */
+        n = w[i] > n ? w[i] : n;
+    if ((img = PyMem_Malloc((size_t)m + 1)) == NULL || (phis = PyList_New(n)) == NULL
+        || (classes = PyList_New(n)) == NULL)
+        goto fail;
+    for (x = 1; x <= n; x++) {
+        if ((px = PyList_New(count)) == NULL)
+            goto fail;
+        PyList_SET_ITEM(phis, x - 1, px);
+        if ((cx = PyBytes_FromStringAndSize(NULL, count)) == NULL)
+            goto fail;
+        PyList_SET_ITEM(classes, x - 1, cx);
+        cls_out = (unsigned char *)PyBytes_AS_STRING(cx);
+        for (i = 0; i < count; i++) {
+            w = (const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(words, i));
+            pos = (const unsigned char *)memchr(w, (int)x, (size_t)m) - w;
+            cls_out[i] = (unsigned char)(cls = letter_class(w, m, pos, x));
+            j = i;
+            if (cls != FIXED) {
+                hop(w, m, pos, x, cls, img);
+                j = find_word(words, img, m);
+            }
+            if ((v = PyLong_FromSsize_t(j)) == NULL)
+                goto fail;
+            PyList_SET_ITEM(px, i, v);
+        }
+    }
+    PyMem_Free(img);
+    return Py_BuildValue("(NNN)", words, phis, classes);
+fail:
+    if (!PyErr_Occurred())
+        PyErr_NoMemory();
+    PyMem_Free(img);
+    Py_DECREF(words);
+    Py_XDECREF(phis);
+    Py_XDECREF(classes);
+    return NULL;
 }
 
 static PyMethodDef core_methods[] = {
@@ -421,15 +506,20 @@ static PyMethodDef core_methods[] = {
     {"phi_letter", (PyCFunction)(void (*)(void))phi_letter, METH_FASTCALL,
      "phi_letter(word, x)\n--\n\n"
      "One hop of the letter action; see the pure backend docstring."},
+    {"hop_tables", hop_tables, METH_O,
+     "hop_tables(parts)\n--\n\n"
+     "``(words, phis, classes)``: the sorted words of ``parts`` and, per\n"
+     "letter, the index of each word's hop image (-1 when it is not a word)\n"
+     "and the bytes of each word's value class."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef core_module = {
-    PyModuleDef_HEAD_INIT,
-    "stirlingperms._core",
-    "Compiled kernels; mirrors ``stirlingperms._pure`` function for function.",
-    -1,
-    core_methods,
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "stirlingperms._core",
+    .m_doc = "Compiled kernels; mirrors ``stirlingperms._pure`` function for function.",
+    .m_size = -1,
+    .m_methods = core_methods,
 };
 
 PyMODINIT_FUNC

@@ -225,7 +225,11 @@ def phi_letter(word, x):
     Landing positions use strict ``<`` on the left and ``<=`` on the
     right, with the sentinels as final backstops.
     """
-    cls = classify_letter(word, x)
+    return _hop(word, x, classify_letter(word, x))
+
+
+def _hop(word, x, cls):
+    """``phi_letter(word, x)`` given the value class ``cls`` of ``x``."""
     if cls == FIXED:
         return word
     m = len(word)
@@ -244,3 +248,22 @@ def phi_letter(word, x):
             k = a
             break
     return word[: l1 - 1] + word[l1 : k - 1] + piece + word[k - 1 :]
+
+
+def hop_tables(parts):
+    """The hopping action over the whole word set of ``parts``.
+
+    Returns ``(words, phis, classes)``: ``words`` is ``words_of(parts)``,
+    and for letter ``x`` the list ``phis[x-1]`` holds the index in
+    ``words`` of ``phi_letter(words[i], x)`` (``-1`` when the image is not
+    in the list) and the bytes ``classes[x-1]`` hold
+    ``classify_letter(words[i], x)``.
+    """
+    words = words_of(parts)
+    index = {w: i for i, w in enumerate(words)}
+    phis, classes = [], []
+    for x in range(1, len(parts) + 1):
+        cls_x = [classify_letter(w, x) for w in words]
+        phis.append([index.get(_hop(w, x, c), -1) for w, c in zip(words, cls_x)])
+        classes.append(bytes(cls_x))
+    return words, phis, classes

@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import __version__
+from . import __version__, _backend
 from . import gamma as gamma_mod
 from . import gfs as gfs_mod
 from . import jacobi as jacobi_mod
@@ -63,6 +63,19 @@ def _parse_set(value: str) -> tuple[int, ...]:
         raise _UsageError(f"--set: {value!r} is not a comma-separated integer list") from None
 
 
+class _VersionAction(argparse.Action):
+    def __init__(self, option_strings, dest, help=None):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(
+            f"{parser.prog} {__version__}\n"
+            f"backend: {_backend.backend_name()}\n"
+            f"kernel source: {_backend.kernel_source_status()}\n"
+        )
+        parser.exit()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stirlingperms",
@@ -70,7 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "statistics, gamma tables, grammar derivatives, the hopping action, "
         "barred-alphabet specializations and real-rootedness certificates.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "--version",
+        action=_VersionAction,
+        help="print the version, the kernel backend and whether the compiled "
+        "kernel was built from the _core.c beside the package, then exit",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the word set of a multiplicity vector")

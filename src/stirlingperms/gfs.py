@@ -109,19 +109,35 @@ def is_representative(word: Sequence[int]) -> bool:
     return p[8] == 0 and p[9] == 0
 
 
+def orbit_labels(size: int, phis: Sequence[Sequence[int]]) -> list[int]:
+    """Label each of ``size`` sorted words by the least index in its orbit,
+    given the hop index tables of ``kernel.hop_tables``.
+
+    One min-pass per letter suffices for commuting involutions: every
+    orbit element is reached by applying each hop at most once, in
+    letter order.
+    """
+    labels = list(range(size))
+    for phi_x in phis:
+        labels = [a if a < b else b for a, b in zip(labels, map(labels.__getitem__, phi_x))]
+    return labels
+
+
 def orbit_partition(parts: Iterable[int]) -> dict[Word, list[Word]]:
     """Partition of the whole word set into hop orbits, keyed by the
-    canonical representative; deterministic (keys and members sorted)."""
+    canonical representative (the member with no movable-left letter);
+    deterministic (keys and members sorted)."""
     parts = check_composition(parts)
-    seen: set[bytes] = set()
+    words, phis, classes = kernel.hop_tables(parts)
+    if any(-1 in phi_x for phi_x in phis):
+        raise RuntimeError(f"the hops of {parts} leave the word set")
+    orbits: dict[int, list[int]] = {}
+    for i, label in enumerate(orbit_labels(len(words), phis)):
+        orbits.setdefault(label, []).append(i)
     out: dict[Word, list[Word]] = {}
-    for w in kernel.words_of(parts):  # sorted, so each orbit starts at its least word
-        if w in seen:
-            continue
-        orb = orbit(unpack_word(w))
-        seen.update(pack_word(u) for u in orb)
-        rep = next((u for u in orb if is_representative(u)), None)
-        if rep is None:
-            raise RuntimeError(f"orbit of {unpack_word(w)} has no representative")
-        out[rep] = orb
+    for members in orbits.values():
+        reps = [i for i in members if all(c[i] not in MOVABLE_LEFT for c in classes)]
+        if len(reps) != 1:
+            raise RuntimeError(f"orbit of {unpack_word(words[members[0]])} has {len(reps)} representatives")
+        out[unpack_word(words[reps[0]])] = [unpack_word(words[i]) for i in members]
     return dict(sorted(out.items()))

@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, repeat
 from math import comb
+from operator import add, itemgetter
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from ._backend import backend_name, kernel
 from . import gamma as gamma_mod
@@ -176,95 +180,133 @@ def check_grammar(parts: Composition) -> VerifyReport:
     return _report("grammar-claim", f"m={format_composition(parts)}", t0, failure)
 
 
+#: ``bytes.translate`` tables over value classes: movable-left (the hop
+#: moves the letter left) and double-ascent (the hop moves it right).
+_MOVABLE = bytes(c in gfs_mod.MOVABLE_LEFT for c in range(256))
+_DOUBLE_ASCENT = bytes(c == gfs_mod.ValueClass.DOUBLE_ASCENT for c in range(256))
+
+
+@lru_cache(maxsize=None)
+def _binomials(d: int) -> tuple[int, ...]:
+    return tuple(comb(d, k) for k in range(d + 1))
+
+
+def _after(table: list[int]) -> Callable[[Sequence], tuple]:
+    """``f -> (f[table[0]], f[table[1]], ...)`` as one C-level call."""
+    return itemgetter(*table) if len(table) > 1 else lambda f: (f[table[0]],)
+
+
+def _action_holds(phis: list[list[int]], classes: list[bytes], mdup: tuple[int, ...]) -> bool:
+    """Involution, toggle, mdup invariance and commutation over whole
+    index tables, as compositions of tables."""
+    ids = tuple(range(len(mdup)))
+    after = [_after(phi_x) for phi_x in phis]
+    for phi_x, cls_x, at in zip(phis, classes, after):
+        if (
+            at(phi_x) != ids
+            or bytes(at(cls_x.translate(_DOUBLE_ASCENT))) != cls_x.translate(_MOVABLE)
+            or at(mdup) != mdup
+        ):
+            return False
+    return all(
+        after[y](phi_x) == after[x](phis[y])
+        for x, phi_x in enumerate(phis)
+        for y in range(x + 1, len(phis))
+    )
+
+
+def _first_action_failure(
+    words: list[bytes], phis: list[list[int]], classes: list[bytes], mdup: tuple[int, ...]
+) -> tuple[str, dict]:
+    """The first (word, letter) at which ``_action_holds`` fails, words in
+    sorted order and letters increasing, as ``(kind, payload)``."""
+    n = len(phis)
+    for i, w in enumerate(words):
+        for x in range(n):
+            phi_x, cls_x = phis[x], classes[x]
+            j = phi_x[i]
+            where = {"word": _word_str(w), "letter": x + 1}
+            if phi_x[j] != i:
+                return "involution", where
+            if (cls_x[i] in gfs_mod.MOVABLE_LEFT) != (cls_x[j] == gfs_mod.ValueClass.DOUBLE_ASCENT):
+                return "toggle", where
+            if mdup[j] != mdup[i]:
+                return "mdup-invariance", where
+            for y in range(x + 1, n):
+                if phis[y][j] != phi_x[phis[y][i]]:
+                    return "commutation", {"word": _word_str(w), "letters": [x + 1, y + 1]}
+    raise RuntimeError("the table checks failed where the word-by-word scan passes")
+
+
 def check_gfs(parts: Composition) -> VerifyReport:
     """Closure, involution, commutation, the movability toggle, mdup
     invariance, power-of-two orbits, the unique representative with its
-    two statistic identities, and the orbit summation identity."""
+    two statistic identities, and the orbit summation identity.
+
+    The action is checked over the whole hop index tables of
+    ``kernel.hop_tables``; a failure reports the first failing word
+    (sorted order) and letter (increasing), whichever table check saw it,
+    and the first failing orbit in the order of its least word.
+    """
     t0 = perf_counter()
-    words = kernel.words_of(parts)
-    n = len(parts)
-    letters = list(range(1, n + 1))
+    words, phis, classes = kernel.hop_tables(parts)
     m_total = sum(parts)
-    word_set = set(words)
-    profiles = {w: kernel.profile12(w) for w in words}
-    images: dict[bytes, dict[int, bytes]] = {}
-    classes: dict[bytes, dict[int, int]] = {}
+    profiles = list(map(kernel.profile12, words))
 
     def fail(kind: str, **payload) -> VerifyReport:
         data = {"m": list(parts), "kind": kind}
         data.update(payload)
         return _report("gfs-properties", f"m={format_composition(parts)}", t0, data)
 
-    for w in words:
-        images[w] = {x: kernel.phi_letter(w, x) for x in letters}
-        classes[w] = {x: kernel.classify_letter(w, x) for x in letters}
-        for x, img in images[w].items():
-            if img not in word_set:
-                return fail("closure", word=_word_str(w), letter=x, image=_word_str(img))
+    open_at = [phi_x.index(-1) for phi_x in phis if -1 in phi_x]
+    if open_at:
+        i = min(open_at)
+        x = next(x for x, phi_x in enumerate(phis, start=1) if phi_x[i] == -1)
+        image = kernel.phi_letter(words[i], x)
+        return fail("closure", word=_word_str(words[i]), letter=x, image=_word_str(image))
+    mdup = tuple(map(itemgetter(11), profiles))
+    if not _action_holds(phis, classes, mdup):
+        kind, payload = _first_action_failure(words, phis, classes, mdup)
+        return fail(kind, **payload)
 
-    movable = (gfs_mod.ValueClass.FREE_DESCENT_PLATEAU, gfs_mod.ValueClass.SINGLE_DOUBLE_DESCENT)
-    for w in words:
-        prof = profiles[w]
-        for x in letters:
-            img = images[w][x]
-            if images[img][x] != w:
-                return fail("involution", word=_word_str(w), letter=x)
-            was_movable = classes[w][x] in movable
-            is_double_ascent = classes[img][x] == gfs_mod.ValueClass.DOUBLE_ASCENT
-            if was_movable != is_double_ascent:
-                return fail("toggle", word=_word_str(w), letter=x)
-            if profiles[img][11] != prof[11]:
-                return fail("mdup-invariance", word=_word_str(w), letter=x)
-            for y in letters:
-                if y <= x:
-                    continue
-                if images[images[w][x]][y] != images[images[w][y]][x]:
-                    return fail("commutation", word=_word_str(w), letters=[x, y])
-
-    seen: set[bytes] = set()
-    for seed in words:  # sorted, so each orbit is seeded by its least word
-        if seed in seen:
-            continue
-        orb = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for img in images[w].values():
-                    if img not in orb:
-                        orb.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        seen |= orb
-        if len(orb) & (len(orb) - 1):
-            return fail("orbit-size", orbit_size=len(orb), seed=_word_str(seed))
-        reps = [w for w in orb if profiles[w][8] == 0 and profiles[w][9] == 0]
-        if len(reps) != 1:
+    labels = gfs_mod.orbit_labels(len(words), phis)
+    reps: dict[int, list[int]] = {}  # orbit label -> words with sddes = fdesp = 0
+    for i in compress(range(len(words)), map((0, 0).__eq__, map(itemgetter(8, 9), profiles))):
+        reps.setdefault(labels[i], []).append(i)
+    # (orbit label, asc, fplat+sdes) -> number of words
+    sums = Counter(
+        zip(
+            labels,
+            map(itemgetter(0), profiles),
+            map(add, map(itemgetter(5), profiles), map(itemgetter(3), profiles)),
+        )
+    )
+    for seed, size in Counter(labels).items():  # a label first occurs at its own index
+        if size & (size - 1):
+            return fail("orbit-size", orbit_size=size, seed=_word_str(words[seed]))
+        found = reps.get(seed, [])
+        if len(found) != 1:
             return fail(
                 "unique-representative",
-                seed=_word_str(seed),
-                representatives=[_word_str(r) for r in reps],
+                seed=_word_str(words[seed]),
+                representatives=[_word_str(words[r]) for r in found],
             )
-        rep = reps[0]
-        rp = profiles[rep]
-        asc, plat, des, sdes, mdes, fplat, uplat, dasc, sddes, fdesp, ascpp, mdup = rp
+        rep = found[0]
+        asc, plat, des, sdes, mdes, fplat, uplat, dasc, sddes, fdesp, ascpp, mdup_rep = profiles[rep]
         if not (asc - dasc == fplat + sdes == ascpp):
-            return fail("identity-ascpp", representative=_word_str(rep))
-        if dasc != m_total + 1 - mdup - 2 * ascpp:
-            return fail("identity-dasc", representative=_word_str(rep))
-        # sum of x^asc y^(fplat+sdes) over the orbit, against the expansion
-        # of (xy)^ascpp (x+y)^dasc; dasc = m+1-mdup-2*ascpp was just checked
-        orbit_sum: dict[tuple[int, int], int] = {}
-        for w in orb:
-            p = profiles[w]
-            key = (p[0], p[5] + p[3])
-            orbit_sum[key] = orbit_sum.get(key, 0) + 1
-        closed = {(ascpp + k, ascpp + dasc - k): comb(dasc, k) for k in range(dasc + 1)}
-        if orbit_sum != closed:
+            return fail("identity-ascpp", representative=_word_str(words[rep]))
+        if dasc != m_total + 1 - mdup_rep - 2 * ascpp:
+            return fail("identity-dasc", representative=_word_str(words[rep]))
+        # the sum of x^asc y^(fplat+sdes) over the orbit equals the expansion
+        # of (xy)^ascpp (x+y)^dasc exactly when every term of the expansion
+        # has its count and the counts add up to the orbit size, 2^dasc
+        terms = zip(repeat(seed), range(ascpp, ascpp + dasc + 1), range(ascpp + dasc, ascpp - 1, -1))
+        if size != 2**dasc or tuple(map(sums.__getitem__, terms)) != _binomials(dasc):
+            orbit_sum = {(a, b): c for (label, a, b), c in sums.items() if label == seed}
             x_, y_ = MultiPoly.var("x"), MultiPoly.var("y")
             return fail(
                 "orbit-sum",
-                representative=_word_str(rep),
+                representative=_word_str(words[rep]),
                 lhs=MultiPoly(("x", "y"), orbit_sum).to_json_dict(),
                 rhs=((x_ * y_) ** ascpp * (x_ + y_) ** dasc).to_json_dict(),
             )

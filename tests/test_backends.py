@@ -8,6 +8,7 @@ tests run wherever a C compiler exists.
 
 import hashlib
 import importlib.util
+import re
 import shlex
 import shutil
 import subprocess
@@ -16,9 +17,11 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirlingperms import _pure
-from conftest import compositions_up_to
+from conftest import compositions_up_to, oracle_words
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE_SHA256 = hashlib.sha256((ROOT / "src/stirlingperms/_core.c").read_bytes()).hexdigest()
@@ -65,6 +68,20 @@ def test_imported_core_is_built_from_current_source():
     )
 
 
+def test_core_compiles_without_warnings():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[:1]} on PATH")
+    includes = {sysconfig.get_paths()[key] for key in ("include", "platinclude")}
+    proc = subprocess.run(
+        cc + ["-fsyntax-only", "-Wall", "-Wextra", "-Werror"]
+        + [f"-I{path}" for path in sorted(includes)]
+        + [str(ROOT / "src/stirlingperms/_core.c")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture(params=["pure", "c"])
 def backend(request):
     return _pure if request.param == "pure" else request.getfixturevalue("core")
@@ -96,6 +113,40 @@ def test_action_agrees(core, parts):
             assert core.phi_letter(w, x) == _pure.phi_letter(w, x)
 
 
+def per_word_hop_tables(parts):
+    """``hop_tables`` from the per-word ``phi_letter``/``classify_letter``
+    of the pure backend and an index lookup."""
+    words = _pure.words_of(parts)
+    index = {w: i for i, w in enumerate(words)}
+    letters = range(1, len(parts) + 1)
+    return (
+        words,
+        [[index.get(_pure.phi_letter(w, x), -1) for w in words] for x in letters],
+        [bytes(_pure.classify_letter(w, x) for w in words) for x in letters],
+    )
+
+
+@pytest.mark.parametrize("parts", compositions_up_to(6))
+def test_hop_tables_agree(core, parts):
+    expected = per_word_hop_tables(parts)
+    assert _pure.hop_tables(parts) == expected
+    assert core.hop_tables(parts) == expected
+
+
+@given(st.sampled_from(compositions_up_to(6)))
+@settings(max_examples=60, deadline=None)
+def test_hop_tables_match_the_oracle(core, parts):
+    oracle = [bytes(w) for w in oracle_words(parts)]
+    for backend in (_pure, core):
+        words, phis, classes = backend.hop_tables(parts)
+        assert words == oracle
+        assert len(phis) == len(classes) == len(parts)
+        for x, (phi_x, cls_x) in enumerate(zip(phis, classes), start=1):
+            # the action is closed, so every image is an oracle word
+            assert [words[j] for j in phi_x] == [_pure.phi_letter(w, x) for w in oracle]
+            assert list(cls_x) == [_pure.classify_letter(w, x) for w in oracle]
+
+
 def test_is_stirling_agrees_on_non_words(core):
     cases = [
         (b"\x01\x02\x01\x02", (2, 2)),
@@ -117,6 +168,7 @@ def test_value_class_constants_agree(core):
 
 def test_empty_inputs(backend):
     assert backend.words_of(()) == [b""]
+    assert backend.hop_tables(()) == ([b""], [], [])
     assert backend.enum_counts(()) == (1, 1)
     assert backend.brute_count(()) == 1
     assert backend.is_stirling(b"", ())
@@ -142,6 +194,15 @@ def test_bad_composition_is_value_error(backend, parts):
             fn(parts)
     with pytest.raises(ValueError):
         backend.is_stirling(b"\x01", parts)
+
+
+@pytest.mark.parametrize("parts, error", [((0,), ValueError), ((1, -1), ValueError),
+                                          ((1,) * 256, ValueError), ((1, 1.5), TypeError)])
+def test_hop_tables_rejects_what_words_of_rejects(backend, parts, error):
+    with pytest.raises(error) as expected:
+        backend.words_of(parts)
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+        backend.hop_tables(parts)
 
 
 def test_non_integer_part_raises(backend):

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from stirlingperms import verify
+from stirlingperms import __version__, _backend, verify
 from stirlingperms.cli import main
 
 
@@ -236,3 +238,39 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^2*y + x*y^2"
+
+
+
+def fake_kernel(source_sha256):
+    return SimpleNamespace(BACKEND_NAME="c", SOURCE_SHA256=source_sha256)
+
+
+CURRENT_SHA256 = hashlib.sha256(_backend.CORE_SOURCE.read_bytes()).hexdigest()
+
+
+def test_version_reports_the_kernel_that_runs(capsys):
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0
+    assert out.splitlines() == [
+        f"stirlingperms {__version__}",
+        f"backend: {_backend.backend_name()}",
+        f"kernel source: {'match' if _backend.backend_name() == 'c' else 'n/a'}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "source_sha256, source_name, status",
+    [
+        (CURRENT_SHA256, "_core.c", "match"),
+        ("0" * 64, "_core.c", "stale"),
+        (CURRENT_SHA256, "missing/_core.c", "source not found"),
+    ],
+)
+def test_version_compares_the_kernel_with_its_source(
+    capsys, monkeypatch, source_sha256, source_name, status
+):
+    monkeypatch.setattr(_backend, "kernel", fake_kernel(source_sha256))
+    monkeypatch.setattr(_backend, "CORE_SOURCE", _backend.CORE_SOURCE.parent / source_name)
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0
+    assert out.splitlines()[1:] == ["backend: c", f"kernel source: {status}"]

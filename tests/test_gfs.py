@@ -114,3 +114,21 @@ def test_phi_fixed_points():
     # every value of 1122 is an ascent-plateau or inside one: all fixed
     for x in (1, 2):
         assert gfs.phi((1, 1, 2, 2), x) == (1, 1, 2, 2)
+
+
+def orbit_partition_by_search(parts):
+    """The partition from one breadth-first ``orbit`` search per orbit,
+    seeded at its least word, keyed by its first member that passes
+    ``is_representative``."""
+    seen, out = set(), {}
+    for w in words.enumerate_words(parts):
+        if w not in seen:
+            orb = gfs.orbit(w)
+            seen.update(orb)
+            out[next(u for u in orb if gfs.is_representative(u))] = orb
+    return sorted(out.items())
+
+
+@pytest.mark.parametrize("parts", compositions_up_to(6))
+def test_orbit_partition_matches_orbit_search(parts):
+    assert list(gfs.orbit_partition(parts).items()) == orbit_partition_by_search(parts)
