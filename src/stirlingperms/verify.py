@@ -24,8 +24,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from math import comb
 from operator import add, itemgetter
 from time import perf_counter
@@ -186,11 +185,6 @@ _MOVABLE = bytes(c in gfs_mod.MOVABLE_LEFT for c in range(256))
 _DOUBLE_ASCENT = bytes(c == gfs_mod.ValueClass.DOUBLE_ASCENT for c in range(256))
 
 
-@lru_cache(maxsize=None)
-def _binomials(d: int) -> tuple[int, ...]:
-    return tuple(comb(d, k) for k in range(d + 1))
-
-
 def _after(table: list[int]) -> Callable[[Sequence], tuple]:
     """``f -> (f[table[0]], f[table[1]], ...)`` as one C-level call."""
     return itemgetter(*table) if len(table) > 1 else lambda f: (f[table[0]],)
@@ -271,7 +265,8 @@ def check_gfs(parts: Composition) -> VerifyReport:
 
     labels = gfs_mod.orbit_labels(len(words), phis)
     reps: dict[int, list[int]] = {}  # orbit label -> words with sddes = fdesp = 0
-    for i in compress(range(len(words)), map((0, 0).__eq__, map(itemgetter(8, 9), profiles))):
+    is_rep = map((0, 0).__eq__, map(itemgetter(8, 9), profiles))
+    for i in compress(range(len(words)), is_rep):
         reps.setdefault(labels[i], []).append(i)
     # (orbit label, asc, fplat+sdes) -> number of words
     sums = Counter(
@@ -281,7 +276,7 @@ def check_gfs(parts: Composition) -> VerifyReport:
             map(add, map(itemgetter(5), profiles), map(itemgetter(3), profiles)),
         )
     )
-    for seed, size in Counter(labels).items():  # a label first occurs at its own index
+    for seed, size in Counter(labels).items():  # least word first: a label first occurs at its own index
         if size & (size - 1):
             return fail("orbit-size", orbit_size=size, seed=_word_str(words[seed]))
         found = reps.get(seed, [])
@@ -299,9 +294,9 @@ def check_gfs(parts: Composition) -> VerifyReport:
             return fail("identity-dasc", representative=_word_str(words[rep]))
         # the sum of x^asc y^(fplat+sdes) over the orbit equals the expansion
         # of (xy)^ascpp (x+y)^dasc exactly when every term of the expansion
-        # has its count and the counts add up to the orbit size, 2^dasc
-        terms = zip(repeat(seed), range(ascpp, ascpp + dasc + 1), range(ascpp + dasc, ascpp - 1, -1))
-        if size != 2**dasc or tuple(map(sums.__getitem__, terms)) != _binomials(dasc):
+        # has its count and the orbit has 2^dasc words, their sum
+        closed = {(ascpp + k, ascpp + dasc - k): comb(dasc, k) for k in range(dasc + 1)}
+        if size != 2**dasc or any(sums[seed, a, b] != c for (a, b), c in closed.items()):
             orbit_sum = {(a, b): c for (label, a, b), c in sums.items() if label == seed}
             x_, y_ = MultiPoly.var("x"), MultiPoly.var("y")
             return fail(
