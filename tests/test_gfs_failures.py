@@ -22,7 +22,11 @@ W12, W21 = b"\x01\x02", b"\x02\x01"
 def corrupt(monkeypatch, phi=None, classes=None, profiles=None):
     """Override ``phi_letter`` and ``classify_letter`` answers at given
     ``(word, letter)`` keys, and add ``{index: delta}`` to the profile of
-    given words; ``hop_tables`` is rebuilt from the overridden functions."""
+    given words; ``hop_tables`` is rebuilt from the overridden functions.
+
+    ``classify_letter`` is overridden only inside ``hop_tables``: the pure
+    kernel's ``phi_letter`` reads its module's ``classify_letter``, so
+    patching that would corrupt the hops as well."""
     phi, classes, profiles = phi or {}, classes or {}, profiles or {}
     real_phi, real_cls, real_prof = kernel.phi_letter, kernel.classify_letter, kernel.profile12
 
@@ -47,7 +51,6 @@ def corrupt(monkeypatch, phi=None, classes=None, profiles=None):
         )
 
     monkeypatch.setattr(kernel, "phi_letter", phi_letter)
-    monkeypatch.setattr(kernel, "classify_letter", classify_letter)
     monkeypatch.setattr(kernel, "profile12", profile12)
     monkeypatch.setattr(kernel, "hop_tables", hop_tables, raising=False)
 
