@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: enumerate, poly, gamma, grammar, gfs, jacobi, realroot,
-probe, verify.  Exit status is 0 for success (or a passing verify run),
+verify.  Exit status is 0 for success (or a passing verify run),
 1 when a verification run finds a failure, 2 on usage errors.
 
 All numeric payloads in JSON output are decimal strings, so nothing is
@@ -24,12 +24,10 @@ from . import roots as roots_mod
 from . import verify as verify_mod
 from .grammar import dumont_poly, quintuple_poly
 from .words import (
-    composition_of,
     count_words,
     enumerate_words,
     format_composition,
     format_word,
-    is_stirling,
     parse_composition,
     parse_word,
 )
@@ -148,13 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True, help="plateau level")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("probe", help="randomized stability falsification probe")
-    p.add_argument("--m", required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--refine", action="store_true", help="also try a structured grid and local descent")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
     p = sub.add_parser("verify", help="run the exact verification suites")
     p.add_argument("--suite", choices=verify_mod.SUITE_NAMES, help="run one suite only")
     p.add_argument("--max-total", type=int, default=6)
@@ -223,12 +214,6 @@ def _cmd_grammar(args) -> int:
 
 def _cmd_gfs(args) -> int:
     word = _parse_the_word(args.word)
-    try:
-        stirling = is_stirling(word, composition_of(word))
-    except ValueError as exc:
-        raise _UsageError(f"--word: {exc}") from None
-    if not stirling:
-        raise _UsageError(f"--word: {args.word!r} is not a generalized Stirling word")
     try:
         if args.phi is not None:
             out = format_word(gfs_mod.phi(word, args.phi))
@@ -330,36 +315,6 @@ def _cmd_realroot(args) -> int:
     return 0
 
 
-def _cmd_probe(args) -> int:
-    parts = _parse_m(args.m)
-    if args.trials < 1:
-        raise _UsageError("--trials: must be at least 1")
-    p = gamma_mod.s_poly(parts)
-    hit = roots_mod.stability_probe(p, trials=args.trials, seed=args.seed, refine=args.refine)
-    disclaimer = (
-        "no guarded zero found; this probe can only falsify, it never "
-        "certifies nonvanishing"
-    )
-    if args.format == "json":
-        _emit(json.dumps({
-            "m": list(parts),
-            "trials": args.trials,
-            "seed": args.seed,
-            "refine": args.refine,
-            "counterexample": None if hit is None else {
-                "point": {v: [str(re), str(im)] for v, (re, im) in sorted(hit.point.items())},
-                "exact": hit.exact,
-            },
-            "disclaimer": None if hit is not None else disclaimer,
-        }))
-    elif hit is None:
-        _emit(f"counterexample: none after {args.trials} trials (seed {args.seed})")
-        _emit(f"disclaimer: {disclaimer}")
-    else:
-        _emit(f"counterexample: {hit.point_str()} (exact={str(hit.exact).lower()})")
-    return 0
-
-
 def _cmd_verify(args) -> int:
     if args.max_total < 1:
         raise _UsageError("--max-total: must be at least 1")
@@ -381,7 +336,6 @@ _COMMANDS = {
     "gfs": _cmd_gfs,
     "jacobi": _cmd_jacobi,
     "realroot": _cmd_realroot,
-    "probe": _cmd_probe,
     "verify": _cmd_verify,
 }
 

@@ -131,15 +131,6 @@ def gamma_expand(h: MultiPoly) -> list[int]:
     return gammas
 
 
-def reassemble(gammas: list[int], degree: int) -> MultiPoly:
-    """Inverse of :func:`gamma_expand` for a given homogeneous degree."""
-    out = MultiPoly.zero(("x", "y"))
-    for j, g in enumerate(gammas):
-        if g:
-            out = out + g * _gamma_basis(j, degree)
-    return out
-
-
 def partial_gamma(p: MultiPoly) -> GammaTable:
     """Gamma table of a trivariate polynomial, one row per z-power.
 

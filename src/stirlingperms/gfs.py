@@ -17,7 +17,7 @@ from enum import IntEnum
 from typing import Iterable, Sequence
 
 from ._backend import kernel
-from .words import Word, check_composition, pack_word, unpack_word
+from .words import Word, check_composition, composition_of, pack_word, unpack_word
 
 
 class ValueClass(IntEnum):
@@ -33,23 +33,33 @@ class ValueClass(IntEnum):
 MOVABLE_LEFT = (ValueClass.FREE_DESCENT_PLATEAU, ValueClass.SINGLE_DOUBLE_DESCENT)
 
 
+def _pack_stirling(word: Sequence[int]) -> bytes:
+    """Packed form of a generalized Stirling word; ValueError for any
+    other word, on which the hops are not defined."""
+    parts = check_composition(composition_of(word))
+    packed = pack_word(word)
+    if not kernel.is_stirling(packed, parts):
+        raise ValueError(f"{tuple(word)} is not a generalized Stirling word")
+    return packed
+
+
 def classify_value(word: Sequence[int], x: int) -> ValueClass:
     """Value class of letter ``x`` in ``word``.
 
     >>> classify_value((1, 2, 2, 1), 1)
     <ValueClass.DOUBLE_ASCENT: 3>
     """
-    return ValueClass(kernel.classify_letter(pack_word(word), x))
+    return ValueClass(kernel.classify_letter(_pack_stirling(word), x))
 
 
 def phi(word: Sequence[int], x: int) -> Word:
     """Apply the hop of letter ``x`` (identity on fixed letters)."""
-    return unpack_word(kernel.phi_letter(pack_word(word), x))
+    return unpack_word(kernel.phi_letter(_pack_stirling(word), x))
 
 
 def phi_set(word: Sequence[int], letters: Iterable[int]) -> Word:
     """Compose the hops of a set of letters (order-independent)."""
-    packed = pack_word(word)
+    packed = _pack_stirling(word)
     for x in sorted(set(letters)):
         packed = kernel.phi_letter(packed, x)
     return unpack_word(packed)
@@ -57,7 +67,7 @@ def phi_set(word: Sequence[int], letters: Iterable[int]) -> Word:
 
 def orbit(word: Sequence[int]) -> list[Word]:
     """Closure of a word under all letter hops, sorted."""
-    start = pack_word(word)
+    start = _pack_stirling(word)
     letters = sorted(set(start))
     seen = {start}
     frontier = [start]
@@ -77,30 +87,14 @@ def canonical_rep(word: Sequence[int]) -> Word:
     """The orbit element with no single double-descents and no free
     descent-plateaux.
 
-    Found greedily by hopping every movable-left letter, at most n
-    rounds; if the greedy loop fails to settle (not expected by the
-    commuting-involution structure) the orbit is searched exhaustively.
+    Hopping each movable-left letter once reaches it: a hop leaves the
+    value class of every other letter unchanged.
     """
-    packed = pack_word(word)
-    letters = sorted(set(packed))
-    cur = packed
-    for _ in range(len(letters) + 1):
-        movable = [x for x in letters if kernel.classify_letter(cur, x) in MOVABLE_LEFT]
-        if not movable:
-            return unpack_word(cur)
-        for x in movable:
+    cur = _pack_stirling(word)
+    for x in sorted(set(cur)):
+        if kernel.classify_letter(cur, x) in MOVABLE_LEFT:
             cur = kernel.phi_letter(cur, x)
-    reps = [
-        w
-        for w in orbit(word)
-        if kernel.profile12(pack_word(w))[8] == 0
-        and kernel.profile12(pack_word(w))[9] == 0
-    ]
-    if len(reps) != 1:
-        raise RuntimeError(
-            f"expected exactly one representative in the orbit of {word}, found {len(reps)}"
-        )
-    return reps[0]
+    return unpack_word(cur)
 
 
 def is_representative(word: Sequence[int]) -> bool:
@@ -121,23 +115,3 @@ def orbit_labels(size: int, phis: Sequence[Sequence[int]]) -> list[int]:
     for phi_x in phis:
         labels = [a if a < b else b for a, b in zip(labels, map(labels.__getitem__, phi_x))]
     return labels
-
-
-def orbit_partition(parts: Iterable[int]) -> dict[Word, list[Word]]:
-    """Partition of the whole word set into hop orbits, keyed by the
-    canonical representative (the member with no movable-left letter);
-    deterministic (keys and members sorted)."""
-    parts = check_composition(parts)
-    words, phis, classes = kernel.hop_tables(parts)
-    if any(-1 in phi_x for phi_x in phis):
-        raise RuntimeError(f"the hops of {parts} leave the word set")
-    orbits: dict[int, list[int]] = {}
-    for i, label in enumerate(orbit_labels(len(words), phis)):
-        orbits.setdefault(label, []).append(i)
-    out: dict[Word, list[Word]] = {}
-    for members in orbits.values():
-        reps = [i for i in members if all(c[i] not in MOVABLE_LEFT for c in classes)]
-        if len(reps) != 1:
-            raise RuntimeError(f"orbit of {unpack_word(words[members[0]])} has {len(reps)} representatives")
-        out[unpack_word(words[reps[0]])] = [unpack_word(words[i]) for i in members]
-    return dict(sorted(out.items()))

@@ -1,4 +1,4 @@
-"""Exact real-rootedness certificates and a stability falsifier.
+"""Exact real-rootedness certificates.
 
 Univariate polynomials carry big-integer coefficients; root counting
 uses a Sturm chain built from sign-corrected pseudo-remainders with
@@ -8,20 +8,17 @@ certification path.  The chain of ``p`` ends at ``gcd(p, p')``, so
 real roots must equal ``deg p - deg gcd(p, p')``, the number of
 distinct complex roots.
 
-``stability_probe`` is the opposite of a certificate: it randomly
-samples points with strictly positive imaginary parts (optionally
-refining over a structured grid) looking for a zero, and can only ever
-*refute* the nonvanishing property, never confirm it.
+A homogeneous bivariate polynomial with nonnegative coefficients is
+stable exactly when its dehomogenization is real-rooted, so certifying
+each ``s_mi`` real-rooted also certifies each z-slice of ``s_poly``
+stable.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import MultiPoly
 from .stats import project_counts
 from .words import check_composition
 
@@ -193,191 +190,3 @@ def s_mi(parts: Iterable[int], level: int) -> UniPoly:
         if plat == level:
             coeffs[des] += c
     return UniPoly.of(coeffs)
-
-
-# -- stability falsification probe -------------------------------------
-
-#: Sampling box: real parts in [-5, 5], imaginary parts in (0, 5].
-DEFAULT_BOX = ((-5, 5), (0, 5))
-
-_DYADIC = 2**12  # random samples are dyadic, so float conversion is lossless
-
-#: Structured per-variable values tried in refine mode (re, im).
-_GRID_RE = (-2, -1, 0, 1, 2)
-_GRID_IM = (Fraction(1, 2), Fraction(1), Fraction(2))
-
-
-@dataclass(frozen=True)
-class ProbeHit:
-    """A sampled point in the open upper product-space where the
-    polynomial vanishes.
-
-    The float evaluation with its rounding guard only nominates
-    candidates; every reported hit is confirmed by exact rational
-    arithmetic (sample points are dyadic, so this is lossless), which
-    keeps boundary-hugging points with tiny-but-nonzero values from
-    masquerading as zeros.  ``exact`` is therefore always True.
-    """
-
-    point: dict[str, tuple[Fraction, Fraction]]
-    exact: bool
-    residual_bound: float
-
-    def point_str(self) -> str:
-        return ", ".join(
-            f"{v}={re}+{im}i" for v, (re, im) in sorted(self.point.items())
-        )
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cpow(a, e: int):
-    out = (Fraction(1), Fraction(0))
-    base = a
-    while e:
-        if e & 1:
-            out = _cmul(out, base)
-        base = _cmul(base, base)
-        e >>= 1
-    return out
-
-
-def _eval_exact(p: MultiPoly, point: dict[str, tuple[Fraction, Fraction]]):
-    total = (Fraction(0), Fraction(0))
-    for evec, c in p.terms.items():
-        term = (Fraction(c), Fraction(0))
-        for v, e in zip(p.vars, evec):
-            if e:
-                term = _cmul(term, _cpow(point[v], e))
-        total = _cadd(total, term)
-    return total
-
-
-def _eval_float(p: MultiPoly, point: dict[str, complex]) -> tuple[float, float]:
-    """(|value|, rounding guard) at a complex point."""
-    total = 0j
-    magsum = 0.0
-    for evec, c in p.terms.items():
-        term = complex(c)
-        mag = abs(float(c))
-        for v, e in zip(p.vars, evec):
-            if e:
-                term *= point[v] ** e
-                mag *= max(abs(point[v]), 1.0) ** e
-        total += term
-        magsum += mag
-    ops = len(p.terms) + max(p.degree(), 0) + 2
-    return abs(total), magsum * ops * 2.0**-52
-
-
-def _to_complex(point: dict[str, tuple[Fraction, Fraction]]) -> dict[str, complex]:
-    return {v: complex(float(re), float(im)) for v, (re, im) in point.items()}
-
-
-def stability_probe(p: MultiPoly, trials: int, seed: int, refine: bool = False) -> ProbeHit | None:
-    """Hunt for a zero with every imaginary part strictly positive.
-
-    Draws ``trials`` dyadic-rational points from ``DEFAULT_BOX`` (seeded,
-    so reproducible), flagging a point when the float value sits inside
-    its rounding guard and confirming with exact rational arithmetic.  With
-    ``refine=True`` a small structured grid of simple points is also
-    evaluated exactly, followed by a local descent from the best sample
-    with snap-to-rational retesting.  Returns the first hit, else None.
-    A None result never certifies anything.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if p.is_zero():
-        raise ValueError("the zero polynomial vanishes everywhere")
-    (re_lo, re_hi), (im_lo, im_hi) = DEFAULT_BOX
-    rng = random.Random(seed)
-    names = p.vars or ("x",)
-
-    def check(point: dict[str, tuple[Fraction, Fraction]]) -> ProbeHit | None:
-        val, guard = _eval_float(p, _to_complex(point))
-        if val <= guard and _eval_exact(p, point) == (0, 0):
-            return ProbeHit(dict(point), True, guard)
-        return None
-
-    def ratio(point: dict[str, complex]) -> float:
-        val, guard = _eval_float(p, point)
-        return val / guard if guard > 0 else float("inf")
-
-    best: tuple[float, dict[str, tuple[Fraction, Fraction]]] | None = None
-    for _ in range(trials):
-        point = {}
-        for v in names:
-            re = Fraction(rng.randint(re_lo * _DYADIC, re_hi * _DYADIC), _DYADIC)
-            im = Fraction(rng.randint(im_lo * _DYADIC + 1, im_hi * _DYADIC), _DYADIC)
-            point[v] = (re, im)
-        hit = check(point)
-        if hit is not None:
-            return hit
-        r = ratio(_to_complex(point))
-        if best is None or r < best[0]:
-            best = (r, point)
-
-    if not refine:
-        return None
-
-    grid_vals = [
-        (Fraction(re), Fraction(im)) for re in _GRID_RE for im in _GRID_IM
-    ]
-    grid_points = [{}]
-    for v in names:
-        grid_points = [dict(pt, **{v: gv}) for pt in grid_points for gv in grid_vals]
-    for point in grid_points:
-        if _eval_exact(p, point) == (0, 0):
-            _, guard = _eval_float(p, _to_complex(point))
-            return ProbeHit(dict(point), True, guard)
-        r = ratio(_to_complex(point))
-        if best is None or r < best[0]:
-            best = (r, point)
-
-    # coordinate descent on the guard-normalized residual (scale-free,
-    # so shrinking every value toward the boundary buys nothing),
-    # retesting snapped rationals exactly
-    assert best is not None
-    coords = {v: [float(re), float(im)] for v, (re, im) in best[1].items()}
-    im_floor = max(float(im_lo), 2.0**-10)
-    step = 0.5
-    for _ in range(200):
-        improved = False
-        val = ratio({v: complex(c[0], c[1]) for v, c in coords.items()})
-        for v in names:
-            for axis in (0, 1):
-                for delta in (step, -step):
-                    trial = {u: list(c) for u, c in coords.items()}
-                    trial[v][axis] += delta
-                    trial[v][1] = min(max(trial[v][1], im_floor), float(im_hi))
-                    trial[v][0] = min(max(trial[v][0], float(re_lo)), float(re_hi))
-                    tval = ratio({u: complex(c[0], c[1]) for u, c in trial.items()})
-                    if tval < val:
-                        coords, val, improved = trial, tval, True
-        if not improved:
-            step /= 2.0
-            if step < 2.0**-20:
-                break
-    for den in (1, 2, 4, 8, 16, 32, 64):
-        snapped = {
-            v: (Fraction(round(c[0] * den), den), Fraction(round(c[1] * den), den))
-            for v, c in coords.items()
-        }
-        if all(im > 0 for _, im in snapped.values()):
-            if _eval_exact(p, snapped) == (0, 0):
-                _, guard = _eval_float(p, _to_complex(snapped))
-                return ProbeHit(snapped, True, guard)
-    final = {
-        v: (
-            Fraction(round(c[0] * 2**20), 2**20),
-            Fraction(max(round(c[1] * 2**20), 1), 2**20),
-        )
-        for v, c in coords.items()
-    }
-    return check(final)

@@ -153,15 +153,10 @@ def test_realroot_prints_the_chain_of_p(capsys):
 
 
 def test_probe_command(capsys):
-    code, out, _ = run_cli(capsys, "probe", "--m", "2,2", "--trials", "100", "--seed", "42")
-    assert code == 0
-    assert "counterexample: none" in out
-    assert "disclaimer" in out
-    code, out, _ = run_cli(
-        capsys, "probe", "--m", "2,2", "--trials", "50", "--seed", "42", "--format", "json"
-    )
-    data = json.loads(out)
-    assert data["counterexample"] is None and data["disclaimer"]
+    # the float stability probe is gone: realroot is the exact certificate
+    code, out, err = run_cli(capsys, "probe", "--m", "2,2")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'probe'" in err
 
 
 def test_verify_pass_and_note(capsys):

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from stirlingperms import gfs, stats, words
+from stirlingperms._backend import kernel
 from stirlingperms.gfs import ValueClass
 from stirlingperms.poly import MultiPoly
 from conftest import compositions_up_to
@@ -47,6 +48,21 @@ def test_canonical_rep_examples():
     assert gfs.canonical_rep((1, 1, 2, 2)) == (1, 1, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gfs.canonical_rep((1, 2, 1, 2)),
+        lambda: gfs.orbit((1, 2, 1, 2)),
+        lambda: gfs.phi((1, 3, 3, 1), 1),
+        lambda: gfs.phi_set((1, 2, 1, 2), (1,)),
+        lambda: gfs.classify_value((2, 1, 2), 2),
+    ],
+)
+def test_non_stirling_words_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 NONEMPTY = [p for p in compositions_up_to(6) if p]
 
 
@@ -73,15 +89,30 @@ def test_toggle_and_mdup_invariance(parts):
             was_movable = gfs.classify_value(w, x) in movable
             assert was_movable == (gfs.classify_value(img, x) == ValueClass.DOUBLE_ASCENT)
             assert stats.profile(img).mdup == stats.profile(w).mdup
+            # one hop round settles canonical_rep because of this
+            for y in range(1, n + 1):
+                if y != x:
+                    assert gfs.classify_value(img, y) == gfs.classify_value(w, y)
+
+
+def orbit_partition_by_search(parts):
+    """The partition from one breadth-first ``orbit`` search per orbit,
+    seeded at its least word, keyed by its first member that passes
+    ``is_representative``."""
+    seen, out = set(), {}
+    for w in words.enumerate_words(parts):
+        if w not in seen:
+            orb = gfs.orbit(w)
+            seen.update(orb)
+            out[next(u for u in orb if gfs.is_representative(u))] = orb
+    return sorted(out.items())
 
 
 @pytest.mark.parametrize("parts", NONEMPTY)
 def test_orbit_structure_and_identities(parts):
     total = sum(parts)
     covered = 0
-    partition = gfs.orbit_partition(parts)
-    assert list(partition) == sorted(partition)
-    for rep, orb in partition.items():
+    for rep, orb in orbit_partition_by_search(parts):
         assert orb == sorted(orb)
         covered += len(orb)
         assert len(orb) & (len(orb) - 1) == 0  # power of two
@@ -116,19 +147,13 @@ def test_phi_fixed_points():
         assert gfs.phi((1, 1, 2, 2), x) == (1, 1, 2, 2)
 
 
-def orbit_partition_by_search(parts):
-    """The partition from one breadth-first ``orbit`` search per orbit,
-    seeded at its least word, keyed by its first member that passes
-    ``is_representative``."""
-    seen, out = set(), {}
-    for w in words.enumerate_words(parts):
-        if w not in seen:
-            orb = gfs.orbit(w)
-            seen.update(orb)
-            out[next(u for u in orb if gfs.is_representative(u))] = orb
-    return sorted(out.items())
-
-
 @pytest.mark.parametrize("parts", compositions_up_to(6))
 def test_orbit_partition_matches_orbit_search(parts):
-    assert list(gfs.orbit_partition(parts).items()) == orbit_partition_by_search(parts)
+    hop_words, phis, _ = kernel.hop_tables(parts)
+    labels = gfs.orbit_labels(len(hop_words), phis)
+    index = {tuple(w): i for i, w in enumerate(hop_words)}
+    want = [0] * len(hop_words)
+    for _, orb in orbit_partition_by_search(parts):
+        for w in orb:
+            want[index[w]] = index[orb[0]]
+    assert labels == want

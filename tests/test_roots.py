@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirlingperms import gamma, roots
-from stirlingperms.poly import MultiPoly
 from stirlingperms.roots import UniPoly
 from conftest import compositions_up_to, unipoly_mul
-
-X, Y = MultiPoly.var("x"), MultiPoly.var("y")
 
 
 def test_s_mi_examples():
@@ -123,37 +120,3 @@ def test_real_rootedness_consistent_with_gamma_positivity(parts):
         for (ex, ey), c in s.terms.items():
             coeffs[ey] += c
         assert roots.is_real_rooted(UniPoly.of(coeffs))
-
-
-def test_probe_none_on_difference():
-    assert roots.stability_probe(X - Y, trials=2000, seed=11) is None
-
-
-def test_probe_finds_product_counterexample_with_refine():
-    hit = roots.stability_probe(X * Y + 1, trials=100, seed=42, refine=True)
-    assert hit is not None and hit.exact
-    (xr, xi), (yr, yi) = hit.point["x"], hit.point["y"]
-    assert xi > 0 and yi > 0
-    # confirm the zero by hand: (xr + xi i)(yr + yi i) + 1 == 0
-    re = xr * yr - xi * yi + 1
-    im = xr * yi + xi * yr
-    assert re == 0 and im == 0
-
-
-def test_probe_none_on_word_polynomial():
-    p = gamma.s_poly((2, 2))
-    assert roots.stability_probe(p, trials=1500, seed=42) is None
-    assert roots.stability_probe(p, trials=300, seed=42, refine=True) is None
-
-
-def test_probe_deterministic_under_seed():
-    a = roots.stability_probe(X * Y + 8, trials=50, seed=9, refine=True)
-    b = roots.stability_probe(X * Y + 8, trials=50, seed=9, refine=True)
-    assert a == b and a is not None
-
-
-def test_probe_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        roots.stability_probe(X, trials=0, seed=1)
-    with pytest.raises(ValueError):
-        roots.stability_probe(MultiPoly.zero(("x",)), trials=10, seed=1)
