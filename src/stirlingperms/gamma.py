@@ -4,10 +4,11 @@
 generalized Stirling words with content ``m``.  Its coefficient of
 ``z^i`` is a homogeneous polynomial symmetric in x and y, and therefore
 expands uniquely over the basis ``(xy)^j (x+y)^(d-2j)``.  The expansion
-coefficients are recovered by leading-coefficient elimination; the same
-table is produced purely combinatorially by counting the words free of
-single double-descents and free descent-plateaux, refined by
-(mdup, ascpp), and the two routes are compared entry by entry.
+coefficients are recovered by elimination on each slice's integer
+coefficient row; the same table is produced purely combinatorially by
+counting the words free of single double-descents and free
+descent-plateaux, refined by (mdup, ascpp), and the two routes are
+compared entry by entry.
 
 Also houses the truncated-series checks tying the descent polynomials
 of plain permutations and of doubled-letter words to the classical
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping
 
 from .poly import MultiPoly, TruncatedSeries, series_divide
@@ -91,43 +93,39 @@ def s_poly(parts: Iterable[int]) -> MultiPoly:
     return MultiPoly(("x", "y", "z"), terms)
 
 
-def _gamma_basis(j: int, degree: int) -> MultiPoly:
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
-    return (x * y) ** j * (x + y) ** (degree - 2 * j)
-
-
 def gamma_expand(h: MultiPoly) -> list[int]:
     """Exact coefficients ``[g_0, ..., g_floor(d/2)]`` with
     ``h = sum_j g_j (xy)^j (x+y)^(d-2j)``.
 
-    Requires ``h`` homogeneous and symmetric in x, y; the elimination
-    peels the coefficient of ``x^j y^(d-j)`` at each step and must end
-    with a zero residue.
+    Requires ``h`` homogeneous and symmetric in x, y.  The elimination
+    runs on the coefficient row ``r[k]`` of ``x^k y^(d-k)``, where basis
+    ``j`` is the binomial row ``C(d-2j, k-j)``: each step peels
+    ``g_j = r[j]`` and the row must end all zeros.
     """
-    extra = set(h.vars) - {"x", "y"}
     for evec in h.terms:
         for v, e in zip(h.vars, evec):
-            if v in extra and e:
+            if e and v not in ("x", "y"):
                 raise ValueError(f"gamma_expand needs a polynomial in x, y; found {v}")
-    aligned = h.with_vars(sorted(set(h.vars) | {"x", "y"}))
-    ix, iy = aligned.vars.index("x"), aligned.vars.index("y")
-    h = MultiPoly(("x", "y"), {(e[ix], e[iy]): c for e, c in aligned.terms.items()})
     if h.is_zero():
         return []
     if not h.is_homogeneous():
         raise NotHomogeneousError(f"not homogeneous: {h}")
-    if not h.is_symmetric_xy():
-        raise NotSymmetricError(f"not symmetric in x, y: {h}")
     d = h.degree()
-    residue = h
+    row = [0] * (d + 1)
+    ix = h.vars.index("x") if "x" in h.vars else None
+    for evec, c in h.terms.items():
+        row[0 if ix is None else evec[ix]] = c
+    if row != row[::-1]:
+        raise NotSymmetricError(f"not symmetric in x, y: {h}")
     gammas: list[int] = []
     for j in range(d // 2 + 1):
-        g = residue.coeff((j, d - j))
+        g = row[j]
         gammas.append(g)
         if g:
-            residue = residue - g * _gamma_basis(j, d)
-    if not residue.is_zero():
-        raise InternalResidueError(f"nonzero residue {residue}")
+            for k in range(d - 2 * j + 1):
+                row[j + k] -= g * comb(d - 2 * j, k)
+    if any(row):
+        raise InternalResidueError(f"nonzero residue row {row}")
     return gammas
 
 

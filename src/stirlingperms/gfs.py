@@ -97,12 +97,6 @@ def canonical_rep(word: Sequence[int]) -> Word:
     return unpack_word(cur)
 
 
-def is_representative(word: Sequence[int]) -> bool:
-    """True when the word has sddes = fdesp = 0."""
-    p = kernel.profile12(pack_word(word))
-    return p[8] == 0 and p[9] == 0
-
-
 def orbit_labels(size: int, phis: Sequence[Sequence[int]]) -> list[int]:
     """Label each of ``size`` sorted words by the least index in its orbit,
     given the hop index tables of ``kernel.hop_tables``.

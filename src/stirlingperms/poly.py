@@ -102,13 +102,6 @@ class MultiPoly:
         vs = _merge_vars(self.vars, other.vars)
         return self.with_vars(vs), other.with_vars(vs)
 
-    def coeff(self, evec: Sequence[int]) -> int:
-        """Coefficient of the exponent vector (against ``self.vars``)."""
-        key = tuple(evec)
-        if len(key) != len(self.vars):
-            raise ValueError(f"exponent vector {key} does not match variables {self.vars}")
-        return self.terms.get(key, 0)
-
     def coeff_of(self, **exps: int) -> int:
         """Coefficient by named exponents; unnamed variables must be 0.
 
@@ -222,10 +215,6 @@ class MultiPoly:
         if len(degs) > 1:
             return False
         return degree is None or degs == {degree}
-
-    def is_symmetric_xy(self) -> bool:
-        """Invariance under swapping the variables ``x`` and ``y``."""
-        return self == self.swap_vars("x", "y")
 
     def swap_vars(self, u: str, v: str) -> "MultiPoly":
         """Exchange two variables (either may be absent)."""

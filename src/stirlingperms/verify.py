@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
@@ -460,6 +459,9 @@ def verify_all(
     if jobs <= 1:
         reports = [_run_task(t) for t in tasks]
     else:
+        # imported here so that runs which never fork skip loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_task, tasks, chunksize=1))
     notes = [WORKED_EXAMPLE_NOTE, f"backend: {backend_name()}"]

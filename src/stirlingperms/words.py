@@ -14,6 +14,7 @@ composition is allowed and owns the single empty word.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from ._backend import kernel
@@ -24,8 +25,8 @@ Word = tuple[int, ...]
 
 def check_composition(parts: Iterable[int]) -> Composition:
     """Validate and normalize a multiplicity vector."""
-    tup = tuple(int(p) for p in parts)
-    if any(p < 1 for p in tup):
+    tup = tuple(map(operator.index, parts))
+    if tup and min(tup) < 1:
         raise ValueError(f"multiplicities must be positive, got {tup}")
     if len(tup) > 255:
         raise ValueError("at most 255 distinct letters are supported")
@@ -83,11 +84,14 @@ def composition_of(word: Sequence[int]) -> Composition:
     w = tuple(word)
     if not w:
         return ()
+    if min(w) < 1:
+        raise ValueError("letters must be positive")
     n = max(w)
+    # n letters need a word of length >= n; checked before allocating n counts
+    if n > len(w):
+        raise ValueError("letters must cover 1..n without gaps")
     counts = [0] * n
     for c in w:
-        if c < 1:
-            raise ValueError("letters must be positive")
         counts[c - 1] += 1
     if 0 in counts:
         raise ValueError("letters must cover 1..n without gaps")

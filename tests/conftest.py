@@ -8,6 +8,7 @@ consecutive occurrences.
 
 from itertools import permutations
 
+from stirlingperms.gamma import InternalResidueError, NotHomogeneousError, NotSymmetricError
 from stirlingperms.poly import MultiPoly
 
 
@@ -42,6 +43,38 @@ def naive_derive(g, p: MultiPoly) -> MultiPoly:
             reduced[pos] -= 1
             out = out + MultiPoly(p.vars, {tuple(reduced): c * e}) * g.rule(v)
     return out
+
+
+def naive_gamma_expand(h: MultiPoly) -> list[int]:
+    """Gamma coefficients by ``MultiPoly`` elimination: align ``h`` to
+    (x, y), then peel the coefficient of ``x^j y^(d-j)`` and subtract
+    ``g * (xy)^j (x+y)^(d-2j)`` built as a polynomial, for each j."""
+    extra = set(h.vars) - {"x", "y"}
+    for evec in h.terms:
+        for v, e in zip(h.vars, evec):
+            if v in extra and e:
+                raise ValueError(f"gamma_expand needs a polynomial in x, y; found {v}")
+    aligned = h.with_vars(sorted(set(h.vars) | {"x", "y"}))
+    ix, iy = aligned.vars.index("x"), aligned.vars.index("y")
+    h = MultiPoly(("x", "y"), {(e[ix], e[iy]): c for e, c in aligned.terms.items()})
+    if h.is_zero():
+        return []
+    if not h.is_homogeneous():
+        raise NotHomogeneousError(f"not homogeneous: {h}")
+    if h != h.swap_vars("x", "y"):
+        raise NotSymmetricError(f"not symmetric in x, y: {h}")
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    d = h.degree()
+    residue = h
+    gammas: list[int] = []
+    for j in range(d // 2 + 1):
+        g = residue.coeff_of(x=j, y=d - j)
+        gammas.append(g)
+        if g:
+            residue = residue - g * (x * y) ** j * (x + y) ** (d - 2 * j)
+    if not residue.is_zero():
+        raise InternalResidueError(f"nonzero residue {residue}")
+    return gammas
 
 
 def unipoly_mul(a: list[int], b: list[int]) -> list[int]:

@@ -206,7 +206,7 @@ class RecordingPool:
     ],
 )
 def test_verify_jobs_clamped(capsys, monkeypatch, jobs, cpus, workers):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "created", [])
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     code, out, _ = run_cli(
@@ -233,6 +233,14 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^2*y + x*y^2"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only verify --jobs > 1 needs multiprocessing; every other command skips it
+    code = "import sys, stirlingperms.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from stirlingperms import gamma, grammar, stats, words
 from stirlingperms.poly import MultiPoly
-from conftest import compositions_up_to
+from conftest import compositions_up_to, naive_gamma_expand
 
 X, Y, Z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
 
@@ -38,6 +38,8 @@ def test_gamma_expand_examples():
     assert gamma.gamma_expand((X + Y) ** 2) == [1, 0]
     assert gamma.gamma_expand(X**2 + Y**2) == [1, -2]
     assert gamma.gamma_expand(MultiPoly.zero(("x", "y"))) == []
+    # x or y absent from the variable list
+    assert gamma.gamma_expand(MultiPoly.const(3)) == [3]
 
 
 def test_gamma_expand_errors():
@@ -45,6 +47,8 @@ def test_gamma_expand_errors():
         gamma.gamma_expand(X + X**2)
     with pytest.raises(gamma.NotSymmetricError):
         gamma.gamma_expand(X**2 * Y)
+    with pytest.raises(gamma.NotSymmetricError, match=r"y\^2$"):
+        gamma.gamma_expand(Y**2)
     with pytest.raises(ValueError):
         gamma.gamma_expand(X * Z)
 
@@ -62,6 +66,64 @@ def test_gamma_round_trip(gammas, extra_degree):
         assert got == []
     else:
         assert got == want
+
+
+#: An optional extra variable, sorting before or after x and y.
+EXTRA_VARS = st.sampled_from([(), ("w",), ("z",)])
+
+
+@st.composite
+def symmetric_homogeneous(draw):
+    """A polynomial symmetric in x, y, homogeneous of degree d <= 8, with
+    an extra variable at exponent 0 everywhere."""
+    d = draw(st.integers(0, 8))
+    half = draw(st.lists(st.integers(-50, 50), min_size=d // 2 + 1, max_size=d // 2 + 1))
+    row = half + half[: (d + 1) // 2][::-1]
+    extra = draw(EXTRA_VARS)
+    zeros = (0,) * len(extra)
+    return MultiPoly(("x", "y", *extra), {(k, d - k, *zeros): c for k, c in enumerate(row)})
+
+
+@st.composite
+def any_poly(draw):
+    """A polynomial in x, y that is usually neither homogeneous nor
+    symmetric, with an extra variable that may occur."""
+    extra = draw(EXTRA_VARS)
+    exps = st.tuples(*(st.integers(0, 4) for _ in ("x", "y")), *(st.integers(0, 1) for _ in extra))
+    terms = draw(st.dictionaries(exps, st.integers(-50, 50), min_size=1, max_size=5))
+    return MultiPoly(("x", "y", *extra), terms)
+
+
+def expand_outcome(expand, h):
+    try:
+        return expand(h)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@given(symmetric_homogeneous())
+@settings(max_examples=150, deadline=None)
+def test_gamma_expand_matches_oracle(h):
+    assert gamma.gamma_expand(h) == naive_gamma_expand(h)
+
+
+@given(any_poly())
+@settings(max_examples=150, deadline=None)
+def test_gamma_expand_rejects_like_oracle(h):
+    assert expand_outcome(gamma.gamma_expand, h) == expand_outcome(naive_gamma_expand, h)
+
+
+@pytest.mark.parametrize("total", range(1, 8))
+def test_partial_gamma_matches_oracle(total):
+    for parts in words.compositions_of(total):
+        p = gamma.s_poly(parts)
+        want = {
+            (i, j): g
+            for i, s in p.z_slices()
+            for j, g in enumerate(naive_gamma_expand(s))
+            if g
+        }
+        assert dict(gamma.partial_gamma(p).entries) == want, parts
 
 
 def test_partial_gamma_examples():
@@ -104,7 +166,7 @@ def test_verify_theorem_examples():
 def test_theorem_and_slice_structure(parts):
     total = sum(parts)
     p = gamma.s_poly(parts)
-    assert p.is_symmetric_xy()
+    assert p == p.swap_vars("x", "y")
     for i, s in p.z_slices():
         assert s.is_homogeneous(total + 1 - i)
     assert gamma.verify_theorem(parts).passed

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,28 @@ def test_composition_of():
     assert words.composition_of(()) == ()
     with pytest.raises(ValueError):
         words.composition_of((1, 3))  # letter 2 missing
+
+
+@pytest.mark.parametrize("fn, args", [
+    (words.enumerate_words, ((1, 1.5),)),
+    (words.count_words, ((1, 1.5),)),
+    (words.is_stirling, ((1,), (1.5,))),
+], ids=["enumerate_words", "count_words", "is_stirling"])
+def test_non_integer_part_raises(fn, args):
+    # int() would truncate 1.5 to 1 and answer for another composition
+    with pytest.raises(TypeError):
+        fn(*args)
+
+
+def test_composition_of_rejects_a_large_gap_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="without gaps"):
+            words.composition_of((1, 10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_compositions_order_is_colex():
