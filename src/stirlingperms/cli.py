@@ -291,11 +291,11 @@ def _cmd_realroot(args) -> int:
         payload = {"m": list(parts), "i": args.i, "poly": "0", "zero": True}
         _emit(json.dumps(payload) if args.format == "json" else "polynomial: 0 (empty slice)")
         return 0
-    # lengths of the chain that certifies p: it ends at gcd(p, p')
-    lengths = [f.degree + 1 for f in roots_mod._sturm_chain(p)]
-    real_rooted = roots_mod.is_real_rooted(p)
+    # one chain gives the certificate, the root count and, as it ends
+    # at gcd(p, p'), the lengths reported
+    chain, distinct, real_rooted = roots_mod._sturm_certificate(p)
+    lengths = [len(f) for f in chain]
     palindromic = roots_mod.is_palindromic(p)
-    distinct = roots_mod.sturm_real_roots(p)
     if args.format == "json":
         _emit(json.dumps({
             "m": list(parts),

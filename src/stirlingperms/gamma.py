@@ -93,14 +93,29 @@ def s_poly(parts: Iterable[int]) -> MultiPoly:
     return MultiPoly(("x", "y", "z"), terms)
 
 
+def _row_gammas(row: list[int]) -> list[int]:
+    """Eliminate a symmetric coefficient row in place: basis ``j`` is the
+    binomial row ``C(d-2j, k-j)``, so each step peels ``g_j = r[j]``,
+    and the row must end all zeros."""
+    d = len(row) - 1
+    gammas: list[int] = []
+    for j in range(d // 2 + 1):
+        g = row[j]
+        gammas.append(g)
+        if g:
+            for k in range(d - 2 * j + 1):
+                row[j + k] -= g * comb(d - 2 * j, k)
+    if any(row):
+        raise InternalResidueError(f"nonzero residue row {row}")
+    return gammas
+
+
 def gamma_expand(h: MultiPoly) -> list[int]:
     """Exact coefficients ``[g_0, ..., g_floor(d/2)]`` with
     ``h = sum_j g_j (xy)^j (x+y)^(d-2j)``.
 
     Requires ``h`` homogeneous and symmetric in x, y.  The elimination
-    runs on the coefficient row ``r[k]`` of ``x^k y^(d-k)``, where basis
-    ``j`` is the binomial row ``C(d-2j, k-j)``: each step peels
-    ``g_j = r[j]`` and the row must end all zeros.
+    runs on the coefficient row ``r[k]`` of ``x^k y^(d-k)``.
     """
     for evec in h.terms:
         for v, e in zip(h.vars, evec):
@@ -117,16 +132,7 @@ def gamma_expand(h: MultiPoly) -> list[int]:
         row[0 if ix is None else evec[ix]] = c
     if row != row[::-1]:
         raise NotSymmetricError(f"not symmetric in x, y: {h}")
-    gammas: list[int] = []
-    for j in range(d // 2 + 1):
-        g = row[j]
-        gammas.append(g)
-        if g:
-            for k in range(d - 2 * j + 1):
-                row[j + k] -= g * comb(d - 2 * j, k)
-    if any(row):
-        raise InternalResidueError(f"nonzero residue row {row}")
-    return gammas
+    return _row_gammas(row)
 
 
 def partial_gamma(p: MultiPoly) -> GammaTable:
@@ -135,19 +141,41 @@ def partial_gamma(p: MultiPoly) -> GammaTable:
     Each z-slice must be homogeneous in x, y (degrees may differ across
     slices) and symmetric; nonzero coefficients land in
     ``entries[(i, j)]`` and the table is flagged positive when all of
-    them are nonnegative.
+    them are nonnegative.  The slices are checked in increasing i, as
+    :meth:`MultiPoly.z_slices` lists them, and each one is read straight
+    into its coefficient row.
     """
+    terms = p._xyz_terms()
+    rows: dict[int, list[int]] = {}
+    ragged: set[int] = set()
+    for (ex, ey, ez), c in terms.items():
+        row = rows.get(ez)
+        if row is None:
+            row = rows[ez] = [0] * (ex + ey + 1)
+        elif len(row) != ex + ey + 1:
+            ragged.add(ez)
+            continue
+        row[ex] = c
+
+    def slice_poly(i: int) -> MultiPoly:
+        return MultiPoly(("x", "y"), {(ex, ey): c for (ex, ey, ez), c in terms.items() if ez == i})
+
     entries: dict[tuple[int, int], int] = {}
     degree = 0
-    for i, s in p.z_slices():
+    for i in sorted(rows):
+        row = rows[i]
+        if i in ragged:
+            raise NotHomogeneousError(f"slice i={i}: not homogeneous: {slice_poly(i)}")
+        if row != row[::-1]:
+            raise NotSymmetricError(f"slice i={i}: not symmetric in x, y: {slice_poly(i)}")
+        degree = max(degree, i + len(row) - 1)
         try:
-            gammas = gamma_expand(s)
-        except (NotHomogeneousError, NotSymmetricError, InternalResidueError) as exc:
-            raise type(exc)(f"slice i={i}: {exc}") from None
+            gammas = _row_gammas(row)
+        except InternalResidueError as exc:
+            raise InternalResidueError(f"slice i={i}: {exc}") from None
         for j, g in enumerate(gammas):
             if g:
                 entries[(i, j)] = g
-        degree = max(degree, i + s.degree())
     positive = all(g >= 0 for g in entries.values())
     return GammaTable(degree, entries, positive)
 

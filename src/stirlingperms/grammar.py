@@ -98,7 +98,7 @@ def derive(g: Grammar, p: MultiPoly) -> MultiPoly:
                 for d, rc in deltas[pos]:
                     key = tuple(map(add, base, d))
                     acc[key] = acc.get(key, 0) + c * e * rc
-    return MultiPoly(out_vars, acc)
+    return MultiPoly._canonical(out_vars, {k: v for k, v in acc.items() if v})
 
 
 def derive_n(g: Grammar, p: MultiPoly, n: int) -> MultiPoly:
@@ -110,16 +110,19 @@ def derive_n(g: Grammar, p: MultiPoly, n: int) -> MultiPoly:
     return p
 
 
+def _label_monomial(k: int) -> tuple[int, ...]:
+    """Exponents over QUINTUPLE_VARS of the monomial ``r_k`` that every
+    labeling variable rewrites to: ``x*z`` for k = 1, else
+    ``xt*yt*y^(k-2)*z``."""
+    return (1, 0, 0, 0, 1) if k == 1 else (0, 1, k - 2, 1, 1)
+
+
 def gk(k: int) -> Grammar:
     """The block-insertion grammar of order ``k >= 1``: all five
     labeling variables rewrite to the same monomial."""
     if k < 1:
         raise ValueError("grammar order must be a positive integer")
-    if k == 1:
-        rhs = MultiPoly(QUINTUPLE_VARS, {(1, 0, 0, 0, 1): 1})
-    else:
-        # x^0 xt^1 y^(k-2) yt^1 z^1 over (x, xt, y, yt, z)
-        rhs = MultiPoly(QUINTUPLE_VARS, {(0, 1, k - 2, 1, 1): 1})
+    rhs = MultiPoly(QUINTUPLE_VARS, {_label_monomial(k): 1})
     return Grammar({v: rhs for v in QUINTUPLE_VARS})
 
 
@@ -135,15 +138,44 @@ def dumont_poly(n: int) -> MultiPoly:
     return derive_n(dumont_grammar(), MultiPoly.var("x"), n)
 
 
+def _derive_uniform(
+    terms: Mapping[tuple[int, ...], int], monomial: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """Grammar derivative on raw terms when every variable rewrites to
+    the same ``monomial``: ``D = monomial * (sum of all partials)``, so
+    the occurrence of variable ``v`` shifts a term's exponents by
+    ``monomial - e_v``.  Every coefficient of ``D`` is positive, so
+    positive terms in give positive terms out and nothing cancels."""
+    shifts = []
+    for v in range(len(monomial)):
+        shift = list(monomial)
+        shift[v] -= 1
+        shifts.append((v, tuple(shift)))
+    acc: dict[tuple[int, ...], int] = {}
+    for evec, c in terms.items():
+        for v, shift in shifts:
+            e = evec[v]
+            if e:
+                key = tuple(map(add, evec, shift))
+                acc[key] = acc.get(key, 0) + c * e
+    return acc
+
+
 def quintuple_poly(parts: Iterable[int]) -> MultiPoly:
     """Joint (sdes, mdes, fplat, uplat, asc) generating polynomial as a
     grammar derivative: start from ``z`` and apply the derivative of the
-    order-``m_i`` grammar for i = 1, ..., n in that order."""
+    order-``m_i`` grammar for i = 1, ..., n in that order.
+
+    >>> print(quintuple_poly((2,)))
+    xt*yt*z
+    """
     parts = check_composition(parts)
-    p = MultiPoly.var("z")
+    if not parts:
+        return MultiPoly.var("z")
+    terms = {(0, 0, 0, 0, 1): 1}
     for mk in parts:
-        p = derive(gk(mk), p)
-    return p
+        terms = _derive_uniform(terms, _label_monomial(mk))
+    return MultiPoly._canonical(QUINTUPLE_VARS, terms)
 
 
 def quintuple_exponents(profile_quintuple: tuple[int, int, int, int, int]) -> tuple[int, ...]:

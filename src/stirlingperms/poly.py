@@ -5,6 +5,11 @@ nonnegative.  Variables are referenced by name and kept sorted, so two
 polynomials combine by aligning variable lists (a variable missing from
 one side is treated as exponent 0 everywhere).
 
+The public constructors validate their input; results of the arithmetic
+are built by producers that guarantee the canonical form (sorted
+distinct variables, integer exponent vectors of the right length, no
+zero coefficient) and skip the checks.
+
 >>> x, y = MultiPoly.var("x"), MultiPoly.var("y")
 >>> print((x + y) * (x + y))
 x^2 + 2*x*y + y^2
@@ -13,8 +18,9 @@ x^2 + 2*x*y + y^2
 from __future__ import annotations
 
 import json
+from itertools import product
 from math import comb
-from operator import add
+from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
 
@@ -47,8 +53,10 @@ class MultiPoly:
         for evec, c in (terms or {}).items():
             if len(evec) != len(vs):
                 raise ValueError(f"exponent vector {evec} does not match variables {vs}")
+            evec = tuple(map(index, evec))
             if any(e < 0 for e in evec):
                 raise ValueError(f"negative exponent in {evec}")
+            c = index(c)
             if c == 0:
                 continue
             key = tuple(evec[i] for i in perm)
@@ -57,6 +65,16 @@ class MultiPoly:
                 del clean[key]
         self.vars = order
         self.terms = clean
+
+    @classmethod
+    def _canonical(cls, vars: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        """Wrap terms that are already canonical, without checking them:
+        ``vars`` sorted and distinct, every exponent vector a tuple of
+        nonnegative ints of length ``len(vars)``, no zero coefficient."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -86,6 +104,8 @@ class MultiPoly:
         new = tuple(sorted(vars))
         if new == self.vars:
             return self
+        if len(set(new)) != len(new):
+            raise ValueError(f"duplicate variable in {new}")
         missing = set(self.vars) - set(new)
         if missing:
             raise ValueError(f"cannot drop variables {sorted(missing)}")
@@ -96,7 +116,7 @@ class MultiPoly:
             for v, e in zip(self.vars, evec):
                 key[pos[v]] = e
             out[tuple(key)] = c
-        return MultiPoly(new, out)
+        return MultiPoly._canonical(new, out)
 
     def _aligned(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
         vs = _merge_vars(self.vars, other.vars)
@@ -142,12 +162,12 @@ class MultiPoly:
             out[evec] = out.get(evec, 0) + c
             if out[evec] == 0:
                 del out[evec]
-        return MultiPoly(a.vars, out)
+        return MultiPoly._canonical(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         o = self._coerce(other)
@@ -173,7 +193,7 @@ class MultiPoly:
                 out[key] = out.get(key, 0) + c1 * c2
                 if out[key] == 0:
                     del out[key]
-        return MultiPoly(a.vars, out)
+        return MultiPoly._canonical(a.vars, out)
 
     __rmul__ = __mul__
 
@@ -225,7 +245,7 @@ class MultiPoly:
             key = list(evec)
             key[iu], key[iv] = key[iv], key[iu]
             out[tuple(key)] = c
-        return MultiPoly(p.vars, out)
+        return MultiPoly._canonical(p.vars, out)
 
     def z_slices(self) -> list[tuple[int, "MultiPoly"]]:
         """Decompose a polynomial in x, y, z by powers of z.
@@ -233,17 +253,21 @@ class MultiPoly:
         Returns ``[(i, s_i)]`` with each nonzero ``s_i`` over (x, y),
         sorted by i.
         """
+        buckets: dict[int, dict[tuple[int, int], int]] = {}
+        for (ex, ey, ez), c in self._xyz_terms().items():
+            buckets.setdefault(ez, {})[(ex, ey)] = c
+        return [
+            (i, MultiPoly._canonical(("x", "y"), buckets[i]))
+            for i in sorted(buckets)
+        ]
+
+    def _xyz_terms(self) -> dict[tuple[int, int, int], int]:
+        """Terms over exactly (x, y, z), for a polynomial within those
+        variables."""
         extra = set(self.vars) - {"x", "y", "z"}
         if extra:
             raise ValueError(f"z_slices needs variables within x,y,z, got {sorted(extra)}")
-        p = self.with_vars(("x", "y", "z"))
-        buckets: dict[int, dict[tuple[int, int], int]] = {}
-        for (ex, ey, ez), c in p.terms.items():
-            buckets.setdefault(ez, {})[(ex, ey)] = c
-        return [
-            (i, MultiPoly(("x", "y"), buckets[i]))
-            for i in sorted(buckets)
-        ]
+        return self.with_vars(("x", "y", "z")).terms
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Evaluate with values from any commutative ring (duck-typed)."""
@@ -284,13 +308,16 @@ class MultiPoly:
                 power = powers[i, e] = list(_convolve(power, base).items())
         acc: dict[tuple[int, ...], int] = {}
         for evec, c in self.terms.items():
-            partial = {zero: c}
-            for i, e in enumerate(evec):
-                if e:
-                    partial = _convolve(partial.items(), powers[i, e])
-            for key, val in partial.items():
+            # one term of the expansion per choice of a term from each
+            # factor's power
+            factors = [powers[i, e] for i, e in enumerate(evec) if e]
+            for choice in product(*factors):
+                key, val = zero, c
+                for k, v in choice:
+                    key = tuple(map(add, key, k))
+                    val *= v
                 acc[key] = acc.get(key, 0) + val
-        return MultiPoly(out_vars, acc)
+        return MultiPoly._canonical(out_vars, {k: v for k, v in acc.items() if v})
 
     # -- rendering ----------------------------------------------------
 
@@ -342,7 +369,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence[int]):
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(map(index, coeffs))
 
     @property
     def order(self) -> int:
@@ -352,7 +379,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return self.coeffs == other.coeffs
         if isinstance(other, (list, tuple)):
-            return list(self.coeffs) == [int(c) for c in other]
+            return list(self.coeffs) == list(other)
         return NotImplemented
 
     def __hash__(self):
@@ -375,7 +402,7 @@ def series_divide(numerator: Sequence[int], r: int, order: int) -> TruncatedSeri
         raise ValueError("r must be a positive integer")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    num = [int(c) for c in numerator]
+    num = [index(c) for c in numerator]
     while num and num[-1] == 0:
         num.pop()
     if len(num) - 1 > order:

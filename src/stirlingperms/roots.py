@@ -17,6 +17,7 @@ stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from .stats import project_counts
@@ -32,7 +33,7 @@ class UniPoly:
 
     @classmethod
     def of(cls, coeffs: Iterable[int]) -> "UniPoly":
-        cs = [int(c) for c in coeffs]
+        cs = [index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -43,12 +44,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly.of([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -79,67 +74,75 @@ def _content(coeffs: Sequence[int]) -> int:
     return g or 1
 
 
-def _primitive(p: UniPoly) -> UniPoly:
-    if p.is_zero():
-        return p
-    g = _content(p.coeffs)
-    return UniPoly(tuple(c // g for c in p.coeffs))
+def _primitive(cs: list[int]) -> list[int]:
+    g = _content(cs)
+    return [c // g for c in cs]
 
 
-def _pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Remainder of ``lc(g)^(deg f - deg g + 1) * f`` modulo ``g``."""
-    r = list(f.coeffs)
-    d = g.degree
-    lg = g.leading()
-    steps = f.degree - d + 1
-    for _ in range(steps):
+def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
+    """Remainder of ``lc(g)^(deg f - deg g + 1) * f`` modulo ``g``, on
+    coefficient lists with no trailing zeros."""
+    r = list(f)
+    d = len(g) - 1
+    lg = g[-1]
+    for _ in range(len(f) - d):
         r = [c * lg for c in r]
-        if len(r) - 1 >= d and r[-1]:
+        if r[-1]:
             q = r[-1] // lg  # exact: r was just scaled by lg
+            off = len(r) - 1 - d
             for i in range(d + 1):
-                r[len(r) - 1 - d + i] -= q * g.coeffs[i]
+                r[off + i] -= q * g[i]
         del r[-1]
-    return UniPoly.of(r)
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
-def _sturm_chain(p: UniPoly) -> list[UniPoly]:
+def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
+    """Sturm chain of a nonzero polynomial, as coefficient lists."""
     # The chain is the Euclidean remainder sequence of p and p', so it
     # ends at gcd(p, p') up to a constant factor.  Every member is a
     # multiple of that gcd, which changes no sign at minus or plus
     # infinity, so a p with repeated roots needs no squarefree reduction.
-    chain = [_primitive(p)]
-    dered = _primitive(p.derivative())
-    if not dered.is_zero():
-        chain.append(dered)
+    chain = [_primitive(list(coeffs))]
+    if len(coeffs) > 1:
+        chain.append(_primitive([i * c for i, c in enumerate(coeffs)][1:]))
         while True:
             f, g = chain[-2], chain[-1]
-            if g.degree < 1:
+            if len(g) < 2:
                 break
             r = _pseudo_rem(f, g)
-            if r.is_zero():
+            if not r:
                 break
             # _pseudo_rem scaled f by lc(g)^(steps); flip the result's sign
             # only when that scale factor is positive, so the chain agrees
             # with the rational Sturm sequence up to positive multiples.
-            steps = f.degree - g.degree + 1
-            scale_positive = g.leading() > 0 or steps % 2 == 0
+            steps = len(f) - len(g) + 1
+            scale_positive = g[-1] > 0 or steps % 2 == 0
             r = _primitive(r)
-            chain.append(
-                UniPoly(tuple(-c for c in r.coeffs)) if scale_positive else r
-            )
+            chain.append([-c for c in r] if scale_positive else r)
     return chain
 
 
-def _distinct_real_roots(chain: Sequence[UniPoly]) -> int:
-    """Sign variations of a Sturm chain at minus infinity less those at
-    plus infinity; its members are nonzero, so no sign is zero."""
-    at_pos = [1 if f.leading() > 0 else -1 for f in chain]
-    at_neg = [s if f.degree % 2 == 0 else -s for f, s in zip(chain, at_pos)]
+def _sturm_certificate(p: UniPoly) -> tuple[list[list[int]], int, bool]:
+    """The Sturm chain of a nonzero ``p``, its count of distinct real
+    roots, and whether every complex root is real.
+
+    The count is the sign variations of the chain at minus infinity less
+    those at plus infinity; its members are nonzero, so no sign is zero.
+    The chain ends at ``gcd(p, p')``, so ``p`` has ``deg p - deg gcd``
+    distinct complex roots, and all are real when the chain counts that
+    many.
+    """
+    chain = _sturm_chain(p.coeffs)
+    at_pos = [1 if f[-1] > 0 else -1 for f in chain]
+    at_neg = [s if len(f) % 2 else -s for f, s in zip(chain, at_pos)]
 
     def variations(signs: list[int]) -> int:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    return variations(at_neg) - variations(at_pos)
+    distinct = variations(at_neg) - variations(at_pos)
+    return chain, distinct, distinct == p.degree - (len(chain[-1]) - 1)
 
 
 def sturm_real_roots(p: UniPoly) -> int:
@@ -151,17 +154,15 @@ def sturm_real_roots(p: UniPoly) -> int:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
-    return _distinct_real_roots(_sturm_chain(p))
+    return _sturm_certificate(p)[1]
 
 
 def is_real_rooted(p: UniPoly) -> bool:
-    """True when every complex root is real.  The Sturm chain of ``p``
-    ends at ``gcd(p, p')``, so ``p`` has ``deg p - deg gcd`` distinct
-    complex roots; all are real when the chain counts that many."""
+    """True when every complex root is real, certified by the Sturm
+    chain of ``p``, which ends at ``gcd(p, p')``."""
     if p.is_zero():
         raise ValueError("the zero polynomial is excluded")
-    chain = _sturm_chain(p)
-    return _distinct_real_roots(chain) == p.degree - chain[-1].degree
+    return _sturm_certificate(p)[2]
 
 
 def is_palindromic(p: UniPoly) -> bool:

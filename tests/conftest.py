@@ -30,6 +30,21 @@ def oracle_words(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(w for w in set(permutations(letters)) if oracle_is_stirling(w))
 
 
+def assert_canonical(p: MultiPoly) -> None:
+    """``p`` is in the form every producer must build: sorted distinct
+    variables, int exponent vectors of the right length, no zero
+    coefficient; and rebuilding it through the public constructor
+    changes nothing."""
+    assert isinstance(p, MultiPoly)
+    assert type(p.vars) is tuple and list(p.vars) == sorted(set(p.vars))
+    for evec, c in p.terms.items():
+        assert type(evec) is tuple and len(evec) == len(p.vars), evec
+        assert all(type(e) is int and e >= 0 for e in evec), evec
+        assert type(c) is int and c != 0, (evec, c)
+    rebuilt = MultiPoly(p.vars, p.terms)
+    assert rebuilt.vars == p.vars and rebuilt.terms == p.terms
+
+
 def naive_derive(g, p: MultiPoly) -> MultiPoly:
     """Grammar derivative term by term through ``MultiPoly`` arithmetic:
     each occurrence of a variable is replaced by its rule and the

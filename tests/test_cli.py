@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stirlingperms import __version__, _backend, verify
+from stirlingperms import __version__, _backend, roots, verify
 from stirlingperms.cli import main
 
 
@@ -150,6 +150,16 @@ def test_realroot_prints_the_chain_of_p(capsys):
     data = json.loads(out)
     assert data["sturm_chain_lengths"] == [4, 3]
     assert data["distinct_real_roots"] == 1 and data["real_rooted"] is True
+
+
+def test_realroot_builds_one_chain(capsys, monkeypatch):
+    calls = []
+    chain = roots._sturm_chain
+    monkeypatch.setattr(roots, "_sturm_chain", lambda c: calls.append(c) or chain(c))
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "realroot", "--m", "1,2,1", "--i", "1", "--format", fmt)
+        assert code == 0 and len(calls) == 1
 
 
 def test_probe_command(capsys):

@@ -141,8 +141,15 @@ def test_partial_gamma_examples():
 
 
 def test_partial_gamma_error_annotates_slice():
-    with pytest.raises(gamma.NotSymmetricError, match="slice i=2"):
-        gamma.partial_gamma(X**2 * Y * Z**2)
+    cases = [
+        ((X + X**2) * Z, gamma.NotHomogeneousError, "slice i=1: not homogeneous: x^2 + x"),
+        (X**2 * Y * Z**2, gamma.NotSymmetricError, "slice i=2: not symmetric in x, y: x^2*y"),
+        (MultiPoly.var("w") * Z, ValueError, "z_slices needs variables within x,y,z, got ['w']"),
+    ]
+    for p, error, text in cases:
+        with pytest.raises(error) as einfo:
+            gamma.partial_gamma(p)
+        assert type(einfo.value) is error and str(einfo.value) == text
 
 
 def test_gamma_combinatorial_examples():

@@ -78,6 +78,17 @@ def test_grammar_claim(parts):
     assert grammar.quintuple_poly(parts) == enumeration_side(parts)
 
 
+@pytest.mark.parametrize("total", range(9))
+def test_quintuple_poly_matches_generic_derivative_chain(total):
+    # the raw-exponent operator loop against naive_derive over gk(m_i)
+    for parts in words.compositions_of(total):
+        chain = MultiPoly.var("z")
+        for mk in parts:
+            chain = naive_derive(grammar.gk(mk), chain)
+        fast = grammar.quintuple_poly(parts)
+        assert fast.vars == chain.vars and fast.terms == chain.terms, parts
+
+
 @pytest.mark.parametrize("parts", compositions_up_to(6))
 def test_quintuple_poly_symmetric_in_xt_yt(parts):
     p = grammar.quintuple_poly(parts)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stirlingperms.grammar import Grammar, derive
 from stirlingperms.poly import MultiPoly, TruncatedSeries, series_divide
-from conftest import unipoly_mul
+from conftest import assert_canonical, unipoly_mul
 
 X, Y, Z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
 
@@ -161,6 +162,70 @@ def test_negative_exponents_rejected():
         MultiPoly(("x",), {(-1,): 1})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly(("x",), {(1,): 1.5}),
+        lambda: MultiPoly(("x",), {(1.5,): 1}),
+        lambda: MultiPoly.const(2.0),
+        lambda: MultiPoly.monomial(("x", "y"), (1, 0.5)),
+        lambda: TruncatedSeries([1.5, 2]),
+        lambda: series_divide([1, 2.7], 2, 4),
+    ],
+    ids=["coefficient", "exponent", "const", "monomial", "series", "series_divide"],
+)
+def test_non_integer_input_raises(build):
+    # exact inputs only: a float is rejected, never truncated
+    with pytest.raises(TypeError):
+        build()
+
+
+def small_poly(draw_vars, top=2):
+    # few monomials and small coefficients of both signs, so that sums,
+    # products, derivatives and substitutions cancel terms
+    exps = st.tuples(*(st.integers(0, top) for _ in draw_vars))
+    return st.dictionaries(exps, st.integers(-2, 2), max_size=4).map(
+        lambda terms: MultiPoly(draw_vars, terms)
+    )
+
+
+SMALL = small_poly(("x", "y")) | small_poly(("y", "z")) | small_poly(("x", "y", "z"))
+TINY = small_poly(("x", "y"), top=1) | small_poly(("y", "z"), top=1)
+
+
+@given(
+    SMALL,
+    SMALL,
+    st.integers(0, 3),
+    st.lists(small_poly(("x", "y"), top=1), min_size=3, max_size=3),
+    small_poly(("a", "b", "c"), top=1),
+    st.lists(TINY, min_size=3, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_results_are_canonical(p, q, n, xy_polys, r, values):
+    d, rule_x, rule_y = xy_polys
+    results = [
+        p + q, p - q, p * q, p**n, -p, p + 1, 1 - p, 2 * p,
+        p.with_vars(("w", "x", "y", "z")),
+        p.swap_vars("x", "y"), p.swap_vars("y", "w"),
+        derive(Grammar({"x": rule_x, "y": rule_y}), d),
+    ]
+    results += [s for _, s in (p * q).z_slices()]
+    # with a = b, r - r(b, a, c) substitutes to zero, term by term
+    twisted = (r - r.swap_vars("a", "b")).evaluate(
+        {"a": values[0], "b": values[0], "c": values[2]}
+    )
+    assert twisted == 0
+    for value in (r.evaluate(dict(zip(("a", "b", "c"), values))), twisted):
+        if isinstance(value, MultiPoly):
+            results.append(value)
+        else:
+            # no variable occurs: the constant term, as an int
+            assert type(value) is int
+    for out in results:
+        assert_canonical(out)
+
+
 def test_series_divide_examples():
     assert series_divide([0, 1], 2, 4) == [0, 1, 2, 3, 4]
     assert series_divide([0, 1], 3, 4) == [0, 1, 3, 6, 10]
@@ -190,5 +255,6 @@ def test_truncated_series_type():
     s = TruncatedSeries([1, 2, 3])
     assert s.order == 2
     assert s == [1, 2, 3]
+    assert s != [1, 2.5, 3]
     with pytest.raises(ValueError):
         TruncatedSeries([])

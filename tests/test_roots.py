@@ -42,6 +42,11 @@ def test_is_real_rooted_examples():
     assert roots.is_real_rooted(UniPoly.of([1, 2, 1]))  # repeated root
 
 
+def test_unipoly_rejects_non_integer_coefficients():
+    with pytest.raises(TypeError):
+        UniPoly.of([1.5, 2.7])
+
+
 def test_is_palindromic_examples():
     assert roots.is_palindromic(UniPoly.of([0, 1, 1]))
     assert roots.is_palindromic(UniPoly.of([1, 2, 1]))
