@@ -32,6 +32,8 @@ def test_alignment_across_variable_sets():
     assert X + MultiPoly.const(1) == MultiPoly(("x",), {(1,): 1, (0,): 1})
     assert Z * X == MultiPoly(("x", "z"), {(1, 1): 1})
     assert MultiPoly.zero(("x", "y", "z")) == MultiPoly.const(0)
+    with pytest.raises(ValueError, match="duplicate variable"):
+        X.with_vars(("x", "x", "y"))
 
 
 @given(rand_poly(), rand_poly(), rand_poly())
