@@ -31,9 +31,16 @@ class UniPoly:
 
     coeffs: tuple[int, ...]
 
+    def __post_init__(self):
+        cs = tuple(map(index, self.coeffs))
+        if cs and cs[-1] == 0:
+            raise ValueError(f"trailing zero coefficient in {cs}; UniPoly.of strips them")
+        object.__setattr__(self, "coeffs", cs)
+
     @classmethod
     def of(cls, coeffs: Iterable[int]) -> "UniPoly":
-        cs = [index(c) for c in coeffs]
+        """The polynomial with these coefficients, trailing zeros stripped."""
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))

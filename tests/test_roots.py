@@ -43,8 +43,20 @@ def test_is_real_rooted_examples():
 
 
 def test_unipoly_rejects_non_integer_coefficients():
+    for build in (UniPoly.of, UniPoly):
+        with pytest.raises(TypeError):
+            build([1.5, 2.7])
     with pytest.raises(TypeError):
-        UniPoly.of([1.5, 2.7])
+        UniPoly.of([1.5, 0.0])
+
+
+def test_unipoly_constructor_rejects_trailing_zeros():
+    # the constant 1 padded with a zero would read as degree 1, and its
+    # Sturm chain would count one real root
+    with pytest.raises(ValueError, match="trailing zero"):
+        UniPoly((1, 0))
+    assert UniPoly((1,)) == UniPoly.of([1, 0]) and UniPoly(()).is_zero()
+    assert roots.sturm_real_roots(UniPoly.of([1, 0])) == 0
 
 
 def test_is_palindromic_examples():
