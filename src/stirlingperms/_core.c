@@ -57,81 +57,117 @@ two_args(const char *name, Py_ssize_t nargs)
     return 0;
 }
 
-static PyObject *
-words_of(PyObject *Py_UNUSED(self), PyObject *arg)
+/* The sorted word set of ``parts`` as one flat buffer of ``*count``
+ * rows of ``*len`` bytes each (release it with PyMem_Free), with the
+ * number of letters in ``*n``; or NULL with an exception set. */
+static unsigned char *
+sorted_words(PyObject *arg, Py_ssize_t *n, Py_ssize_t *count, Py_ssize_t *len)
 {
-    Py_ssize_t parts[MAX_LETTERS], total;
-    Py_ssize_t n = fill_parts(arg, parts, &total), k, i, g;
-    Py_ssize_t count = 1, len = 0, ncount, nlen, idx;
-    unsigned char *cur, *nxt = NULL, *dst;
-    PyObject *out = NULL, *w;
+    Py_ssize_t parts[MAX_LETTERS], offset[MAX_LETTERS + 1];
+    Py_ssize_t total, rows = 1, m = 0, k, i, g, pos, v, sum;
+    unsigned char *cur = NULL, *nxt = NULL, *dst;
 
-    if (n < 0)
+    if ((*n = fill_parts(arg, parts, &total)) < 0)
         return NULL;
-    if (n == 0)
-        return Py_BuildValue("[y#]", "", (Py_ssize_t)0);
-    if ((cur = PyMem_Malloc(1)) == NULL) /* the empty word, level 0 */
-        return PyErr_NoMemory();
+    /* Size both sort buffers before the first allocation: the last level
+     * has prod_k (1 + parts[0] + ... + parts[k-1]) rows of ``total``
+     * bytes, and every earlier level is smaller. */
+    for (k = 0; k < *n && rows <= PY_SSIZE_T_MAX / (m + 1); m += parts[k], k++)
+        rows *= m + 1;
+    if (k < *n || (total > 0 && rows > PY_SSIZE_T_MAX / 2 / total)) {
+        PyErr_SetString(PyExc_OverflowError, "the word set is too large to enumerate");
+        return NULL;
+    }
     /* Level k inserts the block (k+1)^parts[k] into every gap of every
-     * level-(k-1) word.  Inner levels live in flat buffers of
-     * ``count * len`` bytes; the last level is written straight into
-     * bytes objects.  Gaps run from right to left, so each word's children
-     * come out increasing and the final sort sees ascending runs. */
-    for (k = 0; k < n; k++, count = ncount, len = nlen) {
-        int last = k == n - 1;
-        nlen = len + parts[k];
-        if (count > PY_SSIZE_T_MAX / (len + 1) / nlen)
+     * level-(k-1) word; level 0 is the empty word. */
+    if ((cur = PyMem_Malloc(1)) == NULL)
+        goto fail;
+    for (k = 0, rows = 1, m = 0; k < *n; k++) {
+        Py_ssize_t nm = m + parts[k];
+        if ((nxt = PyMem_Malloc((size_t)(rows * (m + 1) * nm))) == NULL)
             goto fail;
-        ncount = count * (len + 1);
-        if (last ? (out = PyList_New(ncount)) == NULL
-                 : (nxt = PyMem_Malloc((size_t)(ncount * nlen))) == NULL)
-            goto fail;
-        for (i = 0, idx = 0; i < count; i++) {
-            const unsigned char *src = cur + i * len;
-            for (g = len; g >= 0; g--, idx++) {
-                if (last) {
-                    if ((w = PyBytes_FromStringAndSize(NULL, nlen)) == NULL)
-                        goto fail;
-                    PyList_SET_ITEM(out, idx, w);
-                    dst = (unsigned char *)PyBytes_AS_STRING(w);
-                }
-                else
-                    dst = nxt + idx * nlen;
+        for (i = 0, dst = nxt; i < rows; i++) {
+            const unsigned char *src = cur + i * m;
+            for (g = 0; g <= m; g++, dst += nm) {
                 memcpy(dst, src, g);
                 memset(dst + g, (int)(k + 1), parts[k]);
-                memcpy(dst + g + parts[k], src + g, len - g);
+                memcpy(dst + g + parts[k], src + g, m - g);
             }
         }
         PyMem_Free(cur);
         cur = nxt;
         nxt = NULL;
+        rows *= m + 1;
+        m = nm;
     }
-    if (PyList_Sort(out) == 0)
-        return out;
+    /* Stable LSD counting sort: one pass per position, from the last,
+     * over the byte values 0..n; no comparisons. */
+    if (m > 0 && (nxt = PyMem_Malloc((size_t)(rows * m))) == NULL)
+        goto fail;
+    for (pos = m - 1; pos >= 0; pos--) {
+        memset(offset, 0, (size_t)(*n + 1) * sizeof *offset);
+        for (i = 0; i < rows; i++)
+            offset[cur[i * m + pos]]++;
+        for (v = 0, sum = 0; v <= *n; v++) {
+            Py_ssize_t c = offset[v];
+            offset[v] = sum;
+            sum += c;
+        }
+        for (i = 0; i < rows; i++)
+            memcpy(nxt + offset[cur[i * m + pos]]++ * m, cur + i * m, (size_t)m);
+        dst = cur, cur = nxt, nxt = dst;
+    }
+    PyMem_Free(nxt);
+    *count = rows;
+    *len = m;
+    return cur;
 fail:
-    if (!PyErr_Occurred())
-        PyErr_NoMemory();
     PyMem_Free(cur);
     PyMem_Free(nxt);
-    Py_XDECREF(out);
+    PyErr_NoMemory();
     return NULL;
+}
+
+/* The ``count`` rows of ``len`` bytes at ``buf`` as a list of bytes. */
+static PyObject *
+rows_list(const unsigned char *buf, Py_ssize_t count, Py_ssize_t len)
+{
+    PyObject *out = PyList_New(count), *w;
+    Py_ssize_t i;
+    for (i = 0; out != NULL && i < count; i++) {
+        if ((w = PyBytes_FromStringAndSize((const char *)buf + i * len, len)) == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, w);
+    }
+    return out;
+}
+
+static PyObject *
+words_of(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    Py_ssize_t n, count, len;
+    unsigned char *buf = sorted_words(arg, &n, &count, &len);
+    PyObject *out;
+    if (buf == NULL)
+        return NULL;
+    out = rows_list(buf, count, len);
+    PyMem_Free(buf);
+    return out;
 }
 
 static PyObject *
 enum_counts(PyObject *Py_UNUSED(self), PyObject *arg)
 {
-    PyObject *ws = words_of(NULL, arg);
-    Py_ssize_t i, total, distinct = 0;
-    if (ws == NULL)
+    Py_ssize_t n, count, len, i, distinct = 0;
+    unsigned char *buf = sorted_words(arg, &n, &count, &len);
+    if (buf == NULL)
         return NULL;
-    total = PyList_GET_SIZE(ws);
-    /* sorted words of equal length, so duplicates are adjacent */
-    for (i = 0; i < total; i++)
-        distinct += i == 0 || memcmp(PyBytes_AS_STRING(PyList_GET_ITEM(ws, i - 1)),
-                                     PyBytes_AS_STRING(PyList_GET_ITEM(ws, i)),
-                                     PyBytes_GET_SIZE(PyList_GET_ITEM(ws, i))) != 0;
-    Py_DECREF(ws);
-    return Py_BuildValue("(nn)", total, distinct);
+    /* sorted rows of equal length, so duplicates are adjacent */
+    for (i = 0; i < count; i++)
+        distinct += i == 0 || memcmp(buf + (i - 1) * len, buf + i * len, (size_t)len) != 0;
+    PyMem_Free(buf);
+    return Py_BuildValue("(nn)", count, distinct);
 }
 
 /* Stack of letters with more occurrences still to come; the stack is
@@ -237,53 +273,42 @@ brute_count(PyObject *Py_UNUSED(self), PyObject *arg)
     return PyLong_FromUnsignedLongLong(count);
 }
 
-static PyObject *
-profile12(PyObject *Py_UNUSED(self), PyObject *arg)
+/* The twelve statistics of the ``m``-byte word ``w`` into ``out``, in
+ * the order of profile12.  ``mult[c]`` is the number of occurrences of
+ * letter ``c`` in ``w``; ``seen`` is all zero on entry and on return. */
+static void
+stats12(const unsigned char *w, Py_ssize_t m, const Py_ssize_t *mult, unsigned char *seen,
+        Py_ssize_t *out)
 {
-    Py_ssize_t mult[256] = {0}, first[256] = {0}, m, i;
     Py_ssize_t asc = 0, plat = 0, des = 0, sdes = 0, mdes = 0, fplat = 0, uplat = 0;
-    Py_ssize_t dasc = 0, sddes = 0, fdesp = 0, ascpp = 0, mdup = 0;
-    const unsigned char *w;
-    PyObject *wb = PyBytes_FromObject(arg);
+    Py_ssize_t dasc = 0, sddes = 0, fdesp = 0, ascpp = 0, mdup = 0, i;
 
-    if (wb == NULL)
-        return NULL;
-    w = (const unsigned char *)PyBytes_AS_STRING(wb);
-    m = PyBytes_GET_SIZE(wb);
-    if (m == 0) {
-        /* the empty word is the grammar base case and counts one ascent */
-        Py_DECREF(wb);
-        return Py_BuildValue("(iiiiiiiiiiii)", 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0);
-    }
-    for (i = 0; i < m; i++) {
-        mult[w[i]]++;
-        if (first[w[i]] == 0)
-            first[w[i]] = i + 1;
-    }
-    for (i = 0; i <= m; i++) {
-        unsigned char a = i >= 1 ? w[i - 1] : 0, b = i < m ? w[i] : 0;
-        if (a < b)
-            asc++;
-        else if (a == b)
-            plat++;
-        else
-            des++;
-    }
+    if (m == 0) /* the empty word is the grammar base case: one ascent */
+        asc = 1;
+    else if (w[0] == 0) /* index 0 compares the sentinel with w[0] */
+        plat++;
+    else
+        asc++;
     for (i = 1; i <= m; i++) {
         unsigned char p = i >= 2 ? w[i - 2] : 0, c = w[i - 1], nx = i < m ? w[i] : 0;
-        int multiple = mult[c] > 1, leftmost = first[c] == i;
+        int multiple = mult[c] > 1, leftmost = !seen[c];
+        seen[c] = 1;
         if (c > nx) {
+            des++;
             if (multiple)
                 mdes++, mdup++;
             else
                 sdes++;
         }
         else if (c == nx) {
+            plat++;
             if (leftmost)
                 fplat++;
             if (!(p > c && leftmost) && !(p < c))
                 uplat++, mdup++;
         }
+        else
+            asc++;
         if (p < c && c < nx)
             dasc++;
         if (p > c && c > nx && !multiple)
@@ -293,9 +318,38 @@ profile12(PyObject *Py_UNUSED(self), PyObject *arg)
         if (p < c && c >= nx)
             ascpp++;
     }
+    for (i = 0; i < m; i++)
+        seen[w[i]] = 0;
+    out[0] = asc, out[1] = plat, out[2] = des, out[3] = sdes, out[4] = mdes;
+    out[5] = fplat, out[6] = uplat, out[7] = dasc, out[8] = sddes, out[9] = fdesp;
+    out[10] = ascpp, out[11] = mdup;
+}
+
+/* The twelve values at ``v`` as a tuple of ints. */
+static PyObject *
+stats_tuple(const Py_ssize_t *v)
+{
+    return Py_BuildValue("(nnnnnnnnnnnn)", v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7],
+                         v[8], v[9], v[10], v[11]);
+}
+
+static PyObject *
+profile12(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    Py_ssize_t mult[256] = {0}, out[12], m, i;
+    unsigned char seen[256] = {0};
+    const unsigned char *w;
+    PyObject *wb = PyBytes_FromObject(arg);
+
+    if (wb == NULL)
+        return NULL;
+    w = (const unsigned char *)PyBytes_AS_STRING(wb);
+    m = PyBytes_GET_SIZE(wb);
+    for (i = 0; i < m; i++)
+        mult[w[i]]++;
+    stats12(w, m, mult, seen, out);
     Py_DECREF(wb);
-    return Py_BuildValue("(nnnnnnnnnnnn)", asc, plat, des, sdes, mdes, fplat,
-                         uplat, dasc, sddes, fdesp, ascpp, mdup);
+    return stats_tuple(out);
 }
 
 /* The value class of letter ``x`` from the window around its leftmost
@@ -409,16 +463,16 @@ phi_letter(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return nw;
 }
 
-/* Index of the ``m``-byte word ``w`` in the sorted list ``words`` of
- * ``m``-byte words, or -1. */
+/* Index of the ``m``-byte word ``w`` among the ``count`` sorted
+ * ``m``-byte rows at ``buf``, or -1. */
 static Py_ssize_t
-find_word(PyObject *words, const unsigned char *w, Py_ssize_t m)
+find_word(const unsigned char *buf, Py_ssize_t count, const unsigned char *w, Py_ssize_t m)
 {
-    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(words), mid;
+    Py_ssize_t lo = 0, hi = count, mid;
     int c;
     while (lo < hi) {
         mid = lo + (hi - lo) / 2;
-        c = memcmp(PyBytes_AS_STRING(PyList_GET_ITEM(words, mid)), w, (size_t)m);
+        c = memcmp(buf + mid * m, w, (size_t)m);
         if (c == 0)
             return mid;
         if (c < 0)
@@ -432,22 +486,17 @@ find_word(PyObject *words, const unsigned char *w, Py_ssize_t m)
 static PyObject *
 hop_tables(PyObject *Py_UNUSED(self), PyObject *arg)
 {
-    PyObject *words = words_of(NULL, arg), *phis = NULL, *classes = NULL, *px, *cx, *v;
-    Py_ssize_t count, m, n = 0, i, pos, j;
+    Py_ssize_t n, count, m, i, pos, j;
+    unsigned char *buf = sorted_words(arg, &n, &count, &m), *img = NULL, *cls_out;
     const unsigned char *w;
-    unsigned char *img = NULL, *cls_out;
+    PyObject *words = NULL, *phis = NULL, *classes = NULL, *px, *cx, *v;
     long x;
     int cls;
 
-    if (words == NULL)
+    if (buf == NULL)
         return NULL;
-    count = PyList_GET_SIZE(words);
-    w = (const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(words, 0));
-    m = PyBytes_GET_SIZE(PyList_GET_ITEM(words, 0));
-    for (i = 0; i < m; i++) /* every letter occurs, so n is the largest */
-        n = w[i] > n ? w[i] : n;
-    if ((img = PyMem_Malloc((size_t)m + 1)) == NULL || (phis = PyList_New(n)) == NULL
-        || (classes = PyList_New(n)) == NULL)
+    if ((words = rows_list(buf, count, m)) == NULL || (img = PyMem_Malloc((size_t)m + 1)) == NULL
+        || (phis = PyList_New(n)) == NULL || (classes = PyList_New(n)) == NULL)
         goto fail;
     for (x = 1; x <= n; x++) {
         if ((px = PyList_New(count)) == NULL)
@@ -457,29 +506,115 @@ hop_tables(PyObject *Py_UNUSED(self), PyObject *arg)
             goto fail;
         PyList_SET_ITEM(classes, x - 1, cx);
         cls_out = (unsigned char *)PyBytes_AS_STRING(cx);
-        for (i = 0; i < count; i++) {
-            w = (const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(words, i));
+        for (i = 0, w = buf; i < count; i++, w += m) {
             pos = (const unsigned char *)memchr(w, (int)x, (size_t)m) - w;
             cls_out[i] = (unsigned char)(cls = letter_class(w, m, pos, x));
             j = i;
             if (cls != FIXED) {
                 hop(w, m, pos, x, cls, img);
-                j = find_word(words, img, m);
+                j = find_word(buf, count, img, m);
             }
             if ((v = PyLong_FromSsize_t(j)) == NULL)
                 goto fail;
             PyList_SET_ITEM(px, i, v);
         }
     }
+    PyMem_Free(buf);
     PyMem_Free(img);
     return Py_BuildValue("(NNN)", words, phis, classes);
 fail:
     if (!PyErr_Occurred())
         PyErr_NoMemory();
+    PyMem_Free(buf);
     PyMem_Free(img);
-    Py_DECREF(words);
+    Py_XDECREF(words);
     Py_XDECREF(phis);
     Py_XDECREF(classes);
+    return NULL;
+}
+
+/* One distinct profile of joint_hist and the number of words with it. */
+typedef struct {
+    Py_ssize_t stats[12], count;
+} hist_entry;
+
+/* FNV-1a over the twelve values, high half folded into the low half. */
+static size_t
+stats_hash(const Py_ssize_t *v)
+{
+    unsigned long long h = 14695981039346656037ULL;
+    int k;
+    for (k = 0; k < 12; k++)
+        h = (h ^ (unsigned long long)v[k]) * 1099511628211ULL;
+    return (size_t)(h ^ (h >> 32));
+}
+
+static PyObject *
+joint_hist(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    Py_ssize_t n, count, m, i, k, mult[MAX_LETTERS + 1] = {0}, prof[12];
+    Py_ssize_t used = 0, cap = 16, *slot = NULL, *grown; /* slot: entry index + 1, or 0 */
+    size_t mask, h;
+    unsigned char seen[MAX_LETTERS + 1] = {0}, *buf = sorted_words(arg, &n, &count, &m);
+    hist_entry *entry = NULL, *e;
+    PyObject *out = NULL, *item;
+
+    if (buf == NULL)
+        return NULL;
+    /* every word has the content of the composition */
+    for (i = 0; i < m; i++)
+        mult[buf[i]]++;
+    /* entries in order of first occurrence, indexed by an open-addressing
+     * table of ``cap`` slots that is kept at most half full */
+    if ((entry = PyMem_Malloc((size_t)cap / 2 * sizeof *entry)) == NULL
+        || (slot = PyMem_Calloc((size_t)cap, sizeof *slot)) == NULL)
+        goto fail;
+    for (i = 0, mask = (size_t)cap - 1; i < count; i++) {
+        stats12(buf + i * m, m, mult, seen, prof);
+        for (h = stats_hash(prof) & mask; slot[h]; h = (h + 1) & mask)
+            if (memcmp(entry[slot[h] - 1].stats, prof, sizeof prof) == 0)
+                break;
+        if (slot[h]) {
+            entry[slot[h] - 1].count++;
+            continue;
+        }
+        e = &entry[used];
+        memcpy(e->stats, prof, sizeof prof);
+        e->count = 1;
+        slot[h] = ++used;
+        if (2 * used == cap) { /* double the table and rehash */
+            if ((grown = PyMem_Calloc((size_t)cap * 2, sizeof *slot)) == NULL
+                || (e = PyMem_Realloc(entry, (size_t)cap * sizeof *entry)) == NULL) {
+                PyMem_Free(grown);
+                goto fail;
+            }
+            PyMem_Free(slot);
+            slot = grown, entry = e, cap *= 2, mask = (size_t)cap - 1;
+            for (k = 0; k < used; k++) {
+                for (h = stats_hash(entry[k].stats) & mask; slot[h]; h = (h + 1) & mask)
+                    ;
+                slot[h] = k + 1;
+            }
+        }
+    }
+    if ((out = PyTuple_New(used)) == NULL)
+        goto fail;
+    for (k = 0; k < used; k++) {
+        if ((item = Py_BuildValue("(Nn)", stats_tuple(entry[k].stats), entry[k].count)) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(out, k, item);
+    }
+    PyMem_Free(buf);
+    PyMem_Free(entry);
+    PyMem_Free(slot);
+    return out;
+fail:
+    if (!PyErr_Occurred())
+        PyErr_NoMemory();
+    PyMem_Free(buf);
+    PyMem_Free(entry);
+    PyMem_Free(slot);
+    Py_XDECREF(out);
     return NULL;
 }
 
@@ -506,6 +641,10 @@ static PyMethodDef core_methods[] = {
     {"phi_letter", (PyCFunction)(void (*)(void))phi_letter, METH_FASTCALL,
      "phi_letter(word, x)\n--\n\n"
      "One hop of the letter action; see the pure backend docstring."},
+    {"joint_hist", joint_hist, METH_O,
+     "joint_hist(parts)\n--\n\n"
+     "``(profile12 tuple, word count)`` pairs over ``words_of(parts)``, in\n"
+     "order of first occurrence."},
     {"hop_tables", hop_tables, METH_O,
      "hop_tables(parts)\n--\n\n"
      "``(words, phis, classes)``: the sorted words of ``parts`` and, per\n"

@@ -14,6 +14,8 @@ Statistic order returned by :func:`profile12`::
 
 from __future__ import annotations
 
+import sys
+
 BACKEND_NAME = "pure"
 
 # value classes for the hopping action
@@ -31,6 +33,18 @@ def _check_parts(parts):
             raise ValueError("multiplicities must be positive")
 
 
+def _check_size(parts):
+    """Raise ``OverflowError`` when the compiled kernel's two sort
+    buffers for the word set of ``parts`` (word count times word length
+    bytes each) would not fit in ``sys.maxsize``."""
+    count, length = 1, 0
+    for mk in parts:
+        count *= length + 1
+        length += mk
+    if count > sys.maxsize or 2 * count * length > sys.maxsize:
+        raise OverflowError("the word set is too large to enumerate")
+
+
 def words_of(parts):
     """All generalized Stirling words of the multiset ``{i^parts[i-1]}``.
 
@@ -39,6 +53,7 @@ def words_of(parts):
     sorted list of packed words.
     """
     _check_parts(parts)
+    _check_size(parts)
     cur = [b""]
     for k, mk in enumerate(parts, start=1):
         block = bytes([k]) * mk
@@ -195,6 +210,16 @@ def profile12(word):
         if p < c and c >= nx:
             ascpp += 1
     return (asc, plat, des, sdes, mdes, fplat, uplat, dasc, sddes, fdesp, ascpp, mdup)
+
+
+def joint_hist(parts):
+    """``(profile12 tuple, word count)`` pairs over ``words_of(parts)``,
+    in order of first occurrence."""
+    hist = {}
+    for w in words_of(parts):
+        p = profile12(w)
+        hist[p] = hist.get(p, 0) + 1
+    return tuple(hist.items())
 
 
 def classify_letter(word, x):

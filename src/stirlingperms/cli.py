@@ -318,6 +318,8 @@ def _cmd_realroot(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_total < 1:
         raise _UsageError("--max-total: must be at least 1")
+    if args.jobs < 0:
+        raise _UsageError("--jobs: must be at least 0 (0 = machine parallelism)")
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     suites = (args.suite,) if args.suite else None
     reports, notes = verify_mod.verify_all(args.max_total, jobs=jobs, suites=suites)

@@ -106,8 +106,8 @@ def joint_counts(parts: Iterable[int]) -> tuple[tuple[tuple[int, ...], int], ...
 
     Every word-set histogram (triples, gamma counts, plateau slices, the
     lemma and grammar suites) is a projection of this one table, so each
-    composition is enumerated and profiled once per process.  The result
-    is cached and immutable.
+    composition is enumerated and profiled once per process, by the one
+    kernel call ``joint_hist``.  The result is cached and immutable.
 
     >>> joint_counts((2,))
     (((1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1), 1),)
@@ -117,11 +117,7 @@ def joint_counts(parts: Iterable[int]) -> tuple[tuple[tuple[int, ...], int], ...
 
 @lru_cache(maxsize=None)
 def _joint_counts(parts: Composition) -> tuple[tuple[tuple[int, ...], int], ...]:
-    hist: dict[tuple[int, ...], int] = {}
-    for w in kernel.words_of(parts):
-        p = kernel.profile12(w)
-        hist[p] = hist.get(p, 0) + 1
-    return tuple(hist.items())
+    return kernel.joint_hist(parts)
 
 
 def project_counts(

@@ -87,7 +87,7 @@ def backend(request):
     return _pure if request.param == "pure" else request.getfixturevalue("core")
 
 
-@pytest.mark.parametrize("parts", compositions_up_to(6))
+@pytest.mark.parametrize("parts", compositions_up_to(7))
 def test_enumeration_agrees(core, parts):
     assert core.words_of(parts) == _pure.words_of(parts)
     assert core.enum_counts(parts) == _pure.enum_counts(parts)
@@ -102,6 +102,33 @@ def test_brute_force_agrees(core, parts):
 def test_profiles_agree(core, parts):
     for w in core.words_of(parts):
         assert core.profile12(w) == _pure.profile12(w)
+
+
+def first_occurrence_hist(words):
+    """``joint_hist`` from the pure ``profile12`` of each word, counted
+    in order of first occurrence."""
+    hist = {}
+    for w in words:
+        p = _pure.profile12(bytes(w))
+        hist[p] = hist.get(p, 0) + 1
+    return tuple(hist.items())
+
+
+@pytest.mark.parametrize("parts", compositions_up_to(6))
+def test_joint_hist_matches_the_oracle(core, parts):
+    expected = first_occurrence_hist(oracle_words(parts))
+    assert _pure.joint_hist(parts) == expected
+    assert core.joint_hist(parts) == expected
+
+
+@given(st.lists(st.integers(1, 4), max_size=5).filter(lambda p: sum(p) <= 7).map(tuple))
+@settings(max_examples=40, deadline=None)
+def test_joint_hist_is_the_first_occurrence_count(core, parts):
+    hist = core.joint_hist(parts)
+    assert hist == _pure.joint_hist(parts)
+    assert hist == first_occurrence_hist(core.words_of(parts))
+    assert len({p for p, _ in hist}) == len(hist)
+    assert sum(c for _, c in hist) == core.enum_counts(parts)[0]
 
 
 @pytest.mark.parametrize("parts", [p for p in compositions_up_to(5) if p])
@@ -170,6 +197,7 @@ def test_empty_inputs(backend):
     assert backend.words_of(()) == [b""]
     assert backend.hop_tables(()) == ([b""], [], [])
     assert backend.enum_counts(()) == (1, 1)
+    assert backend.joint_hist(()) == (((1,) + (0,) * 11, 1),)
     assert backend.brute_count(()) == 1
     assert backend.is_stirling(b"", ())
     assert backend.profile12(b"") == (1,) + (0,) * 11
@@ -199,10 +227,19 @@ def test_bad_composition_is_value_error(backend, parts):
 @pytest.mark.parametrize("parts, error", [((0,), ValueError), ((1, -1), ValueError),
                                           ((1,) * 256, ValueError), ((1, 1.5), TypeError)])
 def test_hop_tables_rejects_what_words_of_rejects(backend, parts, error):
+    # joint_hist reads the same word set, so it must fail the same way
     with pytest.raises(error) as expected:
         backend.words_of(parts)
-    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
-        backend.hop_tables(parts)
+    for fn in (backend.hop_tables, backend.joint_hist):
+        with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+            fn(parts)
+
+
+def test_oversized_word_set_is_refused_before_enumerating(backend):
+    # 21! words: the size check must raise before any level is built
+    for fn in (backend.words_of, backend.enum_counts, backend.hop_tables, backend.joint_hist):
+        with pytest.raises(OverflowError, match="^the word set is too large to enumerate$"):
+            fn((1,) * 21)
 
 
 def test_non_integer_part_raises(backend):

@@ -226,6 +226,17 @@ def test_verify_jobs_clamped(capsys, monkeypatch, jobs, cpus, workers):
     assert RecordingPool.created == workers
 
 
+def test_verify_negative_jobs_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "jacobi", "--max-total", "1", "--jobs", "-2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --jobs:")
+    assert RecordingPool.created == []
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--m", "0,2")
     assert code == 2 and "--m" in err
