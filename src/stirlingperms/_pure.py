@@ -41,7 +41,7 @@ def _check_size(parts):
     for mk in parts:
         count *= length + 1
         length += mk
-    if count > sys.maxsize or 2 * count * length > sys.maxsize:
+    if 2 * count * length > sys.maxsize:
         raise OverflowError("the word set is too large to enumerate")
 
 
