@@ -282,12 +282,16 @@ def test_version_reports_the_kernel_that_runs(capsys):
     ]
 
 
+# The cases that carry the live hash get fixed ids: an id made from the hash
+# would change with every edit of the kernel source.
 @pytest.mark.parametrize(
     "source_sha256, source_name, status",
     [
-        (CURRENT_SHA256, "_core.c", "match"),
+        pytest.param(CURRENT_SHA256, "_core.c", "match", id="current-match"),
         ("0" * 64, "_core.c", "stale"),
-        (CURRENT_SHA256, "missing/_core.c", "source not found"),
+        pytest.param(
+            CURRENT_SHA256, "missing/_core.c", "source not found", id="current-missing"
+        ),
     ],
 )
 def test_version_compares_the_kernel_with_its_source(
