@@ -533,6 +533,147 @@ fail:
     return NULL;
 }
 
+/* The value class of letter ``x`` in the ``m``-byte word ``w``, where
+ * ``x`` occurs; its leftmost occurrence into ``*pos``. */
+static int
+class_at(const unsigned char *w, Py_ssize_t m, long x, Py_ssize_t *pos)
+{
+    *pos = (const unsigned char *)memchr(w, (int)x, (size_t)m) - w;
+    return letter_class(w, m, *pos, x);
+}
+
+/* The checks of gfs_scan on the orbit of the representative ``r`` with
+ * profile ``pr`` (see the pure backend): its ``k`` moving letters are
+ * ``moving``, ``bit[x]`` is the bit of letter ``x`` in a member index (0
+ * for a fixed letter), and ``member`` has room for ``2^k`` rows of ``m``
+ * bytes, its first row ``r``.  Returns the name of the failed check, or
+ * NULL. */
+static const char *
+orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_ssize_t *bit,
+              Py_ssize_t n, Py_ssize_t m, const Py_ssize_t *mult, unsigned char *seen,
+              const Py_ssize_t *pr, unsigned char *img)
+{
+    Py_ssize_t size = (Py_ssize_t)1 << k, terms[64] = {0}, binom[64] = {1}, p[12];
+    Py_ssize_t s, i, j, top, reps = 0, pos;
+    const unsigned char *from, *image;
+    unsigned char *v;
+    long x;
+    int cls;
+
+    for (s = 0, v = member; s < size; s++, v += m) {
+        if (s == 0)
+            memcpy(p, pr, sizeof p);
+        else {
+            for (top = 0; s >> (top + 1); top++)
+                ;
+            from = member + (s ^ ((Py_ssize_t)1 << top)) * m;
+            cls = class_at(from, m, moving[top], &pos);
+            if (cls == FIXED)
+                memcpy(v, from, (size_t)m);
+            else
+                hop(from, m, pos, moving[top], cls, v);
+            if (!stirling_property(v, m, mult))
+                return "closure";
+            stats12(v, m, mult, seen, p);
+        }
+        if (p[11] != pr[11])
+            return "mdup-invariance";
+        i = p[0] - pr[10];
+        if (p[0] + p[5] + p[3] != 2 * pr[10] + k || i < 0 || i > k)
+            return "orbit-sum";
+        terms[i]++;
+        reps += !(p[8] || p[9]);
+    }
+    /* row k of Pascal's triangle */
+    for (i = 1; i <= k; i++)
+        for (j = i; j > 0; j--)
+            binom[j] += binom[j - 1];
+    for (i = 0; i <= k; i++)
+        if (terms[i] != binom[i])
+            return "orbit-sum";
+    if (reps != 1)
+        return "unique-representative";
+    for (s = 0, v = member; s < size; s++, v += m)
+        for (x = 1; x <= n; x++) {
+            cls = class_at(v, m, x, &pos);
+            image = v;
+            if (cls != FIXED) {
+                hop(v, m, pos, x, cls, img);
+                image = img;
+            }
+            if (memcmp(image, member + (s ^ bit[x]) * m, (size_t)m) != 0)
+                return stirling_property(image, m, mult) ? "hop" : "closure";
+            if ((cls == FREE_DESCENT_PLATEAU || cls == SINGLE_DOUBLE_DESCENT)
+                != (class_at(image, m, x, &pos) == DOUBLE_ASCENT))
+                return "toggle";
+        }
+    return NULL;
+}
+
+static PyObject *
+gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    Py_ssize_t n, count, m, i, k, left, size, cap = 0, pos, pr[12];
+    Py_ssize_t mult[MAX_LETTERS + 1] = {0}, bit[MAX_LETTERS + 1] = {0};
+    long x, moving[MAX_LETTERS];
+    unsigned char seen[MAX_LETTERS + 1] = {0}, *buf = sorted_words(arg, &n, &count, &m);
+    unsigned char *member = NULL, *img = NULL, *grown;
+    const unsigned char *r;
+    const char *failure = NULL;
+
+    if (buf == NULL)
+        return NULL;
+    /* every word has the content of the composition */
+    for (i = 0; i < m; i++)
+        mult[buf[i]]++;
+    if ((img = PyMem_Malloc((size_t)m + 1)) == NULL)
+        goto nomem;
+    for (i = 0, r = buf, left = count; i < count && failure == NULL; i++, r += m) {
+        stats12(r, m, mult, seen, pr);
+        if (pr[8] || pr[9]) /* not a representative */
+            continue;
+        for (x = 1, k = 0; x <= n; x++)
+            if (class_at(r, m, x, &pos) != FIXED)
+                moving[k++] = x;
+        if (pr[0] - pr[7] != pr[5] + pr[3] || pr[5] + pr[3] != pr[10])
+            failure = "identity-ascpp";
+        else if (pr[7] != m + 1 - pr[11] - 2 * pr[10])
+            failure = "identity-dasc";
+        else if (k != pr[7])
+            failure = "orbit-size";
+        else if (k >= 62 || ((Py_ssize_t)1 << k) > left)
+            failure = "cover";
+        if (failure != NULL)
+            break;
+        size = (Py_ssize_t)1 << k;
+        if (size * m >= cap) {
+            if ((grown = PyMem_Realloc(member, (size_t)(size * m + 1))) == NULL)
+                goto nomem;
+            member = grown, cap = size * m + 1;
+        }
+        memcpy(member, r, (size_t)m);
+        for (x = 1; x <= n; x++)
+            bit[x] = 0;
+        for (x = 0; x < k; x++)
+            bit[moving[x]] = (Py_ssize_t)1 << x;
+        failure = orbit_failure(member, k, moving, bit, n, m, mult, seen, pr, img);
+        left -= size;
+    }
+    if (failure == NULL && left != 0)
+        failure = "cover";
+    PyMem_Free(buf);
+    PyMem_Free(member);
+    PyMem_Free(img);
+    if (failure != NULL)
+        return PyUnicode_FromString(failure);
+    Py_RETURN_NONE;
+nomem:
+    PyMem_Free(buf);
+    PyMem_Free(member);
+    PyMem_Free(img);
+    return PyErr_NoMemory();
+}
+
 /* One distinct profile of joint_hist and the number of words with it. */
 typedef struct {
     Py_ssize_t stats[12], count;
@@ -650,6 +791,10 @@ static PyMethodDef core_methods[] = {
      "``(words, phis, classes)``: the sorted words of ``parts`` and, per\n"
      "letter, the index of each word's hop image (-1 when it is not a word)\n"
      "and the bytes of each word's value class."},
+    {"gfs_scan", gfs_scan, METH_O,
+     "gfs_scan(parts)\n--\n\n"
+     "Check the hopping action orbit by orbit: ``None`` on a pass, or the\n"
+     "name of the first failed check; see the pure backend docstring."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,6 +15,7 @@ Statistic order returned by :func:`profile12`::
 from __future__ import annotations
 
 import sys
+from math import comb
 
 BACKEND_NAME = "pure"
 
@@ -23,6 +24,7 @@ FIXED = 0
 FREE_DESCENT_PLATEAU = 1
 SINGLE_DOUBLE_DESCENT = 2
 DOUBLE_ASCENT = 3
+_MOVABLE_LEFT = (FREE_DESCENT_PLATEAU, SINGLE_DOUBLE_DESCENT)
 
 
 def _check_parts(parts):
@@ -226,15 +228,14 @@ def classify_letter(word, x):
     """Value class of letter ``x``: looks at the window around its
     leftmost occurrence (0 fixed, 1 free descent-plateau value, 2 single
     double-descent value, 3 double-ascent value)."""
-    pos = word.find(bytes([x]))
+    pos = word.find(x)
     if pos < 0:
         raise ValueError(f"letter {x} does not occur in the word")
-    m = len(word)
     p = word[pos - 1] if pos >= 1 else 0
-    nx = word[pos + 1] if pos + 1 < m else 0
+    nx = word[pos + 1] if pos + 1 < len(word) else 0
     if p > x == nx:
         return FREE_DESCENT_PLATEAU
-    if p > x > nx and word.count(bytes([x])) == 1:
+    if p > x > nx and word.count(x) == 1:
         return SINGLE_DOUBLE_DESCENT
     if p < x < nx:
         return DOUBLE_ASCENT
@@ -258,7 +259,7 @@ def _hop(word, x, cls):
     if cls == FIXED:
         return word
     m = len(word)
-    l1 = word.find(bytes([x])) + 1  # 1-based leftmost occurrence
+    l1 = word.find(x) + 1  # 1-based leftmost occurrence
     piece = bytes([x])
     if cls in (FREE_DESCENT_PLATEAU, SINGLE_DOUBLE_DESCENT):
         k = 0
@@ -292,3 +293,116 @@ def hop_tables(parts):
         phis.append([index.get(_hop(w, x, c), -1) for w, c in zip(words, cls_x)])
         classes.append(bytes(cls_x))
     return words, phis, classes
+
+
+def gfs_scan(parts):
+    """Check the hopping action orbit by orbit; ``None`` on a pass, or
+    the name of the first failed check.
+
+    Every word ``r`` of ``words_of(parts)`` with ``sddes = fdesp = 0`` is
+    a representative.  Its ``k`` moving letters ``x_0 < ... < x_(k-1)``
+    are those not FIXED at ``r``, and its orbit is the array ``member``
+    over the subsets ``S`` of them: ``member[0] = r``, and ``member[S]``
+    hops the highest letter of ``S`` in ``member[S - top]``, so each
+    letter hops at most once, in letter order.  In checking order:
+
+    - ``identity-ascpp``, ``identity-dasc``: the two identities at ``r``;
+    - ``orbit-size``: ``k == dasc(r)``;
+    - ``cover``: the orbit sizes so far stay within the word count;
+    - ``closure``: every member is a Stirling word of content ``parts``,
+      that is, one of the sorted words;
+    - ``mdup-invariance``: every member has the ``mdup`` of ``r``;
+    - ``orbit-sum``: ``x^asc y^(fplat+sdes)`` summed over the members is
+      ``(xy)^ascpp (x+y)^dasc`` at ``r``, read as counts ``C(dasc, i)``
+      at ``asc = ascpp + i``;
+    - ``unique-representative``: ``r`` is the only representative among
+      the members, counted by index;
+    - ``hop``: for every member ``member[S]`` and letter ``x``,
+      ``phi_x(member[S])`` is ``member[S xor x]`` for a moving ``x``
+      and ``member[S]`` for a fixed one (``closure`` when that image is
+      not a Stirling word);
+    - ``toggle``: ``x`` is movable-left at the member exactly when it
+      is a double-ascent value at that image;
+    - ``cover``, once at the end: the orbit sizes sum to the word count.
+
+    A pass proves what the whole-table checks over ``hop_tables`` prove,
+    on the set ``W`` of Stirling words of content ``parts``:
+
+    - The members are distinct: if ``member[S] = member[T]`` with
+      ``S != T``, hopping the letters of ``S`` in both gives
+      ``r = member[S xor T]``, a second representative.
+    - Each orbit is closed: every hop of a member is a member, a Stirling
+      word.  On it each ``phi_x`` acts as ``S -> S xor x`` (or the
+      identity), so the hops are involutions and commute there, and every
+      member reaches ``r``; the toggle and ``mdup`` invariance hold at
+      every member.
+    - Two orbits are disjoint: a common word would reach both
+      representatives, which would then lie in one closed orbit with one
+      representative.
+    - The orbits cover ``W``: they are disjoint subsets of ``W`` whose
+      sizes sum to ``count_words(parts)``, the size of ``W``.
+    - So each orbit of the group generated by the hops is one array, of
+      size ``2^dasc(r)``, with exactly one representative, the two
+      identities and the orbit sum.
+    """
+    words = words_of(parts)
+    stirling = set(words)
+    n, m = len(parts), len(words[0])
+    left = len(words)  # words not yet covered by an orbit
+    covered = set()  # a representative among them would have failed its orbit
+    for r in words:
+        if r in covered:
+            continue
+        prof = profile12(r)
+        if prof[8] or prof[9]:
+            continue
+        asc, _, _, sdes, _, fplat, _, dasc, _, _, ascpp, mdup = prof
+        if not asc - dasc == fplat + sdes == ascpp:
+            return "identity-ascpp"
+        if dasc != m + 1 - mdup - 2 * ascpp:
+            return "identity-dasc"
+        # the value classes of every letter at each member, row 0 at r
+        classes = [[classify_letter(r, x) for x in range(1, n + 1)]]
+        moving = [x for x, cls in enumerate(classes[0], start=1) if cls != FIXED]
+        bit = [0] * (n + 1)  # letter -> its bit in S, 0 for a fixed letter
+        for j, x in enumerate(moving):
+            bit[x] = 1 << j
+        if len(moving) != dasc:
+            return "orbit-size"
+        if 1 << dasc > left:
+            return "cover"
+        left -= 1 << dasc
+        member, terms, reps = [r], [0] * (dasc + 1), 0
+        for s in range(1 << dasc):
+            if s:
+                top = s.bit_length() - 1
+                src, x = s ^ 1 << top, moving[top]
+                v = _hop(member[src], x, classes[src][x - 1])
+                if v not in stirling:
+                    return "closure"
+                p = profile12(v)
+                member.append(v)
+                classes.append([classify_letter(v, x) for x in range(1, n + 1)])
+            else:
+                p = prof
+            if p[11] != mdup:
+                return "mdup-invariance"
+            i = p[0] - ascpp
+            if p[0] + p[5] + p[3] != 2 * ascpp + dasc or not 0 <= i <= dasc:
+                return "orbit-sum"
+            terms[i] += 1
+            reps += not (p[8] or p[9])
+        if terms != [comb(dasc, i) for i in range(dasc + 1)]:
+            return "orbit-sum"
+        if reps != 1:
+            return "unique-representative"
+        covered.update(member)
+        for s, v in enumerate(member):
+            for x, cls in enumerate(classes[s], start=1):
+                image, t = _hop(v, x, cls), s ^ bit[x]
+                if image != member[t]:
+                    return "hop" if image in stirling else "closure"
+                # the class at an image that is a member is that member's
+                if (cls in _MOVABLE_LEFT) != (classes[t][x - 1] == DOUBLE_ASCENT):
+                    return "toggle"
+    return "cover" if left else None

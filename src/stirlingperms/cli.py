@@ -33,6 +33,13 @@ from .words import (
 )
 
 
+#: The most words ``enumerate`` (without ``--count-only``), ``poly``,
+#: ``gamma`` and ``realroot`` build for one multiplicity vector.  Every
+#: vector of total at most 10 fits: the largest, ``1,...,1``, has
+#: 3,628,800 words.
+MAX_WORDS = 5_000_000
+
+
 class _UsageError(Exception):
     pass
 
@@ -42,6 +49,16 @@ def _parse_m(value: str) -> tuple[int, ...]:
         return parse_composition(value)
     except ValueError as exc:
         raise _UsageError(f"--m: {exc}") from None
+
+
+def _check_budget(parts: tuple[int, ...]) -> None:
+    """Refuse a word set above ``MAX_WORDS`` before enumerating it."""
+    count = count_words(parts)
+    if count > MAX_WORDS:
+        raise _UsageError(
+            f"--m: {format_composition(parts)} has {count} words, "
+            f"more than the {MAX_WORDS} this command builds"
+        )
 
 
 def _parse_the_word(value: str) -> tuple[int, ...]:
@@ -165,6 +182,7 @@ def _cmd_enumerate(args) -> int:
         total = count_words(parts)
         _emit(json.dumps({"m": list(parts), "count": str(total)}) if args.format == "json" else str(total))
         return 0
+    _check_budget(parts)
     ws = enumerate_words(parts)
     if args.format == "json":
         _emit(json.dumps({"m": list(parts), "count": str(len(ws)), "words": [format_word(w) for w in ws]}))
@@ -175,13 +193,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    p = gamma_mod.s_poly(_parse_m(args.m))
+    parts = _parse_m(args.m)
+    _check_budget(parts)
+    p = gamma_mod.s_poly(parts)
     _emit(p.to_json() if args.format == "json" else str(p))
     return 0
 
 
 def _cmd_gamma(args) -> int:
     parts = _parse_m(args.m)
+    _check_budget(parts)
     if not parts and not args.combinatorial:
         # the empty word's base monomial x is not symmetric in x, y
         raise _UsageError("--m: the gamma expansion needs a nonempty multiset")
@@ -283,6 +304,7 @@ def _cmd_jacobi(args) -> int:
 
 def _cmd_realroot(args) -> int:
     parts = _parse_m(args.m)
+    _check_budget(parts)
     try:
         p = roots_mod.s_mi(parts, args.i)
     except ValueError as exc:

@@ -236,20 +236,30 @@ def check_gfs(parts: Composition) -> VerifyReport:
     invariance, power-of-two orbits, the unique representative with its
     two statistic identities, and the orbit summation identity.
 
-    The action is checked over the whole hop index tables of
-    ``kernel.hop_tables``; a failure reports the first failing word
-    (sorted order) and letter (increasing), whichever table check saw it,
-    and the first failing orbit in the order of its least word.
+    One ``kernel.gfs_scan`` call checks all of it orbit by orbit.  Only
+    when it fails are the whole hop index tables of ``kernel.hop_tables``
+    built, for the payload: the first failing word (sorted order) and
+    letter (increasing), whichever table check saw it, or the first
+    failing orbit in the order of its least word.
     """
     t0 = perf_counter()
+    failure = None
+    if kernel.gfs_scan(parts) is not None:
+        failure = _table_failure(parts)
+        if failure is None:
+            raise RuntimeError("gfs_scan failed where the table checks pass")
+    return _report("gfs-properties", f"m={format_composition(parts)}", t0, failure)
+
+
+def _table_failure(parts: Composition) -> dict | None:
+    """The FAIL payload of the gfs-properties suite from the whole hop
+    index tables, or ``None`` when every table check passes."""
     words, phis, classes = kernel.hop_tables(parts)
     m_total = sum(parts)
     profiles = list(map(kernel.profile12, words))
 
-    def fail(kind: str, **payload) -> VerifyReport:
-        data = {"m": list(parts), "kind": kind}
-        data.update(payload)
-        return _report("gfs-properties", f"m={format_composition(parts)}", t0, data)
+    def fail(kind: str, **payload) -> dict:
+        return {"m": list(parts), "kind": kind, **payload}
 
     open_at = [phi_x.index(-1) for phi_x in phis if -1 in phi_x]
     if open_at:
@@ -304,7 +314,7 @@ def check_gfs(parts: Composition) -> VerifyReport:
                 lhs=MultiPoly(("x", "y"), orbit_sum).to_json_dict(),
                 rhs=((x_ * y_) ** ascpp * (x_ + y_) ** dasc).to_json_dict(),
             )
-    return _report("gfs-properties", f"m={format_composition(parts)}", t0, None)
+    return None
 
 
 def check_theorem(parts: Composition) -> VerifyReport:

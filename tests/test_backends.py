@@ -14,13 +14,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import _pure
+from stirlingperms import _pure, verify
 from conftest import compositions_up_to, oracle_words
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +175,30 @@ def test_hop_tables_match_the_oracle(core, parts):
             assert list(cls_x) == [_pure.classify_letter(w, x) for w in oracle]
 
 
+@pytest.mark.parametrize("parts", compositions_up_to(7))
+def test_gfs_scan_passes_exactly_where_the_tables_pass(backend, monkeypatch, parts):
+    monkeypatch.setattr(verify, "kernel", backend)
+    assert (backend.gfs_scan(parts) is None) == (verify._table_failure(parts) is None)
+
+
+def public_names(mod):
+    """The names ``mod`` defines itself, not those it imports."""
+    return {
+        name
+        for name, value in vars(mod).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and getattr(value, "__module__", mod.__name__) == mod.__name__
+    }
+
+
+def test_backends_expose_one_contract(core):
+    # SOURCE_SHA256 identifies the build of the compiled kernel; the pure
+    # one is not built
+    assert public_names(core) - {"SOURCE_SHA256"} == public_names(_pure)
+    assert "gfs_scan" in public_names(_pure)
+
+
 def test_is_stirling_agrees_on_non_words(core):
     cases = [
         (b"\x01\x02\x01\x02", (2, 2)),
@@ -196,6 +221,9 @@ def test_value_class_constants_agree(core):
 def test_empty_inputs(backend):
     assert backend.words_of(()) == [b""]
     assert backend.hop_tables(()) == ([b""], [], [])
+    # the empty word is the grammar base case with one ascent, so the
+    # identities fail at its orbit, as in the tables
+    assert backend.gfs_scan(()) == "identity-ascpp"
     assert backend.enum_counts(()) == (1, 1)
     assert backend.joint_hist(()) == (((1,) + (0,) * 11, 1),)
     assert backend.brute_count(()) == 1
@@ -227,17 +255,18 @@ def test_bad_composition_is_value_error(backend, parts):
 @pytest.mark.parametrize("parts, error", [((0,), ValueError), ((1, -1), ValueError),
                                           ((1,) * 256, ValueError), ((1, 1.5), TypeError)])
 def test_hop_tables_rejects_what_words_of_rejects(backend, parts, error):
-    # joint_hist reads the same word set, so it must fail the same way
+    # joint_hist and gfs_scan read the same word set, so they must fail the same way
     with pytest.raises(error) as expected:
         backend.words_of(parts)
-    for fn in (backend.hop_tables, backend.joint_hist):
+    for fn in (backend.hop_tables, backend.joint_hist, backend.gfs_scan):
         with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
             fn(parts)
 
 
 def test_oversized_word_set_is_refused_before_enumerating(backend):
     # 21! words: the size check must raise before any level is built
-    for fn in (backend.words_of, backend.enum_counts, backend.hop_tables, backend.joint_hist):
+    for fn in (backend.words_of, backend.enum_counts, backend.hop_tables, backend.joint_hist,
+               backend.gfs_scan):
         with pytest.raises(OverflowError, match="^the word set is too large to enumerate$"):
             fn((1,) * 21)
 

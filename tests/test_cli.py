@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from stirlingperms import __version__, _backend, roots, verify
-from stirlingperms.cli import main
+from stirlingperms.cli import MAX_WORDS, main
+from stirlingperms.words import count_words
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +73,38 @@ def test_grammar_dumont(capsys):
 def test_grammar_m(capsys):
     code, out, _ = run_cli(capsys, "grammar", "--m", "1")
     assert code == 0 and out.strip() == "x*z"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--m", "3,3,3,3,3,3,3,3"],
+        ["enumerate", "--m", "3,3,3,3,3,3,3,3", "--format", "json"],
+        ["poly", "--m", "3,3,3,3,3,3,3,3"],
+        ["gamma", "--m", "3,3,3,3,3,3,3,3"],
+        ["gamma", "--m", "3,3,3,3,3,3,3,3", "--combinatorial"],
+        ["realroot", "--m", "3,3,3,3,3,3,3,3", "--i", "0"],
+    ],
+)
+def test_oversized_word_set_is_refused_before_enumerating(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("enumerated a word set above the budget")
+
+    for name in ("words_of", "enum_counts", "joint_hist", "hop_tables", "gfs_scan"):
+        monkeypatch.setattr(_backend.kernel, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --m: 3,3,3,3,3,3,3,3 has 24344320 words, "
+        f"more than the {MAX_WORDS} this command builds\n"
+    )
+
+
+def test_budget_admits_every_vector_of_total_10(capsys):
+    # 1,...,1 is the largest vector of its total: T! words
+    assert count_words((1,) * 10) <= MAX_WORDS
+    code, out, _ = run_cli(capsys, "enumerate", "--m", "1,1,1,1,1,1,1,1,1,1,1", "--count-only")
+    assert code == 0 and int(out) == 39916800 > MAX_WORDS
 
 
 def test_gfs_commands(capsys):

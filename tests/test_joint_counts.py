@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import gamma, roots, stats, verify
+from stirlingperms import _pure, gamma, roots, stats, verify
 from stirlingperms._backend import kernel
 from stirlingperms.poly import MultiPoly
 from stirlingperms.roots import UniPoly
@@ -75,8 +75,9 @@ def test_joint_counts_validates_the_composition():
 
 def test_orbit_sum_mismatch_reports_polynomials(monkeypatch):
     """Raising asc on every non-representative word keeps the checks
-    before the orbit sum intact and breaks the sum itself."""
-    real = kernel.profile12
+    before the orbit sum intact and breaks the sum itself, in the pure
+    scan, which reads the skewed pure ``profile12``, and in the tables."""
+    real = _pure.profile12
 
     def skewed(w):
         p = real(w)
@@ -84,7 +85,10 @@ def test_orbit_sum_mismatch_reports_polynomials(monkeypatch):
             return (p[0] + 1,) + p[1:]
         return p
 
-    monkeypatch.setattr(kernel, "profile12", skewed)
+    for mod in {kernel, _pure}:
+        monkeypatch.setattr(mod, "profile12", skewed)
+    monkeypatch.setattr(kernel, "gfs_scan", _pure.gfs_scan)
+    assert kernel.gfs_scan((2, 2)) == "orbit-sum"
     report = verify.check_gfs((2, 2))
     assert not report.passed
     payload = json.loads(report.counterexample)
