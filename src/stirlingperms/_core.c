@@ -372,6 +372,15 @@ letter_class(const unsigned char *w, Py_ssize_t m, Py_ssize_t pos, long x)
     return FIXED;
 }
 
+/* The value class of letter ``x`` in the ``m``-byte word ``w``, where
+ * ``x`` occurs; its leftmost occurrence into ``*pos``. */
+static int
+class_at(const unsigned char *w, Py_ssize_t m, long x, Py_ssize_t *pos)
+{
+    *pos = (const unsigned char *)memchr(w, (int)x, (size_t)m) - w;
+    return letter_class(w, m, *pos, x);
+}
+
 /* Write the hop of letter ``x`` of class ``cls`` (not FIXED), whose
  * leftmost occurrence in ``w`` is ``pos``, into the ``m`` bytes at
  * ``dst``. */
@@ -507,8 +516,7 @@ hop_tables(PyObject *Py_UNUSED(self), PyObject *arg)
         PyList_SET_ITEM(classes, x - 1, cx);
         cls_out = (unsigned char *)PyBytes_AS_STRING(cx);
         for (i = 0, w = buf; i < count; i++, w += m) {
-            pos = (const unsigned char *)memchr(w, (int)x, (size_t)m) - w;
-            cls_out[i] = (unsigned char)(cls = letter_class(w, m, pos, x));
+            cls_out[i] = (unsigned char)(cls = class_at(w, m, x, &pos));
             j = i;
             if (cls != FIXED) {
                 hop(w, m, pos, x, cls, img);
@@ -531,15 +539,6 @@ fail:
     Py_XDECREF(phis);
     Py_XDECREF(classes);
     return NULL;
-}
-
-/* The value class of letter ``x`` in the ``m``-byte word ``w``, where
- * ``x`` occurs; its leftmost occurrence into ``*pos``. */
-static int
-class_at(const unsigned char *w, Py_ssize_t m, long x, Py_ssize_t *pos)
-{
-    *pos = (const unsigned char *)memchr(w, (int)x, (size_t)m) - w;
-    return letter_class(w, m, *pos, x);
 }
 
 /* The checks of gfs_scan on the orbit of the representative ``r`` with
@@ -613,7 +612,7 @@ orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_
 static PyObject *
 gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
 {
-    Py_ssize_t n, count, m, i, k, left, size, cap = 0, pos, pr[12];
+    Py_ssize_t n, count, m, i, j, k, left, size, cap = 0, pos, pr[12];
     Py_ssize_t mult[MAX_LETTERS + 1] = {0}, bit[MAX_LETTERS + 1] = {0};
     long x, moving[MAX_LETTERS];
     unsigned char seen[MAX_LETTERS + 1] = {0}, *buf = sorted_words(arg, &n, &count, &m);
@@ -641,7 +640,7 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
             failure = "identity-dasc";
         else if (k != pr[7])
             failure = "orbit-size";
-        else if (k >= 62 || ((Py_ssize_t)1 << k) > left)
+        else if (k >= (Py_ssize_t)(8 * sizeof left - 1) || (left >> k) == 0) /* 2^k > left */
             failure = "cover";
         if (failure != NULL)
             break;
@@ -654,8 +653,8 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
         memcpy(member, r, (size_t)m);
         for (x = 1; x <= n; x++)
             bit[x] = 0;
-        for (x = 0; x < k; x++)
-            bit[moving[x]] = (Py_ssize_t)1 << x;
+        for (j = 0; j < k; j++)
+            bit[moving[j]] = (Py_ssize_t)1 << j;
         failure = orbit_failure(member, k, moving, bit, n, m, mult, seen, pr, img);
         left -= size;
     }
