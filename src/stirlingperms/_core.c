@@ -472,89 +472,23 @@ phi_letter(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return nw;
 }
 
-/* Index of the ``m``-byte word ``w`` among the ``count`` sorted
- * ``m``-byte rows at ``buf``, or -1. */
-static Py_ssize_t
-find_word(const unsigned char *buf, Py_ssize_t count, const unsigned char *w, Py_ssize_t m)
-{
-    Py_ssize_t lo = 0, hi = count, mid;
-    int c;
-    while (lo < hi) {
-        mid = lo + (hi - lo) / 2;
-        c = memcmp(buf + mid * m, w, (size_t)m);
-        if (c == 0)
-            return mid;
-        if (c < 0)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return -1;
-}
-
-static PyObject *
-hop_tables(PyObject *Py_UNUSED(self), PyObject *arg)
-{
-    Py_ssize_t n, count, m, i, pos, j;
-    unsigned char *buf = sorted_words(arg, &n, &count, &m), *img = NULL, *cls_out;
-    const unsigned char *w;
-    PyObject *words = NULL, *phis = NULL, *classes = NULL, *px, *cx, *v;
-    long x;
-    int cls;
-
-    if (buf == NULL)
-        return NULL;
-    if ((words = rows_list(buf, count, m)) == NULL || (img = PyMem_Malloc((size_t)m + 1)) == NULL
-        || (phis = PyList_New(n)) == NULL || (classes = PyList_New(n)) == NULL)
-        goto fail;
-    for (x = 1; x <= n; x++) {
-        if ((px = PyList_New(count)) == NULL)
-            goto fail;
-        PyList_SET_ITEM(phis, x - 1, px);
-        if ((cx = PyBytes_FromStringAndSize(NULL, count)) == NULL)
-            goto fail;
-        PyList_SET_ITEM(classes, x - 1, cx);
-        cls_out = (unsigned char *)PyBytes_AS_STRING(cx);
-        for (i = 0, w = buf; i < count; i++, w += m) {
-            cls_out[i] = (unsigned char)(cls = class_at(w, m, x, &pos));
-            j = i;
-            if (cls != FIXED) {
-                hop(w, m, pos, x, cls, img);
-                j = find_word(buf, count, img, m);
-            }
-            if ((v = PyLong_FromSsize_t(j)) == NULL)
-                goto fail;
-            PyList_SET_ITEM(px, i, v);
-        }
-    }
-    PyMem_Free(buf);
-    PyMem_Free(img);
-    return Py_BuildValue("(NNN)", words, phis, classes);
-fail:
-    if (!PyErr_Occurred())
-        PyErr_NoMemory();
-    PyMem_Free(buf);
-    PyMem_Free(img);
-    Py_XDECREF(words);
-    Py_XDECREF(phis);
-    Py_XDECREF(classes);
-    return NULL;
-}
-
 /* The checks of gfs_scan on the orbit of the representative ``r`` with
  * profile ``pr`` (see the pure backend): its ``k`` moving letters are
  * ``moving``, ``bit[x]`` is the bit of letter ``x`` in a member index (0
  * for a fixed letter), and ``member`` has room for ``2^k`` rows of ``m``
  * bytes, its first row ``r``.  Returns the name of the failed check, or
- * NULL. */
+ * NULL; a failed check of one member names it in ``*at`` (left at ``r``
+ * for a check of the whole orbit), and the letter of a failed hop in
+ * ``*letter``. */
 static const char *
 orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_ssize_t *bit,
               Py_ssize_t n, Py_ssize_t m, const Py_ssize_t *mult, unsigned char *seen,
-              const Py_ssize_t *pr, unsigned char *img)
+              const Py_ssize_t *pr, unsigned char *img, const unsigned char **at, long *letter)
 {
     Py_ssize_t size = (Py_ssize_t)1 << k, terms[64] = {0}, binom[64] = {1}, p[12];
     Py_ssize_t s, i, j, top, reps = 0, pos;
     const unsigned char *from, *image;
+    const char *failure = NULL;
     unsigned char *v;
     long x;
     int cls;
@@ -571,12 +505,16 @@ orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_
                 memcpy(v, from, (size_t)m);
             else
                 hop(from, m, pos, moving[top], cls, v);
-            if (!stirling_property(v, m, mult))
+            if (!stirling_property(v, m, mult)) {
+                *at = from, *letter = moving[top];
                 return "closure";
+            }
             stats12(v, m, mult, seen, p);
         }
-        if (p[11] != pr[11])
+        if (p[11] != pr[11]) {
+            *at = v;
             return "mdup-invariance";
+        }
         i = p[0] - pr[10];
         if (p[0] + p[5] + p[3] != 2 * pr[10] + k || i < 0 || i > k)
             return "orbit-sum";
@@ -601,10 +539,14 @@ orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_
                 image = img;
             }
             if (memcmp(image, member + (s ^ bit[x]) * m, (size_t)m) != 0)
-                return stirling_property(image, m, mult) ? "hop" : "closure";
-            if ((cls == FREE_DESCENT_PLATEAU || cls == SINGLE_DOUBLE_DESCENT)
-                != (class_at(image, m, x, &pos) == DOUBLE_ASCENT))
-                return "toggle";
+                failure = stirling_property(image, m, mult) ? "hop" : "closure";
+            else if ((cls == FREE_DESCENT_PLATEAU || cls == SINGLE_DOUBLE_DESCENT)
+                     != (class_at(image, m, x, &pos) == DOUBLE_ASCENT))
+                failure = "toggle";
+            if (failure != NULL) {
+                *at = v, *letter = x;
+                return failure;
+            }
         }
     return NULL;
 }
@@ -614,11 +556,12 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
 {
     Py_ssize_t n, count, m, i, j, k, left, size, cap = 0, pos, pr[12];
     Py_ssize_t mult[MAX_LETTERS + 1] = {0}, bit[MAX_LETTERS + 1] = {0};
-    long x, moving[MAX_LETTERS];
+    long x, letter = 0, moving[MAX_LETTERS];
     unsigned char seen[MAX_LETTERS + 1] = {0}, *buf = sorted_words(arg, &n, &count, &m);
     unsigned char *member = NULL, *img = NULL, *grown;
-    const unsigned char *r;
+    const unsigned char *r, *at = NULL;
     const char *failure = NULL;
+    PyObject *out;
 
     if (buf == NULL)
         return NULL;
@@ -631,6 +574,7 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
         stats12(r, m, mult, seen, pr);
         if (pr[8] || pr[9]) /* not a representative */
             continue;
+        at = r;
         for (x = 1, k = 0; x <= n; x++)
             if (class_at(r, m, x, &pos) != FIXED)
                 moving[k++] = x;
@@ -655,17 +599,20 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
             bit[x] = 0;
         for (j = 0; j < k; j++)
             bit[moving[j]] = (Py_ssize_t)1 << j;
-        failure = orbit_failure(member, k, moving, bit, n, m, mult, seen, pr, img);
+        failure = orbit_failure(member, k, moving, bit, n, m, mult, seen, pr, img, &at, &letter);
         left -= size;
     }
     if (failure == NULL && left != 0)
-        failure = "cover";
+        failure = "cover", at = NULL;
+    /* ``at`` points into ``buf`` or ``member``; y# makes None of NULL */
+    if (failure != NULL)
+        out = Py_BuildValue("(sy#l)", failure, (const char *)at, m, letter);
+    else
+        out = Py_NewRef(Py_None);
     PyMem_Free(buf);
     PyMem_Free(member);
     PyMem_Free(img);
-    if (failure != NULL)
-        return PyUnicode_FromString(failure);
-    Py_RETURN_NONE;
+    return out;
 nomem:
     PyMem_Free(buf);
     PyMem_Free(member);
@@ -785,15 +732,11 @@ static PyMethodDef core_methods[] = {
      "joint_hist(parts)\n--\n\n"
      "``(profile12 tuple, word count)`` pairs over ``words_of(parts)``, in\n"
      "order of first occurrence."},
-    {"hop_tables", hop_tables, METH_O,
-     "hop_tables(parts)\n--\n\n"
-     "``(words, phis, classes)``: the sorted words of ``parts`` and, per\n"
-     "letter, the index of each word's hop image (-1 when it is not a word)\n"
-     "and the bytes of each word's value class."},
     {"gfs_scan", gfs_scan, METH_O,
      "gfs_scan(parts)\n--\n\n"
-     "Check the hopping action orbit by orbit: ``None`` on a pass, or the\n"
-     "name of the first failed check; see the pure backend docstring."},
+     "Check the hopping action orbit by orbit: ``None`` on a pass, or\n"
+     "``(check, word, letter)`` at the first failure; see the pure backend\n"
+     "docstring."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -276,57 +276,47 @@ def _hop(word, x, cls):
     return word[: l1 - 1] + word[l1 : k - 1] + piece + word[k - 1 :]
 
 
-def hop_tables(parts):
-    """The hopping action over the whole word set of ``parts``.
-
-    Returns ``(words, phis, classes)``: ``words`` is ``words_of(parts)``,
-    and for letter ``x`` the list ``phis[x-1]`` holds the index in
-    ``words`` of ``phi_letter(words[i], x)`` (``-1`` when the image is not
-    in the list) and the bytes ``classes[x-1]`` hold
-    ``classify_letter(words[i], x)``.
-    """
-    words = words_of(parts)
-    index = {w: i for i, w in enumerate(words)}
-    phis, classes = [], []
-    for x in range(1, len(parts) + 1):
-        cls_x = [classify_letter(w, x) for w in words]
-        phis.append([index.get(_hop(w, x, c), -1) for w, c in zip(words, cls_x)])
-        classes.append(bytes(cls_x))
-    return words, phis, classes
-
-
 def gfs_scan(parts):
     """Check the hopping action orbit by orbit; ``None`` on a pass, or
-    the name of the first failed check.
+    ``(check, word, letter)`` at the first failure: the name of the
+    failed check, the packed word where it failed (``None`` only for the
+    final ``cover``) and the letter whose hop failed (0 for a check of no
+    single letter).
 
     Every word ``r`` of ``words_of(parts)`` with ``sddes = fdesp = 0`` is
     a representative.  Its ``k`` moving letters ``x_0 < ... < x_(k-1)``
     are those not FIXED at ``r``, and its orbit is the array ``member``
     over the subsets ``S`` of them: ``member[0] = r``, and ``member[S]``
     hops the highest letter of ``S`` in ``member[S - top]``, so each
-    letter hops at most once, in letter order.  In checking order:
+    letter hops at most once, in letter order.  In checking order, with
+    the word and letter each failure names:
 
-    - ``identity-ascpp``, ``identity-dasc``: the two identities at ``r``;
-    - ``orbit-size``: ``k == dasc(r)``;
-    - ``cover``: the orbit sizes so far stay within the word count;
+    - ``identity-ascpp``, ``identity-dasc``: the two identities at ``r``
+      (``r``);
+    - ``orbit-size``: ``k == dasc(r)`` (``r``);
+    - ``cover``: the orbit sizes so far stay within the word count
+      (``r``);
     - ``closure``: every member is a Stirling word of content ``parts``,
-      that is, one of the sorted words;
-    - ``mdup-invariance``: every member has the ``mdup`` of ``r``;
+      that is, one of the sorted words (the member hopped, and the
+      letter);
+    - ``mdup-invariance``: every member has the ``mdup`` of ``r`` (the
+      member);
     - ``orbit-sum``: ``x^asc y^(fplat+sdes)`` summed over the members is
       ``(xy)^ascpp (x+y)^dasc`` at ``r``, read as counts ``C(dasc, i)``
-      at ``asc = ascpp + i``;
+      at ``asc = ascpp + i`` (``r``);
     - ``unique-representative``: ``r`` is the only representative among
-      the members, counted by index;
+      the members, counted by index (``r``);
     - ``hop``: for every member ``member[S]`` and letter ``x``,
       ``phi_x(member[S])`` is ``member[S xor x]`` for a moving ``x``
-      and ``member[S]`` for a fixed one (``closure`` when that image is
-      not a Stirling word);
+      and ``member[S]`` for a fixed one, or ``closure`` when that image
+      is not a Stirling word (the member, and ``x``);
     - ``toggle``: ``x`` is movable-left at the member exactly when it
-      is a double-ascent value at that image;
-    - ``cover``, once at the end: the orbit sizes sum to the word count.
+      is a double-ascent value at that image (the member, and ``x``);
+    - ``cover``, once at the end: the orbit sizes sum to the word count
+      (no word).
 
-    A pass proves what the whole-table checks over ``hop_tables`` prove,
-    on the set ``W`` of Stirling words of content ``parts``:
+    A pass proves what whole-table checks of the action prove, on the
+    set ``W`` of Stirling words of content ``parts``:
 
     - The members are distinct: if ``member[S] = member[T]`` with
       ``S != T``, hopping the letters of ``S`` in both gives
@@ -358,9 +348,9 @@ def gfs_scan(parts):
             continue
         asc, _, _, sdes, _, fplat, _, dasc, _, _, ascpp, mdup = prof
         if not asc - dasc == fplat + sdes == ascpp:
-            return "identity-ascpp"
+            return "identity-ascpp", r, 0
         if dasc != m + 1 - mdup - 2 * ascpp:
-            return "identity-dasc"
+            return "identity-dasc", r, 0
         # the value classes of every letter at each member, row 0 at r
         classes = [[classify_letter(r, x) for x in range(1, n + 1)]]
         moving = [x for x, cls in enumerate(classes[0], start=1) if cls != FIXED]
@@ -368,9 +358,9 @@ def gfs_scan(parts):
         for j, x in enumerate(moving):
             bit[x] = 1 << j
         if len(moving) != dasc:
-            return "orbit-size"
+            return "orbit-size", r, 0
         if 1 << dasc > left:
-            return "cover"
+            return "cover", r, 0
         left -= 1 << dasc
         member, terms, reps = [r], [0] * (dasc + 1), 0
         for s in range(1 << dasc):
@@ -379,30 +369,30 @@ def gfs_scan(parts):
                 src, x = s ^ 1 << top, moving[top]
                 v = _hop(member[src], x, classes[src][x - 1])
                 if v not in stirling:
-                    return "closure"
+                    return "closure", member[src], x
                 p = profile12(v)
                 member.append(v)
                 classes.append([classify_letter(v, x) for x in range(1, n + 1)])
             else:
-                p = prof
+                v, p = r, prof
             if p[11] != mdup:
-                return "mdup-invariance"
+                return "mdup-invariance", v, 0
             i = p[0] - ascpp
             if p[0] + p[5] + p[3] != 2 * ascpp + dasc or not 0 <= i <= dasc:
-                return "orbit-sum"
+                return "orbit-sum", r, 0
             terms[i] += 1
             reps += not (p[8] or p[9])
         if terms != [comb(dasc, i) for i in range(dasc + 1)]:
-            return "orbit-sum"
+            return "orbit-sum", r, 0
         if reps != 1:
-            return "unique-representative"
+            return "unique-representative", r, 0
         covered.update(member)
         for s, v in enumerate(member):
             for x, cls in enumerate(classes[s], start=1):
                 image, t = _hop(v, x, cls), s ^ bit[x]
                 if image != member[t]:
-                    return "hop" if image in stirling else "closure"
+                    return "hop" if image in stirling else "closure", v, x
                 # the class at an image that is a member is that member's
                 if (cls in _MOVABLE_LEFT) != (classes[t][x - 1] == DOUBLE_ASCENT):
-                    return "toggle"
-    return "cover" if left else None
+                    return "toggle", v, x
+    return ("cover", None, 0) if left else None

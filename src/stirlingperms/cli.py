@@ -34,9 +34,9 @@ from .words import (
 
 
 #: The most words ``enumerate`` (without ``--count-only``), ``poly``,
-#: ``gamma`` and ``realroot`` build for one multiplicity vector.  Every
-#: vector of total at most 10 fits: the largest, ``1,...,1``, has
-#: 3,628,800 words.
+#: ``gamma``, ``realroot`` and ``verify`` build for one multiplicity
+#: vector.  Every vector of total at most 10 fits: the largest,
+#: ``1,...,1``, has 3,628,800 words.
 MAX_WORDS = 5_000_000
 
 
@@ -58,6 +58,21 @@ def _check_budget(parts: tuple[int, ...]) -> None:
         raise _UsageError(
             f"--m: {format_composition(parts)} has {count} words, "
             f"more than the {MAX_WORDS} this command builds"
+        )
+
+
+def _check_total_budget(max_total: int) -> None:
+    """Refuse a ``verify --max-total`` whose largest word set, that of
+    ``1,...,1`` (``max_total!`` words), is above ``MAX_WORDS``, before
+    building any task; the product stops at the first total over it."""
+    total = count = 1
+    while count <= MAX_WORDS and total < max_total:
+        total += 1
+        count *= total
+    if count > MAX_WORDS:
+        raise _UsageError(
+            f"--max-total: {max_total} includes {format_composition((1,) * total)}, "
+            f"which has {count} words, more than the {MAX_WORDS} this command builds"
         )
 
 
@@ -344,6 +359,9 @@ def _cmd_verify(args) -> int:
         raise _UsageError("--jobs: must be at least 0 (0 = machine parallelism)")
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     suites = (args.suite,) if args.suite else None
+    # jacobi and series run at their fixed sizes, whatever --max-total says
+    if args.suite not in ("jacobi", "series"):
+        _check_total_budget(args.max_total)
     reports, notes = verify_mod.verify_all(args.max_total, jobs=jobs, suites=suites)
     if args.format == "json":
         _emit(verify_mod.render_json(reports, notes, timing=args.timing))

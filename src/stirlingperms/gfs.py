@@ -95,17 +95,3 @@ def canonical_rep(word: Sequence[int]) -> Word:
         if kernel.classify_letter(cur, x) in MOVABLE_LEFT:
             cur = kernel.phi_letter(cur, x)
     return unpack_word(cur)
-
-
-def orbit_labels(size: int, phis: Sequence[Sequence[int]]) -> list[int]:
-    """Label each of ``size`` sorted words by the least index in its orbit,
-    given the hop index tables of ``kernel.hop_tables``.
-
-    One min-pass per letter suffices for commuting involutions: every
-    orbit element is reached by applying each hop at most once, in
-    letter order.
-    """
-    labels = list(range(size))
-    for phi_x in phis:
-        labels = [a if a < b else b for a, b in zip(labels, map(labels.__getitem__, phi_x))]
-    return labels

@@ -12,22 +12,22 @@ than it (barred letters occur once, so the same nesting condition is
 vacuous for them).
 
 ``present_ranks`` lists the surviving alphabet; ``m_of_s`` reads off
-its multiplicity vector after collapsing it onto 1..(2n-|S|);
-``compress`` performs that order-preserving collapse on a word, so
+its multiplicity vector after collapsing it onto 1..(2n-|S|), and
+``decompress`` reads a plain word over 1..(2n-|S|) back as ranks, so
 enumeration, statistics and the trivariate generating polynomials all
-transport to the plain word machinery and back.
+transport from the plain word machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from ._backend import kernel
 from .gamma import GammaTable, partial_gamma, s_poly
 from .poly import MultiPoly
-from .words import Composition, Word, pack_word, unpack_word
+from .words import Composition, pack_word, unpack_word
 
 JWord = tuple[int, ...]  # rank-encoded letters
 
@@ -63,45 +63,14 @@ def m_of_s(n: int, subset: Iterable[int]) -> Composition:
     return tuple(mult for _, mult in present_ranks(n, subset))
 
 
-def compress(n: int, subset: Iterable[int], jword: Sequence[int]) -> Word:
-    """Collapse ranks onto 1..(2n-|S|), preserving order."""
-    ranks = [r for r, _ in present_ranks(n, subset)]
-    mapping = {r: i + 1 for i, r in enumerate(ranks)}
-    try:
-        return tuple(mapping[r] for r in jword)
-    except KeyError as exc:
-        raise ValueError(f"rank {exc.args[0]} is not in the surviving alphabet") from None
-
-
 def decompress(n: int, subset: Iterable[int], word: Sequence[int]) -> JWord:
-    """Inverse of :func:`compress`."""
+    """Ranks of a word over 1..(2n-|S|): the inverse of the
+    order-preserving collapse of the surviving alphabet."""
     ranks = [r for r, _ in present_ranks(n, subset)]
     try:
         return tuple(ranks[c - 1] for c in word)
     except IndexError:
         raise ValueError(f"word {tuple(word)} exceeds the surviving alphabet") from None
-
-
-def is_jsp(n: int, subset: Iterable[int], jword: Sequence[int]) -> bool:
-    """Content check plus the nesting condition on unbarred letters,
-    written directly on the rank encoding."""
-    s = _check_subset(n, subset)
-    expected: dict[int, int] = {}
-    for r, mult in present_ranks(n, s):
-        expected[r] = mult
-    counts: dict[int, int] = {}
-    for r in jword:
-        counts[r] = counts.get(r, 0) + 1
-    if counts != expected:
-        return False
-    jw = tuple(jword)
-    for k in range(1, n + 1):
-        r = 2 * k
-        positions = [i for i, rank in enumerate(jw) if rank == r]
-        lo, hi = positions[0], positions[-1]
-        if any(jw[pos] < r for pos in range(lo + 1, hi)):
-            return False
-    return True
 
 
 def enumerate_jsp(n: int, subset: Iterable[int]) -> list[JWord]:
@@ -111,17 +80,6 @@ def enumerate_jsp(n: int, subset: Iterable[int]) -> list[JWord]:
     s = _check_subset(n, subset)
     parts = m_of_s(n, s)
     return [decompress(n, s, unpack_word(w)) for w in kernel.words_of(parts)]
-
-
-def brute_jsp(n: int, subset: Iterable[int]) -> list[JWord]:
-    """Independent oracle: filter raw multiset permutations of the rank
-    multiset through :func:`is_jsp` (no collapse involved)."""
-    s = _check_subset(n, subset)
-    letters: list[int] = []
-    for r, mult in present_ranks(n, s):
-        letters.extend([r] * mult)
-    seen = sorted(set(permutations(letters)))
-    return [jw for jw in seen if is_jsp(n, s, jw)]
 
 
 def jsp_stat_poly(n: int, subset: Iterable[int]) -> MultiPoly:
@@ -209,20 +167,3 @@ def format_jword(jword: Sequence[int]) -> str:
         k, parity = divmod(r, 2)
         out.append(f"{k}" if parity == 0 else f"{k + 1}b")
     return ",".join(out)
-
-
-def parse_jword(text: str) -> JWord:
-    """Inverse of :func:`format_jword`."""
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        barred = tok.endswith("b")
-        body = tok[:-1] if barred else tok
-        if not body.isdigit() or int(body) < 1:
-            raise ValueError(f"bad barred-word token {tok!r}")
-        k = int(body)
-        out.append(2 * k - 1 if barred else 2 * k)
-    return tuple(out)

@@ -122,19 +122,6 @@ class MultiPoly:
         vs = _merge_vars(self.vars, other.vars)
         return self.with_vars(vs), other.with_vars(vs)
 
-    def coeff_of(self, **exps: int) -> int:
-        """Coefficient by named exponents; unnamed variables must be 0.
-
-        >>> p = MultiPoly.var("x") * MultiPoly.var("y") * 3
-        >>> p.coeff_of(x=1, y=1)
-        3
-        """
-        unknown = set(exps) - set(self.vars)
-        if any(exps[v] for v in unknown):
-            return 0
-        key = tuple(exps.get(v, 0) for v in self.vars)
-        return self.terms.get(key, 0)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -354,11 +341,6 @@ class MultiPoly:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MultiPoly":
-        terms = {tuple(t["e"]): int(t["c"]) for t in data["terms"]}
-        return cls(tuple(data["vars"]), terms)
 
 
 class TruncatedSeries:

@@ -21,17 +21,12 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from math import comb
-from operator import add, itemgetter
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ._backend import backend_name, kernel
 from . import gamma as gamma_mod
-from . import gfs as gfs_mod
 from . import jacobi as jacobi_mod
 from . import roots as roots_mod
 from .grammar import QUINTUPLE_VARS, quintuple_exponents, quintuple_poly
@@ -178,143 +173,27 @@ def check_grammar(parts: Composition) -> VerifyReport:
     return _report("grammar-claim", f"m={format_composition(parts)}", t0, failure)
 
 
-#: ``bytes.translate`` tables over value classes: movable-left (the hop
-#: moves the letter left) and double-ascent (the hop moves it right).
-_MOVABLE = bytes(c in gfs_mod.MOVABLE_LEFT for c in range(256))
-_DOUBLE_ASCENT = bytes(c == gfs_mod.ValueClass.DOUBLE_ASCENT for c in range(256))
-
-
-def _after(table: list[int]) -> Callable[[Sequence], tuple]:
-    """``f -> (f[table[0]], f[table[1]], ...)`` as one C-level call."""
-    return itemgetter(*table) if len(table) > 1 else lambda f: (f[table[0]],)
-
-
-def _action_holds(phis: list[list[int]], classes: list[bytes], mdup: tuple[int, ...]) -> bool:
-    """Involution, toggle, mdup invariance and commutation over whole
-    index tables, as compositions of tables."""
-    ids = tuple(range(len(mdup)))
-    after = [_after(phi_x) for phi_x in phis]
-    for phi_x, cls_x, at in zip(phis, classes, after):
-        if (
-            at(phi_x) != ids
-            or bytes(at(cls_x.translate(_DOUBLE_ASCENT))) != cls_x.translate(_MOVABLE)
-            or at(mdup) != mdup
-        ):
-            return False
-    return all(
-        after[y](phi_x) == after[x](phis[y])
-        for x, phi_x in enumerate(phis)
-        for y in range(x + 1, len(phis))
-    )
-
-
-def _first_action_failure(
-    words: list[bytes], phis: list[list[int]], classes: list[bytes], mdup: tuple[int, ...]
-) -> tuple[str, dict]:
-    """The first (word, letter) at which ``_action_holds`` fails, words in
-    sorted order and letters increasing, as ``(kind, payload)``."""
-    n = len(phis)
-    for i, w in enumerate(words):
-        for x in range(n):
-            phi_x, cls_x = phis[x], classes[x]
-            j = phi_x[i]
-            where = {"word": _word_str(w), "letter": x + 1}
-            if phi_x[j] != i:
-                return "involution", where
-            if (cls_x[i] in gfs_mod.MOVABLE_LEFT) != (cls_x[j] == gfs_mod.ValueClass.DOUBLE_ASCENT):
-                return "toggle", where
-            if mdup[j] != mdup[i]:
-                return "mdup-invariance", where
-            for y in range(x + 1, n):
-                if phis[y][j] != phi_x[phis[y][i]]:
-                    return "commutation", {"word": _word_str(w), "letters": [x + 1, y + 1]}
-    raise RuntimeError("the table checks failed where the word-by-word scan passes")
-
-
 def check_gfs(parts: Composition) -> VerifyReport:
     """Closure, involution, commutation, the movability toggle, mdup
     invariance, power-of-two orbits, the unique representative with its
-    two statistic identities, and the orbit summation identity.
+    two statistic identities, and the orbit summation identity, in one
+    ``kernel.gfs_scan`` call.
 
-    One ``kernel.gfs_scan`` call checks all of it orbit by orbit.  Only
-    when it fails are the whole hop index tables of ``kernel.hop_tables``
-    built, for the payload: the first failing word (sorted order) and
-    letter (increasing), whichever table check saw it, or the first
-    failing orbit in the order of its least word.
+    A failure's payload is the scan's own answer: the failed check as
+    ``kind``, the word it names (the representative for a check of a
+    whole orbit, the member otherwise; none for the final cover) and,
+    for a failed hop, its letter.
     """
     t0 = perf_counter()
-    failure = None
-    if kernel.gfs_scan(parts) is not None:
-        failure = _table_failure(parts)
-        if failure is None:
-            raise RuntimeError("gfs_scan failed where the table checks pass")
+    failure = kernel.gfs_scan(parts)
+    if failure is not None:
+        kind, word, letter = failure
+        failure = {"m": list(parts), "kind": kind}
+        if word is not None:
+            failure["word"] = _word_str(word)
+        if letter:
+            failure["letter"] = letter
     return _report("gfs-properties", f"m={format_composition(parts)}", t0, failure)
-
-
-def _table_failure(parts: Composition) -> dict | None:
-    """The FAIL payload of the gfs-properties suite from the whole hop
-    index tables, or ``None`` when every table check passes."""
-    words, phis, classes = kernel.hop_tables(parts)
-    m_total = sum(parts)
-    profiles = list(map(kernel.profile12, words))
-
-    def fail(kind: str, **payload) -> dict:
-        return {"m": list(parts), "kind": kind, **payload}
-
-    open_at = [phi_x.index(-1) for phi_x in phis if -1 in phi_x]
-    if open_at:
-        i = min(open_at)
-        x = next(x for x, phi_x in enumerate(phis, start=1) if phi_x[i] == -1)
-        image = kernel.phi_letter(words[i], x)
-        return fail("closure", word=_word_str(words[i]), letter=x, image=_word_str(image))
-    mdup = tuple(map(itemgetter(11), profiles))
-    if not _action_holds(phis, classes, mdup):
-        kind, payload = _first_action_failure(words, phis, classes, mdup)
-        return fail(kind, **payload)
-
-    labels = gfs_mod.orbit_labels(len(words), phis)
-    reps: dict[int, list[int]] = {}  # orbit label -> words with sddes = fdesp = 0
-    is_rep = map((0, 0).__eq__, map(itemgetter(8, 9), profiles))
-    for i in compress(range(len(words)), is_rep):
-        reps.setdefault(labels[i], []).append(i)
-    # (orbit label, asc, fplat+sdes) -> number of words
-    sums = Counter(
-        zip(
-            labels,
-            map(itemgetter(0), profiles),
-            map(add, map(itemgetter(5), profiles), map(itemgetter(3), profiles)),
-        )
-    )
-    for seed, size in Counter(labels).items():  # least word first: a label first occurs at its own index
-        if size & (size - 1):
-            return fail("orbit-size", orbit_size=size, seed=_word_str(words[seed]))
-        found = reps.get(seed, [])
-        if len(found) != 1:
-            return fail(
-                "unique-representative",
-                seed=_word_str(words[seed]),
-                representatives=[_word_str(words[r]) for r in found],
-            )
-        rep = found[0]
-        asc, plat, des, sdes, mdes, fplat, uplat, dasc, sddes, fdesp, ascpp, mdup_rep = profiles[rep]
-        if not (asc - dasc == fplat + sdes == ascpp):
-            return fail("identity-ascpp", representative=_word_str(words[rep]))
-        if dasc != m_total + 1 - mdup_rep - 2 * ascpp:
-            return fail("identity-dasc", representative=_word_str(words[rep]))
-        # the sum of x^asc y^(fplat+sdes) over the orbit equals the expansion
-        # of (xy)^ascpp (x+y)^dasc exactly when every term of the expansion
-        # has its count and the orbit has 2^dasc words, their sum
-        closed = {(ascpp + k, ascpp + dasc - k): comb(dasc, k) for k in range(dasc + 1)}
-        if size != 2**dasc or any(sums[seed, a, b] != c for (a, b), c in closed.items()):
-            orbit_sum = {(a, b): c for (label, a, b), c in sums.items() if label == seed}
-            x_, y_ = MultiPoly.var("x"), MultiPoly.var("y")
-            return fail(
-                "orbit-sum",
-                representative=_word_str(words[rep]),
-                lhs=MultiPoly(("x", "y"), orbit_sum).to_json_dict(),
-                rhs=((x_ * y_) ** ascpp * (x_ + y_) ** dasc).to_json_dict(),
-            )
-    return None
 
 
 def check_theorem(parts: Composition) -> VerifyReport:

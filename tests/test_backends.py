@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import _pure, verify
-from conftest import compositions_up_to, oracle_words
+from stirlingperms import _pure
+from conftest import action_tables_pass, compositions_up_to, oracle_words, per_word_hop_tables
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE_SHA256 = hashlib.sha256((ROOT / "src/stirlingperms/_core.c").read_bytes()).hexdigest()
@@ -141,44 +141,35 @@ def test_action_agrees(core, parts):
             assert core.phi_letter(w, x) == _pure.phi_letter(w, x)
 
 
-def per_word_hop_tables(parts):
-    """``hop_tables`` from the per-word ``phi_letter``/``classify_letter``
-    of the pure backend and an index lookup."""
-    words = _pure.words_of(parts)
-    index = {w: i for i, w in enumerate(words)}
-    letters = range(1, len(parts) + 1)
-    return (
-        words,
-        [[index.get(_pure.phi_letter(w, x), -1) for w in words] for x in letters],
-        [bytes(_pure.classify_letter(w, x) for w in words) for x in letters],
-    )
-
-
 @pytest.mark.parametrize("parts", compositions_up_to(6))
 def test_hop_tables_agree(core, parts):
-    expected = per_word_hop_tables(parts)
-    assert _pure.hop_tables(parts) == expected
-    assert core.hop_tables(parts) == expected
+    # the whole-table oracle of the action, rebuilt from the compiled
+    # per-word hops and classes over the compiled word list
+    words, phis, classes = per_word_hop_tables(parts)
+    assert core.words_of(parts) == words
+    index = {w: i for i, w in enumerate(words)}
+    for x, (phi_x, cls_x) in enumerate(zip(phis, classes), start=1):
+        assert [index.get(core.phi_letter(w, x), -1) for w in words] == phi_x
+        assert bytes(core.classify_letter(w, x) for w in words) == cls_x
 
 
 @given(st.sampled_from(compositions_up_to(6)))
 @settings(max_examples=60, deadline=None)
 def test_hop_tables_match_the_oracle(core, parts):
     oracle = [bytes(w) for w in oracle_words(parts)]
-    for backend in (_pure, core):
-        words, phis, classes = backend.hop_tables(parts)
-        assert words == oracle
-        assert len(phis) == len(classes) == len(parts)
-        for x, (phi_x, cls_x) in enumerate(zip(phis, classes), start=1):
-            # the action is closed, so every image is an oracle word
-            assert [words[j] for j in phi_x] == [_pure.phi_letter(w, x) for w in oracle]
-            assert list(cls_x) == [_pure.classify_letter(w, x) for w in oracle]
+    words, phis, classes = per_word_hop_tables(parts)
+    assert words == oracle
+    assert len(phis) == len(classes) == len(parts)
+    for x, (phi_x, cls_x) in enumerate(zip(phis, classes), start=1):
+        # the action is closed, so every image is an oracle word
+        for backend in (_pure, core):
+            assert [words[j] for j in phi_x] == [backend.phi_letter(w, x) for w in oracle]
+            assert list(cls_x) == [backend.classify_letter(w, x) for w in oracle]
 
 
 @pytest.mark.parametrize("parts", compositions_up_to(7))
-def test_gfs_scan_passes_exactly_where_the_tables_pass(backend, monkeypatch, parts):
-    monkeypatch.setattr(verify, "kernel", backend)
-    assert (backend.gfs_scan(parts) is None) == (verify._table_failure(parts) is None)
+def test_gfs_scan_passes_exactly_where_the_tables_pass(backend, parts):
+    assert (backend.gfs_scan(parts) is None) == action_tables_pass(parts)
 
 
 def public_names(mod):
@@ -220,10 +211,11 @@ def test_value_class_constants_agree(core):
 
 def test_empty_inputs(backend):
     assert backend.words_of(()) == [b""]
-    assert backend.hop_tables(()) == ([b""], [], [])
     # the empty word is the grammar base case with one ascent, so the
-    # identities fail at its orbit, as in the tables
-    assert backend.gfs_scan(()) == "identity-ascpp"
+    # identities fail at its orbit, as in the whole-table oracle; this is
+    # the one failure the compiled scan can reach
+    assert backend.gfs_scan(()) == ("identity-ascpp", b"", 0)
+    assert not action_tables_pass(())
     assert backend.enum_counts(()) == (1, 1)
     assert backend.joint_hist(()) == (((1,) + (0,) * 11, 1),)
     assert backend.brute_count(()) == 1
@@ -258,15 +250,14 @@ def test_hop_tables_rejects_what_words_of_rejects(backend, parts, error):
     # joint_hist and gfs_scan read the same word set, so they must fail the same way
     with pytest.raises(error) as expected:
         backend.words_of(parts)
-    for fn in (backend.hop_tables, backend.joint_hist, backend.gfs_scan):
+    for fn in (backend.joint_hist, backend.gfs_scan):
         with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
             fn(parts)
 
 
 def test_oversized_word_set_is_refused_before_enumerating(backend):
     # 21! words: the size check must raise before any level is built
-    for fn in (backend.words_of, backend.enum_counts, backend.hop_tables, backend.joint_hist,
-               backend.gfs_scan):
+    for fn in (backend.words_of, backend.enum_counts, backend.joint_hist, backend.gfs_scan):
         with pytest.raises(OverflowError, match="^the word set is too large to enumerate$"):
             fn((1,) * 21)
 

@@ -90,7 +90,7 @@ def test_oversized_word_set_is_refused_before_enumerating(capsys, monkeypatch, a
     def refuse(*args):
         raise AssertionError("enumerated a word set above the budget")
 
-    for name in ("words_of", "enum_counts", "joint_hist", "hop_tables", "gfs_scan"):
+    for name in ("words_of", "enum_counts", "joint_hist", "gfs_scan"):
         monkeypatch.setattr(_backend.kernel, name, refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -105,6 +105,37 @@ def test_budget_admits_every_vector_of_total_10(capsys):
     assert count_words((1,) * 10) <= MAX_WORDS
     code, out, _ = run_cli(capsys, "enumerate", "--m", "1,1,1,1,1,1,1,1,1,1,1", "--count-only")
     assert code == 0 and int(out) == 39916800 > MAX_WORDS
+
+
+@pytest.mark.parametrize("argv", [["--max-total", "11"], ["--suite", "counting", "--max-total", str(10**18)]])
+def test_verify_max_total_above_the_budget_is_refused(capsys, monkeypatch, argv):
+    # 1,...,1 of total 11 has 11! words; a huge total stops at the same
+    # composition instead of computing its own factorial
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a task list above the budget")
+
+    for name in ("words_of", "enum_counts", "joint_hist", "gfs_scan", "brute_count"):
+        monkeypatch.setattr(_backend.kernel, name, refuse)
+    monkeypatch.setattr(verify, "verify_all", refuse)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --max-total: {argv[-1]} includes 1,1,1,1,1,1,1,1,1,1,1, which has "
+        f"39916800 words, more than the {MAX_WORDS} this command builds\n"
+    )
+
+
+def test_verify_budget_admits_total_10(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "verify_all", lambda *args, **kwargs: calls.append(args) or ([], []))
+    code, out, _ = run_cli(capsys, "verify", "--max-total", "10", "--jobs", "1")
+    assert code == 0 and out == "RESULT PASS (0 checks)\n"
+    assert calls == [(10,)]
+
+
+def test_verify_fixed_size_suite_ignores_the_budget(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--max-total", "11", "--jobs", "1")
+    assert code == 0 and out.splitlines()[-1] == "RESULT PASS (8 checks)"
 
 
 def test_gfs_commands(capsys):

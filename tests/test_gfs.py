@@ -3,10 +3,9 @@ from itertools import combinations
 import pytest
 
 from stirlingperms import gfs, stats, words
-from stirlingperms._backend import kernel
 from stirlingperms.gfs import ValueClass
 from stirlingperms.poly import MultiPoly
-from conftest import compositions_up_to
+from conftest import compositions_up_to, orbit_labels, per_word_hop_tables
 
 PAPER_WORD = (1, 5, 5, 6, 5, 3, 3, 3, 1, 2, 4, 4, 1, 1)
 
@@ -155,8 +154,8 @@ def test_phi_fixed_points():
 
 @pytest.mark.parametrize("parts", compositions_up_to(6))
 def test_orbit_partition_matches_orbit_search(parts):
-    hop_words, phis, _ = kernel.hop_tables(parts)
-    labels = gfs.orbit_labels(len(hop_words), phis)
+    hop_words, phis, _ = per_word_hop_tables(parts)
+    labels = orbit_labels(len(hop_words), phis)
     index = {tuple(w): i for i, w in enumerate(hop_words)}
     want = [0] * len(hop_words)
     for _, orb in orbit_partition_by_search(parts):

@@ -1,7 +1,6 @@
 """The cached joint statistic histogram and every projection read from
 it, checked against direct loops over the brute-force word oracle."""
 
-import json
 from collections import Counter
 from dataclasses import astuple
 
@@ -9,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import _pure, gamma, roots, stats, verify
+from stirlingperms import _pure, gamma, gfs, roots, stats, verify
 from stirlingperms._backend import kernel
 from stirlingperms.poly import MultiPoly
 from stirlingperms.roots import UniPoly
+from stirlingperms.words import pack_word
 from conftest import compositions_up_to, oracle_words
 
 SMALL = compositions_up_to(6)
@@ -76,7 +76,8 @@ def test_joint_counts_validates_the_composition():
 def test_orbit_sum_mismatch_reports_polynomials(monkeypatch):
     """Raising asc on every non-representative word keeps the checks
     before the orbit sum intact and breaks the sum itself, in the pure
-    scan, which reads the skewed pure ``profile12``, and in the tables."""
+    scan, which reads the skewed pure ``profile12``.  The payload names
+    the representative, and the sum replays from its orbit."""
     real = _pure.profile12
 
     def skewed(w):
@@ -88,18 +89,15 @@ def test_orbit_sum_mismatch_reports_polynomials(monkeypatch):
     for mod in {kernel, _pure}:
         monkeypatch.setattr(mod, "profile12", skewed)
     monkeypatch.setattr(kernel, "gfs_scan", _pure.gfs_scan)
-    assert kernel.gfs_scan((2, 2)) == "orbit-sum"
     report = verify.check_gfs((2, 2))
     assert not report.passed
-    payload = json.loads(report.counterexample)
-    assert payload["kind"] == "orbit-sum"
-    assert payload["representative"] == "1,2,2,1"
-    # the payload is the per-word sum and the closed form, as MultiPoly JSON
+    assert report.counterexample == '{"kind": "orbit-sum", "m": [2, 2], "word": "1,2,2,1"}'
+    # the per-word sum over the orbit of the named word misses the closed form
+    rep = (1, 2, 2, 1)
     lhs = MultiPoly.zero(("x", "y"))
-    for w in (b"\x01\x02\x02\x01", b"\x02\x02\x01\x01"):
-        p = skewed(w)
+    for w in gfs.orbit(rep):
+        p = skewed(pack_word(w))
         lhs = lhs + MultiPoly(("x", "y"), {(p[0], p[5] + p[3]): 1})
+    p = skewed(pack_word(rep))
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
-    assert payload["lhs"] == lhs.to_json_dict()
-    assert payload["rhs"] == (x * y * (x + y)).to_json_dict()
-
+    assert lhs != (x * y) ** p[10] * (x + y) ** p[7] == x * y * (x + y)
