@@ -34,9 +34,10 @@ from .words import (
 
 
 #: The most words ``enumerate`` (without ``--count-only``), ``poly``,
-#: ``gamma``, ``realroot`` and ``verify`` build for one multiplicity
-#: vector.  Every vector of total at most 10 fits: the largest,
-#: ``1,...,1``, has 3,628,800 words.
+#: ``gamma``, ``realroot``, ``jacobi`` and ``verify`` build for one
+#: multiplicity vector, or ``jacobi --level`` for one level.  Every
+#: vector of total at most 10 fits: the largest, ``1,...,1``, has
+#: 3,628,800 words.
 MAX_WORDS = 5_000_000
 
 
@@ -51,14 +52,39 @@ def _parse_m(value: str) -> tuple[int, ...]:
         raise _UsageError(f"--m: {exc}") from None
 
 
-def _check_budget(parts: tuple[int, ...]) -> None:
-    """Refuse a word set above ``MAX_WORDS`` before enumerating it."""
-    count = count_words(parts)
+def _refuse_above_budget(option: str, what: str, count: int) -> None:
+    """Refuse a word set of ``count`` words above ``MAX_WORDS`` before
+    enumerating it."""
     if count > MAX_WORDS:
         raise _UsageError(
-            f"--m: {format_composition(parts)} has {count} words, "
+            f"{option}: {what} has {count} words, "
             f"more than the {MAX_WORDS} this command builds"
         )
+
+
+def _check_budget(parts: tuple[int, ...]) -> None:
+    """Refuse a multiplicity vector above ``MAX_WORDS`` words."""
+    _refuse_above_budget("--m", format_composition(parts), count_words(parts))
+
+
+def _level_word_count(n: int, level: int) -> int:
+    """Words of every subset of one level, summed without enumerating.
+
+    ``count_words(m_of_s(n, S))`` multiplies, over the surviving
+    alphabet, the number of gaps each letter's block can land in.  Before
+    ``kb`` come the two copies of each of ``1..k-1`` and the ``j`` barred
+    letters kept so far, so one pass over k, indexed by j, sums the
+    product over every S.
+    """
+    row = [1]  # row[j]: the summed product over the choices keeping j barred letters
+    for k in range(1, n + 1):
+        nxt = [0] * (len(row) + 1)
+        for j, c in enumerate(row):
+            gaps = 2 * (k - 1) + j + 1
+            nxt[j] += c * gaps  # kb removed: k lands in one of the gaps
+            nxt[j + 1] += c * gaps * (gaps + 1)  # kb, then k in one gap more
+        row = nxt
+    return row[n - level]
 
 
 def _check_total_budget(max_total: int) -> None:
@@ -277,8 +303,8 @@ def _cmd_gfs(args) -> int:
 
 def _cmd_jacobi(args) -> int:
     n = args.n
-    if n < 0:
-        raise _UsageError("--n: must be nonnegative")
+    if not 0 <= n <= jacobi_mod.MAX_N:
+        raise _UsageError(f"--n: must lie in 0..{jacobi_mod.MAX_N}")
     try:
         if args.set is not None:
             subset = _parse_set(args.set)
@@ -287,6 +313,8 @@ def _cmd_jacobi(args) -> int:
             except ValueError as exc:
                 raise _UsageError(f"--set: {exc}") from None
             mvec = jacobi_mod.m_of_s(n, subset)
+            if args.words or args.poly:
+                _refuse_above_budget("--set", f"m(S)={format_composition(mvec)}", count_words(mvec))
             if args.words:
                 lines = [jacobi_mod.format_jword(j) for j in jacobi_mod.enumerate_jsp(n, subset)]
                 payload = {"n": n, "set": list(subset), "words": lines}
@@ -310,6 +338,7 @@ def _cmd_jacobi(args) -> int:
             raise _UsageError(f"--level: must lie in 0..{n}")
         if args.words:
             raise _UsageError("--words: needs --set, not --level")
+        _refuse_above_budget("--level", f"level {level} of n={n}", _level_word_count(n, level))
         p = jacobi_mod.jsp_level_poly(n, level)
         _emit(json.dumps({"n": n, "level": level, "poly": p.to_json_dict()}) if args.format == "json" else str(p))
         return 0

@@ -87,10 +87,7 @@ def s_poly(parts: Iterable[int]) -> MultiPoly:
     >>> print(s_poly((1, 1)))
     x^2*y + x*y^2
     """
-    terms = {
-        (asc, des, plat): c for (asc, des, plat), c in triple_counts(parts).items()
-    }
-    return MultiPoly(("x", "y", "z"), terms)
+    return MultiPoly._canonical(("x", "y", "z"), triple_counts(parts))
 
 
 def _row_gammas(row: list[int]) -> list[int]:

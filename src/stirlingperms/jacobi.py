@@ -11,31 +11,40 @@ keeps all letters between the two copies of an unbarred letter larger
 than it (barred letters occur once, so the same nesting condition is
 vacuous for them).
 
-``present_ranks`` lists the surviving alphabet; ``m_of_s`` reads off
-its multiplicity vector after collapsing it onto 1..(2n-|S|), and
-``decompress`` reads a plain word over 1..(2n-|S|) back as ranks, so
-enumeration, statistics and the trivariate generating polynomials all
-transport from the plain word machinery.
+``present_ranks`` lists the surviving alphabet, and ``m_of_s`` reads
+off its multiplicity vector after collapsing it onto 1..(2n-|S|).  The
+valid words are the plain words of ``m_of_s`` read back as ranks, by one
+``bytes.translate`` table per subset, so enumeration and the trivariate
+generating polynomials transport from the plain word machinery, while
+the statistics are computed on the rank-encoded words themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from operator import index
+from typing import Iterable, Iterator, Sequence
 
 from ._backend import kernel
 from .gamma import GammaTable, partial_gamma, s_poly
 from .poly import MultiPoly
-from .words import Composition, pack_word, unpack_word
+from .words import Composition
 
 JWord = tuple[int, ...]  # rank-encoded letters
 
+#: Largest alphabet size: a word's ranks, up to 2n, are packed one per byte.
+MAX_N = 127
+
 
 def _check_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    s = tuple(sorted(set(int(a) for a in subset)))
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n must lie in 0..{MAX_N}")
+    members = tuple(subset)
+    try:
+        s = tuple(sorted(set(map(index, members))))
+    except TypeError:
+        raise ValueError(f"subset {members} has a non-integer member") from None
     if any(a < 1 or a > n for a in s):
         raise ValueError(f"subset {s} is not contained in 1..{n}")
     return s
@@ -63,35 +72,32 @@ def m_of_s(n: int, subset: Iterable[int]) -> Composition:
     return tuple(mult for _, mult in present_ranks(n, subset))
 
 
-def decompress(n: int, subset: Iterable[int], word: Sequence[int]) -> JWord:
-    """Ranks of a word over 1..(2n-|S|): the inverse of the
-    order-preserving collapse of the surviving alphabet."""
-    ranks = [r for r, _ in present_ranks(n, subset)]
-    try:
-        return tuple(ranks[c - 1] for c in word)
-    except IndexError:
-        raise ValueError(f"word {tuple(word)} exceeds the surviving alphabet") from None
+def _rank_words(n: int, subset: Iterable[int]) -> Iterator[bytes]:
+    """The valid words, packed over ranks: the plain words of
+    :func:`m_of_s` read back through one translate table that sends the
+    collapsed letter c to the c-th surviving rank."""
+    pairs = present_ranks(n, subset)
+    words = kernel.words_of(tuple(mult for _, mult in pairs))
+    table = bytes([0, *(r for r, _ in pairs)]).ljust(256, b"\0")
+    return (w.translate(table) for w in words)
 
 
 def enumerate_jsp(n: int, subset: Iterable[int]) -> list[JWord]:
     """All valid words of the surviving multiset, by pulling the plain
     enumeration back through the rank collapse (lex order of the rank
     sequences)."""
-    s = _check_subset(n, subset)
-    parts = m_of_s(n, s)
-    return [decompress(n, s, unpack_word(w)) for w in kernel.words_of(parts)]
+    return [tuple(w) for w in _rank_words(n, subset)]
 
 
 def jsp_stat_poly(n: int, subset: Iterable[int]) -> MultiPoly:
     """Sum of ``x^asc y^des z^plat`` over the valid words, with the
     statistics computed directly on the rank-encoded sequences."""
-    s = _check_subset(n, subset)
     terms: dict[tuple[int, int, int], int] = {}
-    for jw in enumerate_jsp(n, s):
-        p = kernel.profile12(pack_word(jw))
+    for w in _rank_words(n, subset):
+        p = kernel.profile12(w)
         key = (p[0], p[2], p[1])
         terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(("x", "y", "z"), terms)
+    return MultiPoly._canonical(("x", "y", "z"), terms)
 
 
 def level_subsets(n: int, size: int) -> list[tuple[int, ...]]:

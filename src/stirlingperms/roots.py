@@ -17,11 +17,11 @@ stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 from .stats import project_counts
-from .words import check_composition
+from .words import Composition, check_composition
 
 
 @dataclass(frozen=True)
@@ -186,15 +186,23 @@ def is_palindromic(p: UniPoly) -> bool:
     return window == tuple(reversed(window))
 
 
+def _plateau_rows(parts: Composition) -> list[list[int]]:
+    """Descent-coefficient rows of every plateau level ``0..max(total-1, 0)``,
+    from one projection of the joint histogram: ``rows[level][des]``
+    counts the words with that many plateaux and descents."""
+    total = sum(parts)
+    rows = [[0] * (total + 2) for _ in range(max(total, 1))]
+    for (plat, des), c in project_counts(parts, itemgetter(1, 2)).items():
+        rows[plat][des] += c
+    return rows
+
+
 def s_mi(parts: Iterable[int], level: int) -> UniPoly:
     """Descent polynomial of the words with exactly ``level`` plateaux:
     sum of ``x^des`` over that slice of the word set."""
     parts = check_composition(parts)
+    level = index(level)
     total = sum(parts)
     if not 0 <= level <= max(total - 1, 0):
         raise ValueError(f"plateau level must lie in 0..{max(total - 1, 0)}")
-    coeffs = [0] * (total + 2)
-    for (plat, des), c in project_counts(parts, lambda p: (p[1], p[2])).items():
-        if plat == level:
-            coeffs[des] += c
-    return UniPoly.of(coeffs)
+    return UniPoly.of(_plateau_rows(parts)[level])

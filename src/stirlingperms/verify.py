@@ -160,7 +160,7 @@ def check_grammar(parts: Composition) -> VerifyReport:
     joint generating polynomial of (sdes, mdes, fplat, uplat, asc)."""
     t0 = perf_counter()
     derived = quintuple_poly(parts)
-    enumerated = MultiPoly(QUINTUPLE_VARS, project_counts(parts, _label_exponents))
+    enumerated = MultiPoly._canonical(QUINTUPLE_VARS, project_counts(parts, _label_exponents))
     failure = None
     if derived != enumerated:
         failure = {
@@ -237,8 +237,8 @@ def check_realroot(parts: Composition) -> VerifyReport:
     and certified real-rooted."""
     t0 = perf_counter()
     failure = None
-    for level in range(sum(parts)):
-        p = roots_mod.s_mi(parts, level)
+    for level, row in enumerate(roots_mod._plateau_rows(parts)):
+        p = roots_mod.UniPoly.of(row)
         if p.is_zero():
             continue
         if not roots_mod.is_palindromic(p):

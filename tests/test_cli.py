@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from stirlingperms import __version__, _backend, roots, verify
-from stirlingperms.cli import MAX_WORDS, main
+from stirlingperms import __version__, _backend, jacobi, roots, verify
+from stirlingperms.cli import MAX_WORDS, _level_word_count, main
+from stirlingperms.poly import MultiPoly
 from stirlingperms.words import count_words
 
 
@@ -187,6 +188,51 @@ def test_jacobi_commands(capsys):
     assert code == 0 and out.strip() == "x^2*y*z + x*y^2*z"
     code, _, err = run_cli(capsys, "jacobi", "--n", "2", "--set", "5")
     assert code == 2 and "--set" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--set", "", "--words"], "--set: m(S)=1,2,1,2,1,2,1,2,1,2 has 44844800"),
+        (["--set", "", "--poly"], "--set: m(S)=1,2,1,2,1,2,1,2,1,2 has 44844800"),
+        (["--set", "1", "--poly"], "--set: m(S)=2,1,2,1,2,1,2,1,2 has 7076160"),
+        (["--level", "0"], "--level: level 0 of n=5 has 44844800"),
+        (["--level", "1"], "--level: level 1 of n=5 has 22422400"),
+    ],
+)
+def test_oversized_jacobi_word_set_is_refused_before_enumerating(capsys, monkeypatch, argv, what):
+    def refuse(*args):
+        raise AssertionError("enumerated a word set above the budget")
+
+    for name in ("words_of", "enum_counts", "joint_hist", "gfs_scan", "profile12"):
+        monkeypatch.setattr(_backend.kernel, name, refuse)
+    code, out, err = run_cli(capsys, "jacobi", "--n", "5", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {what} words, more than the {MAX_WORDS} this command builds\n"
+
+
+def test_jacobi_budget_admits_what_fits(capsys, monkeypatch):
+    # level 2 of n=5 sums to 4,804,800 words; the count alone needs no words
+    calls = []
+    monkeypatch.setattr(
+        jacobi, "jsp_level_poly", lambda n, level: calls.append((n, level)) or MultiPoly.zero(("x", "y", "z"))
+    )
+    code, out, _ = run_cli(capsys, "jacobi", "--n", "5", "--level", "2")
+    assert code == 0 and out == "0\n" and calls == [(5, 2)]
+    code, out, _ = run_cli(capsys, "jacobi", "--n", "5", "--set", "")
+    assert code == 0 and out.splitlines()[1] == "count=44844800"
+
+
+def test_level_word_count_sums_the_subsets():
+    for n in range(6):
+        for level in range(n + 1):
+            expected = sum(count_words(jacobi.m_of_s(n, s)) for s in jacobi.level_subsets(n, level))
+            assert _level_word_count(n, level) == expected
+
+
+def test_jacobi_n_must_fit_the_rank_bytes(capsys):
+    code, _, err = run_cli(capsys, "jacobi", "--n", str(jacobi.MAX_N + 1), "--level", "0")
+    assert code == 2 and err == f"error: --n: must lie in 0..{jacobi.MAX_N}\n"
 
 
 def test_realroot_command(capsys):

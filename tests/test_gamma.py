@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from stirlingperms import gamma, grammar, stats, words
 from stirlingperms.poly import MultiPoly
-from conftest import compositions_up_to, naive_gamma_expand
+from conftest import assert_canonical, compositions_up_to, naive_gamma_expand
 
 X, Y, Z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
 
@@ -14,6 +14,16 @@ def test_s_poly_examples():
     assert gamma.s_poly((2, 2)) == X**2 * Y**2 * Z + (X**2 * Y + X * Y**2) * Z**2
     # empty word: the grammar-base convention makes its monomial x^1
     assert gamma.s_poly(()) == X
+
+
+@given(st.sampled_from(compositions_up_to(7)))
+@settings(max_examples=60, deadline=None)
+def test_s_poly_equals_the_validating_constructor(parts):
+    # s_poly wraps the histogram without checks; the public constructor
+    # re-validates the same terms
+    p = gamma.s_poly(parts)
+    assert_canonical(p)
+    assert p == MultiPoly(("x", "y", "z"), gamma.triple_counts(parts))
 
 
 #: Label variables to (asc, des, plat) variables: descents x, xt -> y,

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import grammar, stats, words
+from stirlingperms import grammar, stats, verify, words
 from stirlingperms.poly import MultiPoly
 from conftest import compositions_up_to, naive_derive
 
@@ -76,6 +78,20 @@ def test_quintuple_poly_small():
 @pytest.mark.parametrize("parts", compositions_up_to(6))
 def test_grammar_claim(parts):
     assert grammar.quintuple_poly(parts) == enumeration_side(parts)
+
+
+def test_grammar_claim_failure_carries_the_enumerated_side(monkeypatch):
+    """A skewed derivation fails, and the enumerated side of the payload,
+    wrapped without checks, equals the word-by-word oracle."""
+    parts = (2, 1, 2)
+    bump = MultiPoly.monomial(grammar.QUINTUPLE_VARS, (0, 0, 0, 0, 9))
+    monkeypatch.setattr(verify, "quintuple_poly", lambda m: grammar.quintuple_poly(m) + bump)
+    expected = {
+        "m": [2, 1, 2],
+        "derived": (grammar.quintuple_poly(parts) + bump).to_json_dict(),
+        "enumerated": enumeration_side(parts).to_json_dict(),
+    }
+    assert verify.check_grammar(parts).counterexample == json.dumps(expected, sort_keys=True)
 
 
 @pytest.mark.parametrize("total", range(9))

@@ -4,13 +4,25 @@ from itertools import permutations
 
 import pytest
 
-from stirlingperms import gamma, jacobi, verify
+from stirlingperms import _pure, gamma, jacobi, verify
 from stirlingperms.poly import MultiPoly
+from stirlingperms.words import enumerate_words
+from conftest import assert_canonical
+
+
+def decompress(n, subset, word):
+    """Ranks of a word over 1..(2n-|S|): the inverse of the
+    order-preserving collapse of the surviving alphabet, read letter by
+    letter (the oracle of the rank tables in ``jacobi``)."""
+    ranks = [r for r, _ in jacobi.present_ranks(n, subset)]
+    if not all(1 <= c <= len(ranks) for c in word):
+        raise ValueError(f"word {tuple(word)} leaves the surviving alphabet 1..{len(ranks)}")
+    return tuple(ranks[c - 1] for c in word)
 
 
 def compress(n, subset, jword):
     """Collapse ranks onto 1..(2n-|S|), preserving order: the inverse of
-    ``jacobi.decompress``."""
+    :func:`decompress`."""
     ranks = [r for r, _ in jacobi.present_ranks(n, subset)]
     mapping = {r: i + 1 for i, r in enumerate(ranks)}
     try:
@@ -102,8 +114,61 @@ def test_compress_round_trip_and_stirling_preservation():
         for s in all_subsets(n):
             for jw in jacobi.enumerate_jsp(n, s):
                 word = compress(n, s, jw)
-                assert jacobi.decompress(n, s, word) == jw
+                assert decompress(n, s, word) == jw
                 assert is_jsp(n, s, jw)
+
+def test_decompress_rejects_letters_outside_the_alphabet():
+    assert decompress(2, [], [1, 4]) == (1, 4)
+    with pytest.raises(ValueError):
+        decompress(2, [], [1, 0])  # letter 0 must not wrap to the last rank
+    with pytest.raises(ValueError):
+        decompress(1, (1,), (2,))  # one letter survives
+
+
+@pytest.fixture(params=["imported", "pure"])
+def jacobi_kernel(request, monkeypatch):
+    """Run ``jacobi`` on the imported kernel, and again on the pure one."""
+    if request.param == "pure":
+        monkeypatch.setattr(jacobi, "kernel", _pure)
+    return jacobi.kernel
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_rank_tables_match_the_decompress_oracle(jacobi_kernel, n):
+    """The translated words are the plain words decompressed one letter
+    at a time, and the polynomial profiles exactly those rank words."""
+    for s in all_subsets(n):
+        expected = [decompress(n, s, w) for w in enumerate_words(jacobi.m_of_s(n, s))]
+        assert jacobi.enumerate_jsp(n, s) == expected
+        terms = {}
+        for jw in expected:
+            p = _pure.profile12(bytes(jw))
+            terms[(p[0], p[2], p[1])] = terms.get((p[0], p[2], p[1]), 0) + 1
+        poly = jacobi.jsp_stat_poly(n, s)
+        assert_canonical(poly)
+        assert poly == MultiPoly(("x", "y", "z"), terms)
+
+
+@pytest.mark.parametrize("fn", [jacobi.m_of_s, jacobi.present_ranks, jacobi.enumerate_jsp, jacobi.jsp_stat_poly])
+def test_subset_members_must_be_integers(fn):
+    for bad in ([1.5], [1, "2"], [None]):
+        with pytest.raises(ValueError):
+            fn(3, bad)
+
+
+@pytest.mark.parametrize("n", [-1, jacobi.MAX_N + 1])
+def test_alphabet_size_must_fit_one_byte_per_rank(n):
+    with pytest.raises(ValueError):
+        jacobi.m_of_s(n, ())
+    with pytest.raises(ValueError):
+        jacobi.enumerate_jsp(n, ())
+
+
+def test_largest_alphabet_is_accepted():
+    n = jacobi.MAX_N
+    assert jacobi.present_ranks(n, range(1, n + 1))[-1] == (2 * n, 2)
+    assert jacobi.m_of_s(n, ()) == (1, 2) * n
+
 
 def test_enumerate_examples():
     assert jacobi.enumerate_jsp(1, (1,)) == [(2, 2)]

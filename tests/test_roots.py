@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import gamma, roots
+from stirlingperms import gamma, roots, verify
 from stirlingperms.roots import UniPoly
 from conftest import compositions_up_to, unipoly_mul
 
@@ -16,6 +17,36 @@ def test_s_mi_examples():
     assert roots.s_mi((1, 1), 0) == UniPoly.of([0, 1, 1])
     with pytest.raises(ValueError):
         roots.s_mi((2, 2), 4)
+
+
+@pytest.mark.parametrize("parts, level", [((2, 2), -1), ((2, 2), 4), ((1,), 1), ((), 1)])
+def test_s_mi_rejects_out_of_range_levels(parts, level):
+    with pytest.raises(ValueError):
+        roots.s_mi(parts, level)
+
+
+def test_s_mi_rejects_a_non_integer_level():
+    with pytest.raises(TypeError):
+        roots.s_mi((2, 2), 1.5)
+
+
+@pytest.mark.parametrize("parts", compositions_up_to(7))
+def test_plateau_rows_equal_s_mi_at_every_level(parts):
+    rows = roots._plateau_rows(parts)
+    assert len(rows) == max(sum(parts), 1)
+    for level, row in enumerate(rows):
+        assert UniPoly.of(row) == roots.s_mi(parts, level)
+
+
+def test_realroot_failure_names_the_first_failing_level(monkeypatch):
+    # (2, 2): level 0 is empty, level 1 is x^2, level 2 is x + x^2
+    monkeypatch.setattr(roots, "is_real_rooted", lambda p: p.coeffs != (0, 1, 1))
+    expected = {"m": [2, 2], "level": 2, "poly": [0, 1, 1], "kind": "real-rooted"}
+    assert verify.check_realroot((2, 2)).counterexample == json.dumps(expected, sort_keys=True)
+    # the palindrome check runs first, and level 1 comes before level 2
+    monkeypatch.setattr(roots, "is_palindromic", lambda p: p.coeffs[0] != 0)
+    expected = {"m": [2, 2], "level": 1, "poly": [0, 0, 1], "kind": "palindromic"}
+    assert verify.check_realroot((2, 2)).counterexample == json.dumps(expected, sort_keys=True)
 
 
 def test_s_mi_matches_slice_substitution():
