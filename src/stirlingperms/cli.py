@@ -95,11 +95,9 @@ def _check_total_budget(max_total: int) -> None:
     while count <= MAX_WORDS and total < max_total:
         total += 1
         count *= total
-    if count > MAX_WORDS:
-        raise _UsageError(
-            f"--max-total: {max_total} includes {format_composition((1,) * total)}, "
-            f"which has {count} words, more than the {MAX_WORDS} this command builds"
-        )
+    _refuse_above_budget(
+        "--max-total", f"{max_total} includes {format_composition((1,) * total)}, which", count
+    )
 
 
 def _parse_the_word(value: str) -> tuple[int, ...]:
