@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 
@@ -140,10 +141,8 @@ def test_rank_tables_match_the_decompress_oracle(jacobi_kernel, n):
     for s in all_subsets(n):
         expected = [decompress(n, s, w) for w in enumerate_words(jacobi.m_of_s(n, s))]
         assert jacobi.enumerate_jsp(n, s) == expected
-        terms = {}
-        for jw in expected:
-            p = _pure.profile12(bytes(jw))
-            terms[(p[0], p[2], p[1])] = terms.get((p[0], p[2], p[1]), 0) + 1
+        profiles = [_pure.profile12(bytes(jw)) for jw in expected]
+        terms = Counter((p[0], p[2], p[1]) for p in profiles)
         poly = jacobi.jsp_stat_poly(n, s)
         assert_canonical(poly)
         assert poly == MultiPoly(("x", "y", "z"), terms)
