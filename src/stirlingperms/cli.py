@@ -35,9 +35,11 @@ from .words import (
 
 #: The most words ``enumerate`` (without ``--count-only``), ``poly``,
 #: ``gamma``, ``realroot``, ``jacobi`` and ``verify`` build for one
-#: multiplicity vector, or ``jacobi --level`` for one level.  Every
-#: vector of total at most 10 fits: the largest, ``1,...,1``, has
-#: 3,628,800 words.
+#: multiplicity vector, or ``jacobi --level`` for one level.  The kernel
+#: sorts a word set in buffers of one byte per letter, so the set may
+#: also hold at most ``16 * MAX_WORDS`` letters.  Every vector of total
+#: at most 10 fits: the largest, ``1,...,1``, has 3,628,800 words of 10
+#: letters.
 MAX_WORDS = 5_000_000
 
 
@@ -52,19 +54,24 @@ def _parse_m(value: str) -> tuple[int, ...]:
         raise _UsageError(f"--m: {exc}") from None
 
 
-def _refuse_above_budget(option: str, what: str, count: int) -> None:
-    """Refuse a word set of ``count`` words above ``MAX_WORDS`` before
-    enumerating it."""
+def _refuse_above_budget(option: str, what: str, count: int, length: int) -> None:
+    """Refuse a word set of ``count`` words of ``length`` letters above
+    the budget before enumerating it."""
     if count > MAX_WORDS:
         raise _UsageError(
             f"{option}: {what} has {count} words, "
             f"more than the {MAX_WORDS} this command builds"
         )
+    if count * length > 16 * MAX_WORDS:
+        raise _UsageError(
+            f"{option}: {what} has {count} words of {length} letters, "
+            f"more than the {16 * MAX_WORDS} letters this command builds"
+        )
 
 
 def _check_budget(parts: tuple[int, ...]) -> None:
-    """Refuse a multiplicity vector above ``MAX_WORDS`` words."""
-    _refuse_above_budget("--m", format_composition(parts), count_words(parts))
+    """Refuse a multiplicity vector above the budget."""
+    _refuse_above_budget("--m", format_composition(parts), count_words(parts), sum(parts))
 
 
 def _level_word_count(n: int, level: int) -> int:
@@ -96,7 +103,7 @@ def _check_total_budget(max_total: int) -> None:
         total += 1
         count *= total
     _refuse_above_budget(
-        "--max-total", f"{max_total} includes {format_composition((1,) * total)}, which", count
+        "--max-total", f"{max_total} includes {format_composition((1,) * total)}, which", count, total
     )
 
 
@@ -312,7 +319,9 @@ def _cmd_jacobi(args) -> int:
                 raise _UsageError(f"--set: {exc}") from None
             mvec = jacobi_mod.m_of_s(n, subset)
             if args.words or args.poly:
-                _refuse_above_budget("--set", f"m(S)={format_composition(mvec)}", count_words(mvec))
+                _refuse_above_budget(
+                    "--set", f"m(S)={format_composition(mvec)}", count_words(mvec), sum(mvec)
+                )
             if args.words:
                 lines = [jacobi_mod.format_jword(j) for j in jacobi_mod.enumerate_jsp(n, subset)]
                 payload = {"n": n, "set": list(subset), "words": lines}
@@ -336,7 +345,10 @@ def _cmd_jacobi(args) -> int:
             raise _UsageError(f"--level: must lie in 0..{n}")
         if args.words:
             raise _UsageError("--words: needs --set, not --level")
-        _refuse_above_budget("--level", f"level {level} of n={n}", _level_word_count(n, level))
+        # every word of the level has the 2n doubled letters and n - level barred ones
+        _refuse_above_budget(
+            "--level", f"level {level} of n={n}", _level_word_count(n, level), 3 * n - level
+        )
         p = jacobi_mod.jsp_level_poly(n, level)
         _emit(json.dumps({"n": n, "level": level, "poly": p.to_json_dict()}) if args.format == "json" else str(p))
         return 0

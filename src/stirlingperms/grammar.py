@@ -62,43 +62,24 @@ class Grammar:
 
 
 def derive(g: Grammar, p: MultiPoly) -> MultiPoly:
-    """One formal derivative of ``p`` under the grammar.
+    """One formal derivative of ``p`` under the grammar: the sum over the
+    variables ``v`` that occur of ``rule(v)`` times the partial derivative
+    of ``p`` in ``v``.  Rules are looked up in the order the variables
+    first occur in ``p.terms``, so the first missing one raises.
 
     >>> d = dumont_grammar()
     >>> print(derive(d, MultiPoly.var("x")))
     x*y
     """
-    # Rules of the variables that occur, looked up in term order so the
-    # first missing one raises.
-    rules: dict[int, MultiPoly] = {}
-    for evec in p.terms:
-        for pos, e in enumerate(evec):
-            if e and pos not in rules:
-                rules[pos] = g.rule(p.vars[pos])
-    out_vars = tuple(sorted(set(p.vars).union(*(r.vars for r in rules.values()))))
-    index = {v: i for i, v in enumerate(out_vars)}
-    lift = [index[v] for v in p.vars]
-    # Replacing one occurrence of the variable at ``pos`` by a rule term
-    # adds ``delta`` = (rule exponents) - (unit vector at pos) to the
-    # exponents of the term.
-    deltas = {
-        pos: [
-            (tuple(e - (i == lift[pos]) for i, e in enumerate(revec)), rc)
-            for revec, rc in rule.with_vars(out_vars).terms.items()
-        ]
-        for pos, rule in rules.items()
-    }
-    acc: dict[tuple[int, ...], int] = {}
+    partials: dict[int, dict[tuple[int, ...], int]] = {}
     for evec, c in p.terms.items():
-        base = [0] * len(out_vars)
-        for i, e in zip(lift, evec):
-            base[i] = e
         for pos, e in enumerate(evec):
             if e:
-                for d, rc in deltas[pos]:
-                    key = tuple(map(add, base, d))
-                    acc[key] = acc.get(key, 0) + c * e * rc
-    return MultiPoly._canonical(out_vars, {k: v for k, v in acc.items() if v})
+                partials.setdefault(pos, {})[evec[:pos] + (e - 1,) + evec[pos + 1 :]] = c * e
+    out = MultiPoly.zero(p.vars)
+    for pos, partial in partials.items():
+        out = out + MultiPoly._canonical(p.vars, partial) * g.rule(p.vars[pos])
+    return out
 
 
 def derive_n(g: Grammar, p: MultiPoly, n: int) -> MultiPoly:
@@ -134,8 +115,15 @@ def dumont_grammar() -> Grammar:
 
 def dumont_poly(n: int) -> MultiPoly:
     """n-th derivative of ``x`` under the classical grammar: the
-    bivariate ascent/descent polynomial of plain permutations."""
-    return derive_n(dumont_grammar(), MultiPoly.var("x"), n)
+    bivariate ascent/descent polynomial of plain permutations.  Both
+    variables rewrite to ``xy``, so each step is the uniform derivative
+    ``xy*(d/dx + d/dy)``."""
+    if n < 0:
+        raise ValueError("derivative count must be nonnegative")
+    terms = {(1, 0): 1}
+    for _ in range(n):
+        terms = _derive_uniform(terms, (1, 1))
+    return MultiPoly._canonical(("x", "y"), terms) if n else MultiPoly.var("x")
 
 
 def _derive_uniform(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import wraps
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -37,6 +38,7 @@ from .words import (
     compositions_up_to,
     count_words,
     format_composition,
+    format_word,
 )
 
 JACOBI_MAX_N = 3
@@ -76,40 +78,65 @@ class VerifyReport:
         return out
 
 
-def _report(suite: str, params: str, started: float, failure: dict | None) -> VerifyReport:
-    return VerifyReport(
-        suite,
-        params,
-        failure is None,
-        json.dumps(failure, sort_keys=True) if failure is not None else None,
-        (perf_counter() - started) * 1000.0,
-    )
+#: Declared suites in declaration order: name -> (attribute name of the
+#: check, argument tuples of its tasks for a given ``max_total``).
+_SUITES: dict[str, tuple[str, Callable[[int], list[tuple]]]] = {}
 
 
-def _word_str(w: bytes | tuple) -> str:
-    return ",".join(str(c) for c in w)
+def _suite(name: str, tasks: Callable[[int], list[tuple]], params: Callable[..., str]):
+    """Declare a suite: register it under ``name`` with its ``tasks``,
+    and wrap a body that takes one task's arguments and returns the
+    failure payload (or None) into the check that returns the timed
+    :class:`VerifyReport`, with ``params(*args)`` as its parameters."""
+
+    def declare(body: Callable[..., dict | None]) -> Callable[..., VerifyReport]:
+        @wraps(body)
+        def check(*args) -> VerifyReport:
+            t0 = perf_counter()
+            failure = body(*args)
+            return VerifyReport(
+                name,
+                params(*args),
+                failure is None,
+                None if failure is None else json.dumps(failure, sort_keys=True),
+                (perf_counter() - t0) * 1000.0,
+            )
+
+        _SUITES[name] = (body.__name__, tasks)
+        return check
+
+    return declare
+
+
+def _compositions(min_total: int) -> Callable[[int], list[tuple]]:
+    """Tasks of a per-composition suite: each composition of total
+    ``min_total`` through ``max_total``."""
+    return lambda max_total: [(m,) for m in compositions_up_to(max_total, min_total)]
+
+
+def _m(parts: Composition) -> str:
+    return f"m={format_composition(parts)}"
 
 
 # -- individual suites -------------------------------------------------
 
 
-def check_counting(parts: Composition) -> VerifyReport:
+@_suite("counting", _compositions(0), _m)
+def check_counting(parts: Composition) -> dict | None:
     """Insertion enumeration, product formula and brute-force filter all
     agree, and the enumeration has no duplicates."""
-    t0 = perf_counter()
     total, distinct = kernel.enum_counts(parts)
     formula = count_words(parts)
     brute = kernel.brute_count(parts)
-    failure = None
-    if not (total == distinct == formula == brute):
-        failure = {
-            "m": list(parts),
-            "enumerated": total,
-            "distinct": distinct,
-            "formula": formula,
-            "brute_force": brute,
-        }
-    return _report("counting", f"m={format_composition(parts)}", t0, failure)
+    if total == distinct == formula == brute:
+        return None
+    return {
+        "m": list(parts),
+        "enumerated": total,
+        "distinct": distinct,
+        "formula": formula,
+        "brute_force": brute,
+    }
 
 
 #: The lemma's equidistributions as (kind, left key, right key) on
@@ -125,20 +152,16 @@ _LEMMA_PAIRS = (
 )
 
 
-def check_lemma(parts: Composition) -> VerifyReport:
+@_suite("lemma-equidistribution", _compositions(0), _m)
+def check_lemma(parts: Composition) -> dict | None:
     """Triple equidistribution (des, plat, asc) ~ (fplat+sdes, mdup, asc)
     and the quintuple swap (sdes, mdes, fplat, uplat, asc) ~
     (sdes, fplat, mdes, uplat, asc)."""
-    t0 = perf_counter()
-    failure = None
     for kind, left, right in _LEMMA_PAIRS:
         lhs, rhs = project_counts(parts, left), project_counts(parts, right)
         if lhs != rhs:
-            failure = {"m": list(parts), "kind": kind, "diff": _hist_diff(lhs, rhs)}
-            break
-    return _report(
-        "lemma-equidistribution", f"m={format_composition(parts)}", t0, failure
-    )
+            return {"m": list(parts), "kind": kind, "diff": _hist_diff(lhs, rhs)}
+    return None
 
 
 def _hist_diff(a: dict, b: dict) -> dict:
@@ -155,25 +178,27 @@ def _label_exponents(p: tuple[int, ...]) -> tuple[int, ...]:
     return quintuple_exponents((p[3], p[4], p[5], p[6], p[0]))
 
 
-def check_grammar(parts: Composition) -> VerifyReport:
+@_suite("grammar-claim", _compositions(0), _m)
+def check_grammar(parts: Composition) -> dict | None:
     """The iterated grammar derivative of z equals the enumeration-side
     joint generating polynomial of (sdes, mdes, fplat, uplat, asc)."""
-    t0 = perf_counter()
     derived = quintuple_poly(parts)
     enumerated = MultiPoly._canonical(QUINTUPLE_VARS, project_counts(parts, _label_exponents))
-    failure = None
     if derived != enumerated:
-        failure = {
+        return {
             "m": list(parts),
             "derived": derived.to_json_dict(),
             "enumerated": enumerated.to_json_dict(),
         }
-    elif derived != derived.swap_vars("xt", "yt"):
-        failure = {"m": list(parts), "kind": "xt-yt symmetry broken"}
-    return _report("grammar-claim", f"m={format_composition(parts)}", t0, failure)
+    if derived != derived.swap_vars("xt", "yt"):
+        return {"m": list(parts), "kind": "xt-yt symmetry broken"}
+    return None
 
 
-def check_gfs(parts: Composition) -> VerifyReport:
+# the empty word's grammar-base convention (asc = 1) sits outside the
+# orbit identities, so the action suite starts at total 1
+@_suite("gfs-properties", _compositions(1), _m)
+def check_gfs(parts: Composition) -> dict | None:
     """Closure, involution, commutation, the movability toggle, mdup
     invariance, power-of-two orbits, the unique representative with its
     two statistic identities, and the orbit summation identity, in one
@@ -184,144 +209,99 @@ def check_gfs(parts: Composition) -> VerifyReport:
     whole orbit, the member otherwise; none for the final cover) and,
     for a failed hop, its letter.
     """
-    t0 = perf_counter()
     failure = kernel.gfs_scan(parts)
-    if failure is not None:
-        kind, word, letter = failure
-        failure = {"m": list(parts), "kind": kind}
-        if word is not None:
-            failure["word"] = _word_str(word)
-        if letter:
-            failure["letter"] = letter
-    return _report("gfs-properties", f"m={format_composition(parts)}", t0, failure)
+    if failure is None:
+        return None
+    kind, word, letter = failure
+    payload = {"m": list(parts), "kind": kind}
+    if word is not None:
+        payload["word"] = format_word(word)
+    if letter:
+        payload["letter"] = letter
+    return payload
 
 
-def check_theorem(parts: Composition) -> VerifyReport:
+@_suite("theorem", _compositions(1), _m)
+def check_theorem(parts: Composition) -> dict | None:
     """Expansion-side and counting-side gamma tables agree entrywise,
     nonnegatively, with clean j = 0 rows."""
-    t0 = perf_counter()
     report = gamma_mod.verify_theorem(parts)
-    failure = None
-    if not report.passed:
-        failure = {
-            "m": list(parts),
-            "detail": report.detail,
-            "expansion": report.expansion.to_json_dict(),
-            "combinatorial": report.combinatorial.to_json_dict(),
-        }
-    return _report("theorem", f"m={format_composition(parts)}", t0, failure)
+    if report.passed:
+        return None
+    return {
+        "m": list(parts),
+        "detail": report.detail,
+        "expansion": report.expansion.to_json_dict(),
+        "combinatorial": report.combinatorial.to_json_dict(),
+    }
 
 
-def check_jacobi(n: int) -> VerifyReport:
+@_suite("jacobi", lambda _: [(n,) for n in range(1, JACOBI_MAX_N + 1)], lambda n: f"n={n}")
+def check_jacobi(n: int) -> dict | None:
     """Barred-alphabet polynomials equal their collapsed counterparts
     for every subset, and every level aggregate has a nonnegative
     gamma table (one pass of ``jacobi.verify_conjecture``)."""
-    t0 = perf_counter()
     report = jacobi_mod.verify_conjecture(n)
-    failure = None
     if report.mismatch is not None:
         s, direct, collapsed = report.mismatch
-        failure = {
+        return {
             "n": n,
             "subset": list(s),
             "direct": direct.to_json_dict(),
             "collapsed": collapsed.to_json_dict(),
         }
-    elif not report.passed:
-        failure = {"n": n, "detail": report.detail}
-    return _report("jacobi", f"n={n}", t0, failure)
+    return None if report.passed else {"n": n, "detail": report.detail}
 
 
-def check_realroot(parts: Composition) -> VerifyReport:
+@_suite("realroot", _compositions(1), _m)
+def check_realroot(parts: Composition) -> dict | None:
     """Every nonzero plateau-refined descent polynomial is palindromic
     and certified real-rooted."""
-    t0 = perf_counter()
-    failure = None
     for level, row in enumerate(roots_mod._plateau_rows(parts)):
         p = roots_mod.UniPoly.of(row)
         if p.is_zero():
             continue
-        if not roots_mod.is_palindromic(p):
-            failure = {"m": list(parts), "level": level, "poly": list(p.coeffs), "kind": "palindromic"}
-            break
-        if not roots_mod.is_real_rooted(p):
-            failure = {"m": list(parts), "level": level, "poly": list(p.coeffs), "kind": "real-rooted"}
-            break
-    return _report("realroot", f"m={format_composition(parts)}", t0, failure)
+        for kind, holds in (
+            ("palindromic", roots_mod.is_palindromic),
+            ("real-rooted", roots_mod.is_real_rooted),
+        ):
+            if not holds(p):
+                return {"m": list(parts), "level": level, "poly": list(p.coeffs), "kind": kind}
+    return None
 
 
-def check_series(kind: str, n: int) -> VerifyReport:
+@_suite(
+    "series",
+    lambda _: [
+        (kind, n) for kind in ("eulerian", "second_order") for n in range(1, SERIES_MAX_N + 1)
+    ],
+    lambda kind, n: f"kind={kind} n={n} K={SERIES_ORDER}",
+)
+def check_series(kind: str, n: int) -> dict | None:
     """One classical truncated-series identity at the fixed order."""
-    t0 = perf_counter()
     report = gamma_mod.classical_series_check(kind, n, SERIES_ORDER)
-    failure = None
-    if not report.passed:
-        failure = {
-            "kind": kind,
-            "n": n,
-            "numerator": list(report.numerator),
-            "expanded": list(report.expanded.coeffs),
-            "target": list(report.target),
-        }
-    return _report("series", f"kind={kind} n={n} K={SERIES_ORDER}", t0, failure)
+    if report.passed:
+        return None
+    return {
+        "kind": kind,
+        "n": n,
+        "numerator": list(report.numerator),
+        "expanded": list(report.expanded.coeffs),
+        "target": list(report.target),
+    }
 
 
 # -- harness ------------------------------------------------------------
 
-def _every_composition(max_total: int) -> list[tuple]:
-    return [(m,) for m in compositions_up_to(max_total)]
-
-
-def _nonempty_compositions(max_total: int) -> list[tuple]:
-    return [(m,) for m in compositions_up_to(max_total) if m]
-
-
-def _suite_table() -> dict[str, tuple[Callable[..., VerifyReport], Callable[[int], list[tuple]]]]:
-    """Suite name -> (check function, argument tuples of its tasks for a
-    given ``max_total``), in declaration order.
-
-    Built on each call, so the ``check_*`` functions are read from the
-    module when a task runs and a patched or wrapped attribute (a test
-    double, a tracing wrapper) is the one that runs."""
-    return {
-        "counting": (check_counting, _every_composition),
-        "lemma-equidistribution": (check_lemma, _every_composition),
-        "grammar-claim": (check_grammar, _every_composition),
-        # the empty word's grammar-base convention (asc = 1) sits outside
-        # the orbit identities, so the action suite starts at total 1
-        "gfs-properties": (check_gfs, _nonempty_compositions),
-        "theorem": (check_theorem, _nonempty_compositions),
-        "jacobi": (check_jacobi, lambda _: [(n,) for n in range(1, JACOBI_MAX_N + 1)]),
-        "realroot": (check_realroot, _nonempty_compositions),
-        "series": (
-            check_series,
-            lambda _: [
-                (kind, n)
-                for kind in ("eulerian", "second_order")
-                for n in range(1, SERIES_MAX_N + 1)
-            ],
-        ),
-    }
-
-
-SUITE_NAMES = tuple(_suite_table())
-
-
-def _tasks_for(suite: str, max_total: int) -> list[tuple]:
-    try:
-        _, task_args = _suite_table()[suite]
-    except KeyError:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}") from None
-    return [(suite, args) for args in task_args(max_total)]
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_task(task: tuple) -> VerifyReport:
+    """Run one ``(suite, args)`` task through the check the module holds
+    when it runs, so a patched or wrapped ``check_*`` attribute (a test
+    double, a tracing wrapper) is the one that runs."""
     suite, args = task
-    try:
-        check, _ = _suite_table()[suite]
-    except KeyError:
-        raise ValueError(f"unknown suite {suite!r}") from None
-    return check(*args)
+    return globals()[_SUITES[suite][0]](*args)
 
 
 def verify_all(
@@ -339,11 +319,9 @@ def verify_all(
         raise ValueError("max-total must be at least 1")
     chosen = tuple(suites) if suites is not None else SUITE_NAMES
     for s in chosen:
-        if s not in SUITE_NAMES:
+        if s not in _SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {', '.join(SUITE_NAMES)}")
-    tasks: list[tuple] = []
-    for s in chosen:
-        tasks.extend(_tasks_for(s, max_total))
+    tasks = [(s, args) for s in chosen for args in _SUITES[s][1](max_total)]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
         reports = [_run_task(t) for t in tasks]

@@ -15,7 +15,7 @@ composition is allowed and owns the single empty word.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._backend import kernel
 
@@ -141,19 +141,14 @@ def format_composition(parts: Sequence[int]) -> str:
 
 def compositions_of(total: int) -> list[Composition]:
     """All compositions of ``total`` in colex order (compare the
-    reversed part sequences lexicographically)."""
+    reversed part sequences lexicographically): by the last part, then
+    the rest in colex order."""
     if total < 0:
         raise ValueError("total must be nonnegative")
-
-    def gen(t: int) -> Iterator[Composition]:
-        if t == 0:
-            yield ()
-            return
-        for head in range(1, t + 1):
-            for rest in gen(t - head):
-                yield (head,) + rest
-
-    return sorted(gen(total), key=lambda c: tuple(reversed(c)))
+    colex: list[list[Composition]] = [[()]]
+    for t in range(1, total + 1):
+        colex.append([rest + (last,) for last in range(1, t + 1) for rest in colex[t - last]])
+    return colex[total]
 
 
 def compositions_up_to(max_total: int, min_total: int = 0) -> list[Composition]:

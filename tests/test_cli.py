@@ -1,15 +1,17 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from stirlingperms import __version__, _backend, jacobi, roots, verify
-from stirlingperms.cli import MAX_WORDS, _level_word_count, main
+from stirlingperms.cli import MAX_WORDS, _check_budget, _level_word_count, main
 from stirlingperms.poly import MultiPoly
-from stirlingperms.words import count_words
+from stirlingperms.words import compositions_up_to, count_words
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +139,34 @@ def test_verify_budget_admits_total_10(capsys, monkeypatch):
 def test_verify_fixed_size_suite_ignores_the_budget(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--max-total", "11", "--jobs", "1")
     assert code == 0 and out.splitlines()[-1] == "RESULT PASS (8 checks)"
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["poly", "--m", "99999999999999999999"], "99999999999999999999 has 1 words of 99999999999999999999"),
+        (["poly", "--m", "1000,1000,1000"], "1000,1000,1000 has 2003001 words of 3000"),
+        (["enumerate", "--m", "1000,1000,1000"], "1000,1000,1000 has 2003001 words of 3000"),
+        (["gamma", "--m", "1000,1000,1000"], "1000,1000,1000 has 2003001 words of 3000"),
+        (["gamma", "--m", "1000,1000,1000", "--combinatorial"], "1000,1000,1000 has 2003001 words of 3000"),
+        (["realroot", "--m", "1000,1000,1000", "--i", "0"], "1000,1000,1000 has 2003001 words of 3000"),
+    ],
+)
+def test_word_set_with_too_many_letters_is_refused_before_enumerating(capsys, monkeypatch, argv, what):
+    # few enough words, but the kernel's sort buffers take a byte per letter
+    def refuse(*args):
+        raise AssertionError("enumerated a word set above the budget")
+
+    for name in ("words_of", "enum_counts", "joint_hist", "gfs_scan", "profile12"):
+        monkeypatch.setattr(_backend.kernel, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --m: {what} letters, more than the {16 * MAX_WORDS} letters this command builds\n"
+
+
+def test_letter_budget_admits_every_vector_of_total_10():
+    for parts in compositions_up_to(10):
+        _check_budget(parts)
 
 
 def test_gfs_commands(capsys):
@@ -354,6 +384,31 @@ def test_usage_errors(capsys):
     assert code == 2 and "--max-total" in err
     assert main(["enumerate"]) == 2  # missing required --m (argparse)
     assert main(["realroot", "--m", "2,2", "--i", "9"]) == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """The ``stirlingperms ...`` lines of the README's CLI block, each as
+    (arguments, trailing comment)."""
+    text = README.read_text()
+    block = text[text.index("## CLI"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("  #")
+        argv = shlex.split(command)
+        assert argv[0] == "stirlingperms", line
+        examples.append(pytest.param(argv[1:], comment.strip(), id=command.strip()))
+    return examples
+
+
+@pytest.mark.parametrize("argv, comment", readme_cli_examples())
+def test_readme_cli_example_runs(capsys, argv, comment):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if argv == ["grammar", "--dumont", "3"]:
+        assert out == comment + "\n"
 
 
 def test_entry_point_subprocess():

@@ -51,6 +51,22 @@ def test_dumont_matches_permutation_statistics(n):
         assert grammar.dumont_poly(n) == side
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_dumont_poly_matches_the_naive_derivative_chain(n):
+    # the uniform-derivative loop against naive_derive over the Dumont grammar
+    chain = X
+    for _ in range(n):
+        chain = naive_derive(grammar.dumont_grammar(), chain)
+    fast = grammar.dumont_poly(n)
+    assert fast == chain
+    assert fast.vars == chain.vars
+
+
+def test_dumont_poly_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        grammar.dumont_poly(-1)
+
+
 def test_gk_rules():
     g2 = grammar.gk(2)
     expected2 = MultiPoly(grammar.QUINTUPLE_VARS, {(0, 1, 0, 1, 1): 1})  # xt*yt*z

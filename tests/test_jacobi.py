@@ -163,6 +163,38 @@ def test_alphabet_size_must_fit_one_byte_per_rank(n):
         jacobi.enumerate_jsp(n, ())
 
 
+@pytest.mark.parametrize("bad", [1.5, "2", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: jacobi.m_of_s(n, ()),
+        lambda n: jacobi.present_ranks(n, ()),
+        lambda n: jacobi.enumerate_jsp(n, ()),
+        lambda n: jacobi.jsp_stat_poly(n, ()),
+        jacobi.verify_conjecture,
+        lambda n: jacobi.jsp_level_poly(n, 1),
+        lambda n: jacobi.level_subsets(n, 1),
+    ],
+)
+def test_alphabet_size_must_be_an_integer(call, bad):
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None])
+def test_level_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="^level must be an integer"):
+        jacobi.jsp_level_poly(2, bad)
+    with pytest.raises(ValueError, match="^size must be an integer"):
+        jacobi.level_subsets(2, bad)
+
+
+def test_integer_like_arguments_are_accepted():
+    # operator.index accepts bools and other exact integer types
+    assert jacobi.m_of_s(True, ()) == jacobi.m_of_s(1, ())
+    assert jacobi.level_subsets(3, True) == [(1,), (2,), (3,)]
+
+
 def test_largest_alphabet_is_accepted():
     n = jacobi.MAX_N
     assert jacobi.present_ranks(n, range(1, n + 1))[-1] == (2 * n, 2)
@@ -212,7 +244,7 @@ def test_level_examples():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_conjecture(n):
     report = jacobi.verify_conjecture(n)
-    assert report.passed and report.aggregation_ok
+    assert report.passed
     assert len(report.tables) == n + 1
     assert all(t.positive for t in report.tables)
 
@@ -228,7 +260,7 @@ def test_check_jacobi_reports_the_first_subset_mismatch(monkeypatch):
 
     monkeypatch.setattr(jacobi, "jsp_stat_poly", skewed)
     report = jacobi.verify_conjecture(2)
-    assert not report.passed and not report.aggregation_ok
+    assert not report.passed
     assert report.mismatch[0] == (1,)
     expected = {
         "n": 2,

@@ -110,6 +110,20 @@ def test_composition_of_rejects_a_large_gap_without_allocating():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("total", range(13))
+def test_compositions_match_the_sorted_construction(total):
+    # every composition by recursion on the first part, then sorted by
+    # the reversed part sequences
+    def gen(t):
+        if t == 0:
+            yield ()
+        for head in range(1, t + 1):
+            for rest in gen(t - head):
+                yield (head,) + rest
+
+    assert words.compositions_of(total) == sorted(gen(total), key=lambda c: c[::-1])
+
+
 def test_compositions_order_is_colex():
     # colex compares the reversed sequences, so (2,1) precedes (1,2)
     assert words.compositions_of(3) == [(1, 1, 1), (2, 1), (1, 2), (3,)]
