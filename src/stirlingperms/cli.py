@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from . import __version__, _backend
@@ -222,11 +223,25 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+@contextmanager
+def _exact_decimals():
+    """Lift Python's limit on the digits of an int converted to str while
+    output renders, so a coefficient or count of any length prints as its
+    exact decimal string; the old limit is restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _cmd_enumerate(args) -> int:
     parts = _parse_m(args.m)
     if args.count_only:
         total = count_words(parts)
-        _emit(json.dumps({"m": list(parts), "count": str(total)}) if args.format == "json" else str(total))
+        with _exact_decimals():
+            _emit(json.dumps({"m": list(parts), "count": str(total)}) if args.format == "json" else str(total))
         return 0
     _check_budget(parts)
     ws = enumerate_words(parts)
@@ -242,7 +257,8 @@ def _cmd_poly(args) -> int:
     parts = _parse_m(args.m)
     _check_budget(parts)
     p = gamma_mod.s_poly(parts)
-    _emit(p.to_json() if args.format == "json" else str(p))
+    with _exact_decimals():
+        _emit(p.to_json() if args.format == "json" else str(p))
     return 0
 
 
@@ -275,7 +291,8 @@ def _cmd_grammar(args) -> int:
         p = dumont_poly(args.dumont)
     else:
         p = quintuple_poly(_parse_m(args.m))
-    _emit(p.to_json() if args.format == "json" else str(p))
+    with _exact_decimals():
+        _emit(p.to_json() if args.format == "json" else str(p))
     return 0
 
 

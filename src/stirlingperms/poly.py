@@ -20,22 +20,12 @@ from __future__ import annotations
 import json
 from itertools import product
 from math import comb
-from operator import add, index
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence
 
 
 def _merge_vars(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(set(a) | set(b)))
-
-
-def _convolve(a, b) -> dict[tuple[int, ...], int]:
-    """Product of two sparse term lists over the same variables."""
-    out: dict[tuple[int, ...], int] = {}
-    for k1, c1 in a:
-        for k2, c2 in b:
-            key = tuple(map(add, k1, k2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
 
 
 class MultiPoly:
@@ -257,7 +247,15 @@ class MultiPoly:
         return self.with_vars(("x", "y", "z")).terms
 
     def evaluate(self, assignment: Mapping[str, object]):
-        """Evaluate with values from any commutative ring (duck-typed)."""
+        """Evaluate with values from any commutative ring (duck-typed).
+
+        When every value is a ``MultiPoly`` the substitution runs in one
+        pass over the terms, on exponent vectors packed into ints.  A
+        value of one term ``C*x^K`` shifts each term's key by ``e*K`` and
+        scales its coefficient by ``C^e``; a value of several terms is
+        expanded through a table of its powers; a zero value drops every
+        term it occurs in.
+        """
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise ValueError(f"no value for variables {missing}")
@@ -274,37 +272,61 @@ class MultiPoly:
         return total
 
     def _substitute(self, values: Sequence["MultiPoly"]):
-        """``evaluate`` with a polynomial value for each variable, in one
-        pass.  As in the generic loop, the result spans the values of the
-        variables that occur, and is an int (the constant term, or 0)
-        when none occurs."""
-        top: dict[int, int] = {}
-        for evec in self.terms:
-            for i, e in enumerate(evec):
-                if e > top.get(i, 0):
-                    top[i] = e
-        if not top:
+        """``evaluate`` with a polynomial value for each variable.  As in
+        the generic loop, the result spans the values of the variables
+        that occur, and is an int (the constant term, or 0) when none
+        occurs."""
+        top = list(map(max, zip(*self.terms)))
+        used = [i for i, e in enumerate(top) if e]
+        if not used:
             return sum(self.terms.values())
-        out_vars = tuple(sorted({v for i in top for v in values[i].vars}))
-        zero = (0,) * len(out_vars)
-        powers: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
-        for i, e_max in top.items():
-            base = list(values[i].with_vars(out_vars).terms.items())
-            power = [(zero, 1)]
-            for e in range(1, e_max + 1):
-                power = powers[i, e] = list(_convolve(power, base).items())
-        acc: dict[tuple[int, ...], int] = {}
+        out_vars = tuple(sorted({v for i in used for v in values[i].vars}))
+        bases = {i: values[i].with_vars(out_vars).terms for i in used}
+        # No output exponent exceeds the degree bound, so `width` bits hold
+        # each one and packed keys add without carries.
+        bound = sum(top[i] * max(map(sum, bases[i]), default=0) for i in used)
+        width = bound.bit_length()
+        offsets = [width * j for j in range(len(out_vars))]
+        place = [1 << s for s in offsets]
+        shifts = [0] * len(top)
+        scales, powers = [], {}
+        for i in used:
+            base = [(sum(map(mul, k, place)), c) for k, c in bases[i].items()]
+            if len(base) == 1:
+                [(shifts[i], c)] = base
+                if c != 1:
+                    scales.append((i, c))
+                continue
+            # several terms, or none: the powers up to the largest exponent
+            power = [(0, 1)]
+            table = powers[i] = [power]
+            for _ in range(top[i]):
+                step: dict[int, int] = {}
+                for k1, c1 in power:
+                    for k2, c2 in base:
+                        step[k1 + k2] = step.get(k1 + k2, 0) + c1 * c2
+                power = [kc for kc in step.items() if kc[1]]
+                table.append(power)
+        acc: dict[int, int] = {}
         for evec, c in self.terms.items():
+            key = sum(map(mul, evec, shifts))
+            for i, ci in scales:
+                c *= ci ** evec[i]
+            if not powers:
+                acc[key] = acc.get(key, 0) + c
+                continue
             # one term of the expansion per choice of a term from each
-            # factor's power
-            factors = [powers[i, e] for i, e in enumerate(evec) if e]
-            for choice in product(*factors):
-                key, val = zero, c
-                for k, v in choice:
-                    key = tuple(map(add, key, k))
-                    val *= v
-                acc[key] = acc.get(key, 0) + val
-        return MultiPoly._canonical(out_vars, {k: v for k, v in acc.items() if v})
+            # expanded factor's power; a zero value's powers are empty
+            for choice in product(*[powers[i][evec[i]] for i in powers if evec[i]]):
+                k, v = key, c
+                for ki, ci in choice:
+                    k += ki
+                    v *= ci
+                acc[k] = acc.get(k, 0) + v
+        mask = (1 << width) - 1
+        return MultiPoly._canonical(
+            out_vars, {tuple([k >> s & mask for s in offsets]): v for k, v in acc.items() if v}
+        )
 
     # -- rendering ----------------------------------------------------
 

@@ -17,6 +17,7 @@ stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
@@ -72,18 +73,9 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _content(coeffs: Sequence[int]) -> int:
-    from math import gcd
-
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    return g or 1
-
-
 def _primitive(cs: list[int]) -> list[int]:
-    g = _content(cs)
-    return [c // g for c in cs]
+    g = gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
@@ -92,14 +84,18 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     r = list(f)
     d = len(g) - 1
     lg = g[-1]
-    for _ in range(len(f) - d):
-        r = [c * lg for c in r]
-        if r[-1]:
-            q = r[-1] // lg  # exact: r was just scaled by lg
-            off = len(r) - 1 - d
-            for i in range(d + 1):
-                r[off + i] -= q * g[i]
-        del r[-1]
+    for top in range(len(f) - 1, d - 1, -1):
+        # r <- lg * r - r[top] * x^(top - d) * g, which cancels r[top]
+        q = r.pop()
+        off = top - d
+        for i in range(off):
+            r[i] *= lg
+        if q:
+            for i in range(d):
+                r[off + i] = r[off + i] * lg - q * g[i]
+        else:
+            for i in range(off, top):
+                r[i] *= lg
     while r and r[-1] == 0:
         r.pop()
     return r

@@ -73,6 +73,29 @@ def test_grammar_dumont(capsys):
     assert out.strip() == "x^3*y + 4*x^2*y^2 + x*y^3"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_grammar_prints_coefficients_past_the_int_str_limit(capsys, monkeypatch, fmt):
+    # Python refuses to convert an int of more than 4,300 digits to str by
+    # default; the CLI prints it whole and then restores that limit
+    big, digits = 7 * 10**4999 + 1, "7" + "0" * 4998 + "1"
+    monkeypatch.setattr("stirlingperms.cli.dumont_poly", lambda n: big * MultiPoly.var("x"))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "grammar", "--dumont", "1700", "--format", fmt)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        assert json.loads(out)["terms"] == [{"e": [1], "c": digits}]
+    else:
+        assert out == digits + "*x\n"
+
+
+def test_enumerate_count_past_the_int_str_limit(capsys):
+    # 255 letters of multiplicity 10^100: a count of more than 4,300 digits
+    code, out, err = run_cli(capsys, "enumerate", "--m", ",".join(["1" + "0" * 100] * 255), "--count-only")
+    assert code == 0 and err == ""
+    assert len(out.strip()) > 4300 and out.strip().isdigit()
+
+
 def test_grammar_m(capsys):
     code, out, _ = run_cli(capsys, "grammar", "--m", "1")
     assert code == 0 and out.strip() == "x*z"

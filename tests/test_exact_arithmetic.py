@@ -1,5 +1,6 @@
 """Every module of the package computes in exact integer arithmetic:
-no module imports a float or rational number type, or converts to one."""
+no module imports a float or rational number type, converts to one, or
+divides with ``/`` (whose result is a float even for two ints)."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,8 @@ def inexact_uses(tree):
         elif isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name) and node.func.id in INEXACT_CALLS:
                 yield node.lineno, f"{node.func.id}(...)"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division /"
 
 
 def test_sources_found():
@@ -36,5 +39,9 @@ def test_no_inexact_arithmetic(path):
 
 
 def test_detector_flags_each_kind():
-    source = "import random\nfrom fractions import Fraction\nimport decimal as d\nimport cmath\nfloat(1)\ncomplex(1, 2)\n"
-    assert sorted(line for line, _ in inexact_uses(ast.parse(source))) == [1, 2, 3, 4, 5, 6]
+    source = (
+        "import random\nfrom fractions import Fraction\nimport decimal as d\nimport cmath\n"
+        "float(1)\ncomplex(1, 2)\na = 1 / 2\na /= 2\nb = 7 // 2\nb //= 2\n"
+    )
+    # floor division stays exact, so lines 9 and 10 pass
+    assert sorted(line for line, _ in inexact_uses(ast.parse(source))) == [1, 2, 3, 4, 5, 6, 7, 8]

@@ -31,7 +31,7 @@ def test_s_poly_equals_the_validating_constructor(parts):
 LABELS_TO_TRIPLE = {"x": Y, "xt": Y, "y": Z, "yt": Z, "z": X}
 
 
-@pytest.mark.parametrize("parts", compositions_up_to(6))
+@pytest.mark.parametrize("parts", compositions_up_to(8))
 def test_quintuple_poly_substitutes_to_s_poly(parts):
     assert grammar.quintuple_poly(parts).evaluate(LABELS_TO_TRIPLE) == gamma.s_poly(parts)
 

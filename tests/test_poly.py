@@ -134,11 +134,32 @@ def test_evaluate_numeric_values():
     assert p.evaluate({"x": 2, "y": Y, "z": 1}) == 19 - 2 * Y
 
 
+def one_term(draw_vars):
+    """A single term ``c * x^k``: a constant when ``k`` is 0, ``-x`` and
+    coefficients other than 1 included."""
+    return st.builds(
+        lambda evec, c: MultiPoly(draw_vars, {evec: c}),
+        st.tuples(*(st.integers(0, 3) for _ in draw_vars)),
+        st.integers(-7, 7).filter(bool),
+    )
+
+
 @given(
     rand_poly(("a", "b", "c")),
-    st.lists(rand_poly(("x", "y")) | rand_poly(("y", "z")), min_size=3, max_size=3),
+    st.lists(
+        st.one_of(
+            rand_poly(("x", "y")),
+            rand_poly(("y", "z")),
+            one_term(("x", "y")),
+            one_term(("y", "z")),
+            st.integers(-3, 3).map(MultiPoly.const),
+            st.sampled_from([-X, MultiPoly.zero(("x", "y"))]),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_evaluate_with_polynomial_values_matches_naive(p, values):
     assignment = dict(zip(("a", "b", "c"), values))
     got, want = p.evaluate(assignment), naive_evaluate(p, assignment)

@@ -128,6 +128,27 @@ def test_sturm_against_sympy(coeffs):
     assert roots.sturm_real_roots(p) == expected
 
 
+def _with_degree(coeffs):
+    """Integer coefficient lists of degree 1 to 7, with no trailing zero."""
+    return st.tuples(st.lists(coeffs, min_size=1, max_size=7), coeffs.filter(bool)).map(
+        lambda low_top: low_top[0] + [low_top[1]]
+    )
+
+
+@given(_with_degree(st.integers(-1000, 1000)), _with_degree(st.integers(-1000, 1000)), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_pseudo_rem_against_sympy(f, g, multiple):
+    # deg f >= deg g >= 1; a multiple of g has remainder zero
+    if len(f) < len(g):
+        f, g = g, f
+    if multiple:
+        f = unipoly_mul(f, g)
+    x = sympy.Symbol("x")
+    rem = sympy.prem(sympy.Poly(f[::-1], x), sympy.Poly(g[::-1], x))
+    want = [] if rem.is_zero else [int(c) for c in rem.all_coeffs()[::-1]]
+    assert roots._pseudo_rem(f, g) == want
+
+
 _factor = st.one_of(
     st.tuples(st.integers(-5, 5), st.integers(1, 4)),  # b + a x
     st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 3)),  # c + b x + a x^2
