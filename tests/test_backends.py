@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import _pure
+from stirlingperms import _pure, verify
 from conftest import action_tables_pass, compositions_up_to, oracle_words, per_word_hop_tables
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -266,3 +266,19 @@ def test_non_integer_part_raises(backend):
     for fn in (backend.words_of, backend.enum_counts, backend.brute_count):
         with pytest.raises(TypeError):
             fn((1, 1.5))
+
+
+def test_verify_text_agrees_across_backends():
+    # the pure run is a fresh process in which the compiled kernel cannot import
+    code = (
+        "import sys; sys.modules['stirlingperms._core'] = None; from stirlingperms.cli import main; "
+        "sys.exit(main(['verify', '--max-total', '6', '--jobs', '1']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    pure = proc.stdout.splitlines(keepends=True)
+    imported = verify.render_text(*verify.verify_all(6, jobs=1)).splitlines(keepends=True)
+    assert "backend: pure\n" in pure
+    assert [line for line in pure if not line.startswith("backend:")] == [
+        line for line in imported if not line.startswith("backend:")
+    ]
