@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--poly",
         action="store_true",
-        help="with --set: also enumerate and print the trivariate polynomial",
+        help="with --set and without --words: also enumerate and print the trivariate polynomial",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -327,6 +327,8 @@ def _cmd_jacobi(args) -> int:
     n = args.n
     if not 0 <= n <= jacobi_mod.MAX_N:
         raise _UsageError(f"--n: must lie in 0..{jacobi_mod.MAX_N}")
+    if args.words and args.poly:
+        raise _UsageError("--poly: not allowed with --words")
     try:
         if args.set is not None:
             subset = _parse_set(args.set)

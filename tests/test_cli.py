@@ -262,6 +262,8 @@ def test_jacobi_commands(capsys):
     assert code == 0 and out.strip() == "x^2*y*z + x*y^2*z"
     code, _, err = run_cli(capsys, "jacobi", "--n", "2", "--set", "5")
     assert code == 2 and "--set" in err
+    code, out, err = run_cli(capsys, "jacobi", "--n", "2", "--set", "", "--words", "--poly")
+    assert code == 2 and out == "" and err == "error: --poly: not allowed with --words\n"
 
 
 @pytest.mark.parametrize(
