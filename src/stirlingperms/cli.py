@@ -4,8 +4,11 @@ Subcommands: enumerate, poly, gamma, grammar, gfs, jacobi, realroot,
 verify.  Exit status is 0 for success (or a passing verify run),
 1 when a verification run finds a failure, 2 on usage errors.
 
-All numeric payloads in JSON output are decimal strings, so nothing is
-clipped to machine width.
+In JSON output, polynomial and gamma coefficients and word counts are
+decimal strings, so nothing is clipped to machine width.  Every other
+number (letters, exponents, multiplicities, ``n``, ``level``, ``i`` and
+``j``, degrees, root counts, Sturm chain lengths, and the numbers in
+verify's counterexample payloads) is a JSON number.
 """
 
 from __future__ import annotations
@@ -48,11 +51,13 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_m(value: str) -> tuple[int, ...]:
+@contextmanager
+def _option(name: str):
+    """Report a ValueError raised inside as a usage error of ``name``."""
     try:
-        return parse_composition(value)
+        yield
     except ValueError as exc:
-        raise _UsageError(f"--m: {exc}") from None
+        raise _UsageError(f"{name}: {exc}") from None
 
 
 def _refuse_above_budget(option: str, what: str, count: int, length: int) -> None:
@@ -108,13 +113,6 @@ def _check_total_budget(max_total: int) -> None:
     )
 
 
-def _parse_the_word(value: str) -> tuple[int, ...]:
-    try:
-        return parse_word(value)
-    except ValueError as exc:
-        raise _UsageError(f"--word: {exc}") from None
-
-
 def _parse_set(value: str) -> tuple[int, ...]:
     value = value.strip()
     if not value:
@@ -138,6 +136,17 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
+def _command(sub, name: str, help: str, run, m: bool = False, formats: tuple[str, ...] = ("text", "json")):
+    """Declare subcommand ``name``, answered by ``run(args)``, with its
+    ``--format`` and, when it reads a multiplicity vector, its ``--m``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    if m:
+        p.add_argument("--m", required=True, help="multiplicity vector, e.g. 2,2")
+    p.add_argument("--format", choices=formats, default="text")
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stirlingperms",
@@ -153,25 +162,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="list the word set of a multiplicity vector")
-    p.add_argument("--m", required=True, help="multiplicity vector, e.g. 2,2")
+    p = _command(sub, "enumerate", "list the word set of a multiplicity vector", _cmd_enumerate, m=True)
     p.add_argument("--count-only", action="store_true", help="print only the count")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("poly", help="trivariate ascent/descent/plateau polynomial")
-    p.add_argument("--m", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _command(sub, "poly", "trivariate ascent/descent/plateau polynomial", _cmd_poly, m=True)
 
-    p = sub.add_parser("gamma", help="gamma table of the trivariate polynomial")
-    p.add_argument("--m", required=True)
+    p = _command(
+        sub, "gamma", "gamma table of the trivariate polynomial", _cmd_gamma, m=True, formats=("text", "json", "csv")
+    )
     p.add_argument(
         "--combinatorial",
         action="store_true",
         help="count representatives by (mdup, ascpp) instead of expanding",
     )
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("grammar", help="iterated grammar derivatives")
+    p = _command(sub, "grammar", "iterated grammar derivatives", _cmd_grammar)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--m", help="derive the five-variable polynomial for this vector")
     g.add_argument(
@@ -180,9 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="N-th derivative of x under the classical grammar {x->xy, y->xy}",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("gfs", help="letter-hopping action on one word")
+    p = _command(sub, "gfs", "letter-hopping action on one word", _cmd_gfs)
     p.add_argument("--word", required=True, help="comma form 1,2,2,1 or digit form 1221")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--phi", type=int, metavar="X", help="apply the hop of letter X")
@@ -190,9 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--classify", type=int, metavar="X", help="value class of letter X")
     g.add_argument("--orbit", action="store_true", help="list the orbit")
     g.add_argument("--rep", action="store_true", help="canonical orbit representative")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("jacobi", help="barred-alphabet words and polynomials")
+    p = _command(sub, "jacobi", "barred-alphabet words and polynomials", _cmd_jacobi)
     p.add_argument("--n", type=int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--set", help="barred letters to remove, e.g. 1,3 (may be empty: '')")
@@ -203,18 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --set and without --words: also enumerate and print the trivariate polynomial",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("realroot", help="certify a plateau-refined descent polynomial")
-    p.add_argument("--m", required=True)
+    p = _command(sub, "realroot", "certify a plateau-refined descent polynomial", _cmd_realroot, m=True)
     p.add_argument("--i", type=int, required=True, help="plateau level")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("verify", help="run the exact verification suites")
+    p = _command(sub, "verify", "run the exact verification suites", _cmd_verify)
     p.add_argument("--suite", choices=verify_mod.SUITE_NAMES, help="run one suite only")
     p.add_argument("--max-total", type=int, default=6)
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = machine parallelism)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true", help="include wall times in JSON output")
     return parser
 
@@ -236,34 +235,56 @@ def _exact_decimals():
         sys.set_int_max_str_digits(old)
 
 
+def _answer(args, payload, text: str) -> int:
+    """Print ``payload`` as JSON or ``text`` (the text or csv form), as
+    ``--format`` asks."""
+    _emit(json.dumps(payload) if args.format == "json" else text)
+    return 0
+
+
+def _parts(args) -> tuple[int, ...]:
+    with _option("--m"):
+        return parse_composition(args.m)
+
+
 def _cmd_enumerate(args) -> int:
-    parts = _parse_m(args.m)
+    parts = _parts(args)
     if args.count_only:
-        total = count_words(parts)
         with _exact_decimals():
-            _emit(json.dumps({"m": list(parts), "count": str(total)}) if args.format == "json" else str(total))
-        return 0
+            count = str(count_words(parts))
+        return _answer(args, {"m": list(parts), "count": count}, count)
     _check_budget(parts)
     ws = enumerate_words(parts)
     if args.format == "json":
         _emit(json.dumps({"m": list(parts), "count": str(len(ws)), "words": [format_word(w) for w in ws]}))
-    else:
+    else:  # line by line: never one string of up to MAX_WORDS words
         for w in ws:
             _emit(format_word(w))
     return 0
 
 
-def _cmd_poly(args) -> int:
-    parts = _parse_m(args.m)
-    _check_budget(parts)
-    p = gamma_mod.s_poly(parts)
+def _poly_answer(args, p) -> int:
+    """Print the polynomial ``p`` with every coefficient whole."""
     with _exact_decimals():
-        _emit(p.to_json() if args.format == "json" else str(p))
-    return 0
+        return _answer(args, p.to_json_dict(), str(p))
+
+
+def _cmd_poly(args) -> int:
+    parts = _parts(args)
+    _check_budget(parts)
+    return _poly_answer(args, gamma_mod.s_poly(parts))
+
+
+def _cmd_grammar(args) -> int:
+    if args.dumont is None:
+        return _poly_answer(args, quintuple_poly(_parts(args)))
+    if args.dumont < 0:
+        raise _UsageError("--dumont: the derivative order must be nonnegative")
+    return _poly_answer(args, dumont_poly(args.dumont))
 
 
 def _cmd_gamma(args) -> int:
-    parts = _parse_m(args.m)
+    parts = _parts(args)
     _check_budget(parts)
     if not parts and not args.combinatorial:
         # the empty word's base monomial x is not symmetric in x, y
@@ -273,54 +294,29 @@ def _cmd_gamma(args) -> int:
         if args.combinatorial
         else gamma_mod.partial_gamma(gamma_mod.s_poly(parts))
     )
-    if args.format == "json":
-        _emit(table.to_json())
-    elif args.format == "csv":
-        _emit(table.to_csv())
-    else:
-        for (i, j), g in table.sorted_items():
-            _emit(f"i={i} j={j} gamma={g}")
-        _emit(f"positive: {str(table.positive).lower()}")
-    return 0
-
-
-def _cmd_grammar(args) -> int:
-    if args.dumont is not None:
-        if args.dumont < 0:
-            raise _UsageError("--dumont: the derivative order must be nonnegative")
-        p = dumont_poly(args.dumont)
-    else:
-        p = quintuple_poly(_parse_m(args.m))
-    with _exact_decimals():
-        _emit(p.to_json() if args.format == "json" else str(p))
-    return 0
+    rows = [f"i={i} j={j} gamma={g}" for (i, j), g in table.sorted_items()]
+    text = "\n".join(rows + [f"positive: {str(table.positive).lower()}"])
+    return _answer(args, table.to_json_dict(), table.to_csv() if args.format == "csv" else text)
 
 
 def _cmd_gfs(args) -> int:
-    word = _parse_the_word(args.word)
-    try:
+    with _option("--word"):
+        word = parse_word(args.word)
+    with _option("--word/--phi"):
         if args.phi is not None:
-            out = format_word(gfs_mod.phi(word, args.phi))
-            payload = {"word": format_word(word), "phi": args.phi, "image": out}
+            payload = {"phi": args.phi, "image": format_word(gfs_mod.phi(word, args.phi))}
         elif args.phi_set is not None:
             letters = _parse_set(args.phi_set)
-            out = format_word(gfs_mod.phi_set(word, letters))
-            payload = {"word": format_word(word), "phi_set": list(letters), "image": out}
+            payload = {"phi_set": list(letters), "image": format_word(gfs_mod.phi_set(word, letters))}
         elif args.classify is not None:
-            cls = gfs_mod.classify_value(word, args.classify)
-            out = cls.name
-            payload = {"word": format_word(word), "letter": args.classify, "class": cls.name}
+            payload = {"letter": args.classify, "class": gfs_mod.classify_value(word, args.classify).name}
         elif args.orbit:
-            orb = [format_word(w) for w in gfs_mod.orbit(word)]
-            out = "\n".join(orb)
-            payload = {"word": format_word(word), "orbit": orb}
+            payload = {"orbit": [format_word(w) for w in gfs_mod.orbit(word)]}
         else:
-            out = format_word(gfs_mod.canonical_rep(word))
-            payload = {"word": format_word(word), "representative": out}
-    except ValueError as exc:
-        raise _UsageError(f"--word/--phi: {exc}") from None
-    _emit(json.dumps(payload) if args.format == "json" else out)
-    return 0
+            payload = {"representative": format_word(gfs_mod.canonical_rep(word))}
+    out = list(payload.values())[-1]  # the answer is the last entry
+    text = out if isinstance(out, str) else "\n".join(out)
+    return _answer(args, {"word": format_word(word), **payload}, text)
 
 
 def _cmd_jacobi(args) -> int:
@@ -329,37 +325,8 @@ def _cmd_jacobi(args) -> int:
         raise _UsageError(f"--n: must lie in 0..{jacobi_mod.MAX_N}")
     if args.words and args.poly:
         raise _UsageError("--poly: not allowed with --words")
-    try:
-        if args.set is not None:
-            subset = _parse_set(args.set)
-            try:
-                subset = jacobi_mod._check_subset(n, subset)
-            except ValueError as exc:
-                raise _UsageError(f"--set: {exc}") from None
-            mvec = jacobi_mod.m_of_s(n, subset)
-            if args.words or args.poly:
-                _refuse_above_budget(
-                    "--set", f"m(S)={format_composition(mvec)}", count_words(mvec), sum(mvec)
-                )
-            if args.words:
-                lines = [jacobi_mod.format_jword(j) for j in jacobi_mod.enumerate_jsp(n, subset)]
-                payload = {"n": n, "set": list(subset), "words": lines}
-                _emit(json.dumps(payload) if args.format == "json" else "\n".join(lines))
-                return 0
-            payload = {
-                "n": n,
-                "set": list(subset),
-                "m_of_s": list(mvec),
-                "count": str(count_words(mvec)),
-            }
-            lines = [f"m(S)={format_composition(mvec)}", f"count={count_words(mvec)}"]
-            if args.poly:
-                p = jacobi_mod.jsp_stat_poly(n, subset)
-                payload["poly"] = p.to_json_dict()
-                lines.append(str(p))
-            _emit(json.dumps(payload) if args.format == "json" else "\n".join(lines))
-            return 0
-        level = args.level
+    level = args.level
+    if level is not None:
         if not 0 <= level <= n:
             raise _UsageError(f"--level: must lie in 0..{n}")
         if args.words:
@@ -369,45 +336,47 @@ def _cmd_jacobi(args) -> int:
             "--level", f"level {level} of n={n}", _level_word_count(n, level), 3 * n - level
         )
         p = jacobi_mod.jsp_level_poly(n, level)
-        _emit(json.dumps({"n": n, "level": level, "poly": p.to_json_dict()}) if args.format == "json" else str(p))
-        return 0
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        return _answer(args, {"n": n, "level": level, "poly": p.to_json_dict()}, str(p))
+    with _option("--set"):
+        subset = jacobi_mod._check_subset(n, _parse_set(args.set))
+    mvec = jacobi_mod.m_of_s(n, subset)
+    count = count_words(mvec)
+    if args.words or args.poly:
+        _refuse_above_budget("--set", f"m(S)={format_composition(mvec)}", count, sum(mvec))
+    if args.words:
+        words = [jacobi_mod.format_jword(j) for j in jacobi_mod.enumerate_jsp(n, subset)]
+        return _answer(args, {"n": n, "set": list(subset), "words": words}, "\n".join(words))
+    payload = {"n": n, "set": list(subset), "m_of_s": list(mvec), "count": str(count)}
+    text = f"m(S)={format_composition(mvec)}\ncount={count}"
+    if args.poly:
+        p = jacobi_mod.jsp_stat_poly(n, subset)
+        payload["poly"], text = p.to_json_dict(), f"{text}\n{p}"
+    return _answer(args, payload, text)
 
 
 def _cmd_realroot(args) -> int:
-    parts = _parse_m(args.m)
+    parts = _parts(args)
     _check_budget(parts)
-    try:
+    with _option("--i"):
         p = roots_mod.s_mi(parts, args.i)
-    except ValueError as exc:
-        raise _UsageError(f"--i: {exc}") from None
     if p.is_zero():
         payload = {"m": list(parts), "i": args.i, "poly": "0", "zero": True}
-        _emit(json.dumps(payload) if args.format == "json" else "polynomial: 0 (empty slice)")
-        return 0
+        return _answer(args, payload, "polynomial: 0 (empty slice)")
     # one chain gives the certificate, the root count and, as it ends
     # at gcd(p, p'), the lengths reported
     chain, distinct, real_rooted = roots_mod._sturm_certificate(p)
-    lengths = [len(f) for f in chain]
-    palindromic = roots_mod.is_palindromic(p)
-    if args.format == "json":
-        _emit(json.dumps({
-            "m": list(parts),
-            "i": args.i,
-            "poly": [str(c) for c in p.coeffs],
-            "real_rooted": real_rooted,
-            "palindromic": palindromic,
-            "distinct_real_roots": distinct,
-            "sturm_chain_lengths": lengths,
-        }))
-    else:
-        _emit(f"polynomial: {p}")
-        _emit(f"real_rooted: {str(real_rooted).lower()}")
-        _emit(f"palindromic: {str(palindromic).lower()}")
-        _emit(f"distinct_real_roots: {distinct}")
-        _emit(f"sturm_chain_lengths: {lengths}")
-    return 0
+    payload = {
+        "m": list(parts),
+        "i": args.i,
+        "poly": [str(c) for c in p.coeffs],
+        "real_rooted": real_rooted,
+        "palindromic": roots_mod.is_palindromic(p),
+        "distinct_real_roots": distinct,
+        "sturm_chain_lengths": [len(f) for f in chain],
+    }
+    # the text lists the verdicts after the polynomial, as JSON writes them
+    lines = [f"polynomial: {p}"] + [f"{key}: {json.dumps(payload[key])}" for key in list(payload)[3:]]
+    return _answer(args, payload, "\n".join(lines))
 
 
 def _cmd_verify(args) -> int:
@@ -428,18 +397,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "poly": _cmd_poly,
-    "gamma": _cmd_gamma,
-    "grammar": _cmd_grammar,
-    "gfs": _cmd_gfs,
-    "jacobi": _cmd_jacobi,
-    "realroot": _cmd_realroot,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -447,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
