@@ -120,7 +120,7 @@ def _parse_set(value: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in value.split(","))
     except ValueError:
-        raise _UsageError(f"--set: {value!r} is not a comma-separated integer list") from None
+        raise ValueError(f"{value!r} is not a comma-separated integer list") from None
 
 
 class _VersionAction(argparse.Action):
@@ -302,18 +302,21 @@ def _cmd_gamma(args) -> int:
 def _cmd_gfs(args) -> int:
     with _option("--word"):
         word = parse_word(args.word)
-    with _option("--word/--phi"):
-        if args.phi is not None:
+        gfs_mod._pack_stirling(word)  # the hops act on Stirling words only
+    if args.phi is not None:
+        with _option("--phi"):
             payload = {"phi": args.phi, "image": format_word(gfs_mod.phi(word, args.phi))}
-        elif args.phi_set is not None:
+    elif args.phi_set is not None:
+        with _option("--phi-set"):
             letters = _parse_set(args.phi_set)
             payload = {"phi_set": list(letters), "image": format_word(gfs_mod.phi_set(word, letters))}
-        elif args.classify is not None:
+    elif args.classify is not None:
+        with _option("--classify"):
             payload = {"letter": args.classify, "class": gfs_mod.classify_value(word, args.classify).name}
-        elif args.orbit:
-            payload = {"orbit": [format_word(w) for w in gfs_mod.orbit(word)]}
-        else:
-            payload = {"representative": format_word(gfs_mod.canonical_rep(word))}
+    elif args.orbit:
+        payload = {"orbit": [format_word(w) for w in gfs_mod.orbit(word)]}
+    else:
+        payload = {"representative": format_word(gfs_mod.canonical_rep(word))}
     out = list(payload.values())[-1]  # the answer is the last entry
     text = out if isinstance(out, str) else "\n".join(out)
     return _answer(args, {"word": format_word(word), **payload}, text)

@@ -18,7 +18,6 @@ x^2 + 2*x*y + y^2
 from __future__ import annotations
 
 import json
-from itertools import product
 from math import comb
 from operator import index, mul
 from typing import Iterable, Mapping, Sequence
@@ -249,80 +248,55 @@ class MultiPoly:
     def evaluate(self, assignment: Mapping[str, object]):
         """Evaluate with values from any commutative ring (duck-typed).
 
-        When every value is a ``MultiPoly`` the substitution runs in one
-        pass over the terms, on exponent vectors packed into ints.  A
-        value of one term ``C*x^K`` shifts each term's key by ``e*K`` and
-        scales its coefficient by ``C^e``; a value of several terms is
-        expanded through a table of its powers; a zero value drops every
-        term it occurs in.
+        When every value is a one-term ``MultiPoly`` ``C*x^K``, the
+        substitution runs in one pass over the terms, on exponent vectors
+        packed into ints: each term's key shifts by ``e*K`` and its
+        coefficient scales by ``C^e``.  Every other assignment (ints,
+        values of several terms, the zero polynomial, or a mix) goes
+        through the ring loop, term by term in the values' arithmetic.
         """
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise ValueError(f"no value for variables {missing}")
         values = [assignment[v] for v in self.vars]
-        if all(isinstance(val, MultiPoly) for val in values):
+        if all(isinstance(val, MultiPoly) and len(val.terms) == 1 for val in values):
             return self._substitute(values)
         total = 0
         for evec, c in self.terms.items():
             term = c
-            for v, e in zip(self.vars, evec):
+            for val, e in zip(values, evec):
                 if e:
-                    term = term * assignment[v] ** e
+                    term = term * val ** e
             total = total + term
         return total
 
     def _substitute(self, values: Sequence["MultiPoly"]):
-        """``evaluate`` with a polynomial value for each variable.  As in
-        the generic loop, the result spans the values of the variables
-        that occur, and is an int (the constant term, or 0) when none
+        """``evaluate`` with a one-term value for each variable.  As in
+        the ring loop, the result spans the values of the variables that
+        occur, and is an int (the constant term, or 0) when none
         occurs."""
         top = list(map(max, zip(*self.terms)))
         used = [i for i, e in enumerate(top) if e]
         if not used:
             return sum(self.terms.values())
         out_vars = tuple(sorted({v for i in used for v in values[i].vars}))
-        bases = {i: values[i].with_vars(out_vars).terms for i in used}
         # No output exponent exceeds the degree bound, so `width` bits hold
         # each one and packed keys add without carries.
-        bound = sum(top[i] * max(map(sum, bases[i]), default=0) for i in used)
-        width = bound.bit_length()
+        width = sum(top[i] * values[i].degree() for i in used).bit_length()
         offsets = [width * j for j in range(len(out_vars))]
-        place = [1 << s for s in offsets]
         shifts = [0] * len(top)
-        scales, powers = [], {}
+        scales = []
         for i in used:
-            base = [(sum(map(mul, k, place)), c) for k, c in bases[i].items()]
-            if len(base) == 1:
-                [(shifts[i], c)] = base
-                if c != 1:
-                    scales.append((i, c))
-                continue
-            # several terms, or none: the powers up to the largest exponent
-            power = [(0, 1)]
-            table = powers[i] = [power]
-            for _ in range(top[i]):
-                step: dict[int, int] = {}
-                for k1, c1 in power:
-                    for k2, c2 in base:
-                        step[k1 + k2] = step.get(k1 + k2, 0) + c1 * c2
-                power = [kc for kc in step.items() if kc[1]]
-                table.append(power)
+            [(k, c)] = values[i].with_vars(out_vars).terms.items()
+            shifts[i] = sum(e << s for e, s in zip(k, offsets))
+            if c != 1:
+                scales.append((i, c))
         acc: dict[int, int] = {}
         for evec, c in self.terms.items():
             key = sum(map(mul, evec, shifts))
             for i, ci in scales:
                 c *= ci ** evec[i]
-            if not powers:
-                acc[key] = acc.get(key, 0) + c
-                continue
-            # one term of the expansion per choice of a term from each
-            # expanded factor's power; a zero value's powers are empty
-            for choice in product(*[powers[i][evec[i]] for i in powers if evec[i]]):
-                k, v = key, c
-                for ki, ci in choice:
-                    k += ki
-                    v *= ci
-                acc[k] = acc.get(k, 0) + v
+            acc[key] = acc.get(key, 0) + c
         mask = (1 << width) - 1
         return MultiPoly._canonical(
             out_vars, {tuple([k >> s & mask for s in offsets]): v for k, v in acc.items() if v}

@@ -78,6 +78,11 @@ class VerifyReport:
         return out
 
 
+#: What the gamma expansion raises on a polynomial outside its domain.
+_EXPANSION_ERRORS = (
+    gamma_mod.NotHomogeneousError, gamma_mod.NotSymmetricError, gamma_mod.InternalResidueError
+)
+
 #: Declared suites in declaration order: name -> (attribute name of the
 #: check, argument tuples of its tasks for a given ``max_total``).
 _SUITES: dict[str, tuple[str, Callable[[int], list[tuple]]]] = {}
@@ -87,13 +92,18 @@ def _suite(name: str, tasks: Callable[[int], list[tuple]], params: Callable[...,
     """Declare a suite: register it under ``name`` with its ``tasks``,
     and wrap a body that takes one task's arguments and returns the
     failure payload (or None) into the check that returns the timed
-    :class:`VerifyReport`, with ``params(*args)`` as its parameters."""
+    :class:`VerifyReport`, with ``params(*args)`` as its parameters.
+    A polynomial the gamma expansion refuses fails the task, with the
+    error's type and message as its payload."""
 
     def declare(body: Callable[..., dict | None]) -> Callable[..., VerifyReport]:
         @wraps(body)
         def check(*args) -> VerifyReport:
             t0 = perf_counter()
-            failure = body(*args)
+            try:
+                failure = body(*args)
+            except _EXPANSION_ERRORS as exc:
+                failure = {"error": type(exc).__name__, "message": str(exc)}
             return VerifyReport(
                 name,
                 params(*args),

@@ -197,9 +197,13 @@ def test_is_stirling_agrees_on_non_words(core):
         (b"\x01\x01", (2, 2)),
         (b"\x01\x03\x03\x01", (2, 2)),
         (b"", ()),
+        (b"\x01\x01\x01\x02", (2, 2)),
     ]
     for w, parts in cases:
         assert core.is_stirling(w, parts) == _pure.is_stirling(w, parts)
+    # right length and letters, wrong multiplicities
+    assert not core.is_stirling(b"\x01\x01\x01\x02", (2, 2))
+    assert not _pure.is_stirling(b"\x01\x01\x01\x02", (2, 2))
 
 
 def test_value_class_constants_agree(core):

@@ -67,6 +67,16 @@ def test_dumont_poly_rejects_a_negative_order():
         grammar.dumont_poly(-1)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_derive_n_matches_dumont_poly(n):
+    assert grammar.derive_n(grammar.dumont_grammar(), X, n) == grammar.dumont_poly(n)
+
+
+def test_derive_n_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        grammar.derive_n(grammar.dumont_grammar(), X, -1)
+
+
 def test_gk_rules():
     g2 = grammar.gk(2)
     expected2 = MultiPoly(grammar.QUINTUPLE_VARS, {(0, 1, 0, 1, 1): 1})  # xt*yt*z

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms.grammar import Grammar, derive
+from stirlingperms.gamma import s_poly
+from stirlingperms.grammar import Grammar, derive, quintuple_poly
 from stirlingperms.poly import MultiPoly, TruncatedSeries, series_divide
 from conftest import assert_canonical, coeff_of, unipoly_mul
 
@@ -183,6 +184,50 @@ def test_evaluate_with_polynomial_values_edge_cases():
     assert MultiPoly(("x", "y", "z"), {(2, 0, 0): 3}).evaluate(values).vars == ("y",)
     # values of several terms are expanded
     assert (Z**2 * X).evaluate(values) == (X + 1) ** 2 * Y
+
+
+def count_shift_passes(monkeypatch):
+    """Wrap ``MultiPoly._substitute``, the one-term shift path, and
+    return the list its calls append to."""
+    calls = []
+    real = MultiPoly._substitute
+
+    def counted(self, values):
+        calls.append(values)
+        return real(self, values)
+
+    monkeypatch.setattr(MultiPoly, "_substitute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("parts", [(1,), (2, 1), (1, 3, 2), (2, 2, 2)])
+def test_label_substitution_takes_the_shift_path(monkeypatch, parts):
+    calls = count_shift_passes(monkeypatch)
+    labels = {"x": Y, "xt": Y, "y": Z, "yt": Z, "z": X}
+    assert quintuple_poly(parts).evaluate(labels) == s_poly(parts)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"x": 2, "y": Y, "z": Z},
+        {"x": X + 1, "y": Y, "z": Z},
+        {"x": MultiPoly.zero(("x", "y")), "y": Y, "z": Z},
+        {"x": 3 * X, "y": -Y + Z, "z": MultiPoly.const(2)},
+        {"x": 1, "y": 0, "z": -1},
+    ],
+    ids=["int", "several-terms", "zero", "mixed", "all-ints"],
+)
+def test_other_assignments_take_the_ring_loop(monkeypatch, values):
+    calls = count_shift_passes(monkeypatch)
+    p = 3 * X**2 * Z - X * Y * Z + 2 * Y**3 - 7
+    got, want = p.evaluate(values), naive_evaluate(p, values)
+    assert calls == []
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(want, MultiPoly):
+        assert got.vars == want.vars
 
 
 def test_negative_exponents_rejected():

@@ -1,5 +1,5 @@
-"""The FAIL payloads of the counting, lemma, grammar-claim, theorem and
-series suites, and how ``stirlingperms verify`` reports them.
+"""The FAIL payloads of the counting, lemma, grammar-claim, theorem,
+jacobi and series suites, and how ``stirlingperms verify`` reports them.
 
 Each case corrupts one input of one check with ``monkeypatch``, so that
 one or a few compositions (or series) fail while the rest still pass.
@@ -92,6 +92,23 @@ def combinatorial_off_by_one(monkeypatch):
     )
 
 
+def asymmetric_slice(monkeypatch):
+    # s_poly(2,1) gains x^2*y*z, so its z-slice i=1 is not symmetric in x, y
+    extra = MultiPoly.monomial(("x", "y", "z"), (2, 1, 1))
+    only_at(monkeypatch, gamma, "s_poly", (2, 1), lambda p: p + extra)
+
+
+def barred_ascent_on_plateaux(monkeypatch):
+    # words of three letters (only n=1 has them) with a plateau gain an ascent
+    real = kernel.profile12
+
+    def profile12(w):
+        p = real(w)
+        return (p[0] + (len(w) == 3 and p[1] > 0),) + p[1:]
+
+    monkeypatch.setattr(kernel, "profile12", profile12)
+
+
 def numerator_off_by_one(monkeypatch):
     only_at(monkeypatch, gamma, "_descent_numerator", (1, 1), lambda num: num[:-1] + [num[-1] + 1])
 
@@ -179,6 +196,20 @@ CASES = {
             "m": [2, 1],
         },
         3, 1, 7,
+    ),
+    "theorem-not-symmetric": Case(
+        "theorem",
+        asymmetric_slice,
+        ((2, 1),),
+        {"error": "NotSymmetricError", "message": "slice i=1: not symmetric in x, y: 2*x^2*y + x*y^2"},
+        3, 1, 7,
+    ),
+    "jacobi-not-symmetric": Case(
+        "jacobi",
+        barred_ascent_on_plateaux,
+        (1,),
+        {"error": "NotSymmetricError", "message": "slice i=1: not symmetric in x, y: x^3*y + x^2*y^2"},
+        1, 1, 3,
     ),
     "series": Case(
         "series",

@@ -46,6 +46,11 @@ def test_verify_all_runs_a_check_patched_onto_the_module(monkeypatch):
     assert [r.passed for r in reports] == [n != 2 for _ in range(2) for n in range(1, 5)]
 
 
+def test_verify_all_rejects_a_total_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        verify.verify_all(0)
+
+
 def test_verify_all_rejects_an_unknown_suite():
     with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from counting, "):
         verify.verify_all(3, suites=["counting", "nope"])

@@ -18,6 +18,8 @@ def test_is_stirling_examples():
     # content mismatch is False, not an error
     assert not words.is_stirling((1, 1), (2, 2))
     assert not words.is_stirling((1, 2, 2, 3), (2, 2))
+    # so is a letter 0, which no word holds
+    assert not words.is_stirling((1, 0, 1), (2,))
 
 
 def test_enumerate_small():
@@ -70,6 +72,8 @@ def test_parse_and_format():
         words.parse_word("1,x")
     with pytest.raises(ValueError):
         words.parse_word("0,1")
+    with pytest.raises(ValueError, match="comma-separated letters or digits"):
+        words.parse_word("1a")
 
 
 def test_parse_composition():
@@ -86,6 +90,8 @@ def test_composition_of():
     assert words.composition_of(()) == ()
     with pytest.raises(ValueError):
         words.composition_of((1, 3))  # letter 2 missing
+    with pytest.raises(ValueError, match="positive"):
+        words.composition_of((1, 0, 1))
 
 
 @pytest.mark.parametrize("fn, args", [
@@ -122,6 +128,11 @@ def test_compositions_match_the_sorted_construction(total):
                 yield (head,) + rest
 
     assert words.compositions_of(total) == sorted(gen(total), key=lambda c: c[::-1])
+
+
+def test_compositions_of_rejects_a_negative_total():
+    with pytest.raises(ValueError, match="nonnegative"):
+        words.compositions_of(-1)
 
 
 def test_compositions_order_is_colex():
