@@ -107,29 +107,35 @@ def _row_gammas(row: list[int]) -> list[int]:
     return gammas
 
 
+def _slice_gammas(s: MultiPoly) -> tuple[int, list[int]]:
+    """Degree and gamma coefficients of one z-slice ``s`` over (x, y):
+    checks that it is homogeneous and symmetric while reading it into its
+    coefficient row ``r[k]`` of ``x^k y^(d-k)``, then eliminates."""
+    row: list[int] = []
+    for (ex, ey), c in s.terms.items():
+        if not row:
+            row = [0] * (ex + ey + 1)
+        elif len(row) != ex + ey + 1:
+            raise NotHomogeneousError(f"not homogeneous: {s}")
+        row[ex] = c
+    if row != row[::-1]:
+        raise NotSymmetricError(f"not symmetric in x, y: {s}")
+    return len(row) - 1, _row_gammas(row)
+
+
 def gamma_expand(h: MultiPoly) -> list[int]:
     """Exact coefficients ``[g_0, ..., g_floor(d/2)]`` with
     ``h = sum_j g_j (xy)^j (x+y)^(d-2j)``.
 
-    Requires ``h`` homogeneous and symmetric in x, y.  The elimination
-    runs on the coefficient row ``r[k]`` of ``x^k y^(d-k)``.
+    Requires ``h`` homogeneous and symmetric in x, y.  The one-slice
+    case of :func:`partial_gamma`: ``h`` is its own ``z^0`` slice, read
+    and expanded as each slice there is, without the ``slice i=`` prefix.
     """
     for evec in h.terms:
         for v, e in zip(h.vars, evec):
             if e and v not in ("x", "y"):
                 raise ValueError(f"gamma_expand needs a polynomial in x, y; found {v}")
-    if h.is_zero():
-        return []
-    if not h.is_homogeneous():
-        raise NotHomogeneousError(f"not homogeneous: {h}")
-    d = h.degree()
-    row = [0] * (d + 1)
-    ix = h.vars.index("x") if "x" in h.vars else None
-    for evec, c in h.terms.items():
-        row[0 if ix is None else evec[ix]] = c
-    if row != row[::-1]:
-        raise NotSymmetricError(f"not symmetric in x, y: {h}")
-    return _row_gammas(row)
+    return _slice_gammas(MultiPoly._canonical(("x", "y"), h._z_buckets().get(0, {})))[1]
 
 
 def partial_gamma(p: MultiPoly) -> GammaTable:
@@ -138,38 +144,18 @@ def partial_gamma(p: MultiPoly) -> GammaTable:
     Each z-slice must be homogeneous in x, y (degrees may differ across
     slices) and symmetric; nonzero coefficients land in
     ``entries[(i, j)]`` and the table is flagged positive when all of
-    them are nonnegative.  The slices are checked in increasing i, as
-    :meth:`MultiPoly.z_slices` lists them, and each one is read straight
-    into its coefficient row.
+    them are nonnegative.  One pass, :meth:`MultiPoly.z_slices`, reads
+    every slice; they are expanded in increasing i, as :func:`gamma_expand`
+    expands its one slice, and an error names its slice (``slice i=``).
     """
-    terms = p._xyz_terms()
-    rows: dict[int, list[int]] = {}
-    ragged: set[int] = set()
-    for (ex, ey, ez), c in terms.items():
-        row = rows.get(ez)
-        if row is None:
-            row = rows[ez] = [0] * (ex + ey + 1)
-        elif len(row) != ex + ey + 1:
-            ragged.add(ez)
-            continue
-        row[ex] = c
-
-    def slice_poly(i: int) -> MultiPoly:
-        return MultiPoly(("x", "y"), {(ex, ey): c for (ex, ey, ez), c in terms.items() if ez == i})
-
     entries: dict[tuple[int, int], int] = {}
     degree = 0
-    for i in sorted(rows):
-        row = rows[i]
-        if i in ragged:
-            raise NotHomogeneousError(f"slice i={i}: not homogeneous: {slice_poly(i)}")
-        if row != row[::-1]:
-            raise NotSymmetricError(f"slice i={i}: not symmetric in x, y: {slice_poly(i)}")
-        degree = max(degree, i + len(row) - 1)
+    for i, s in p.z_slices():
         try:
-            gammas = _row_gammas(row)
-        except InternalResidueError as exc:
-            raise InternalResidueError(f"slice i={i}: {exc}") from None
+            d, gammas = _slice_gammas(s)
+        except (NotHomogeneousError, NotSymmetricError, InternalResidueError) as exc:
+            raise type(exc)(f"slice i={i}: {exc}") from None
+        degree = max(degree, i + d)
         for j, g in enumerate(gammas):
             if g:
                 entries[(i, j)] = g

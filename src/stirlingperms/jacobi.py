@@ -46,10 +46,15 @@ def _integer(name: str, value: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
+def _check_n(n: int) -> int:
     n = _integer("n", n)
     if not 0 <= n <= MAX_N:
         raise ValueError(f"n must lie in 0..{MAX_N}")
+    return n
+
+
+def _check_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
+    n = _check_n(n)
     members = tuple(subset)
     try:
         s = tuple(sorted(set(map(index, members))))
@@ -111,8 +116,11 @@ def jsp_stat_poly(n: int, subset: Iterable[int]) -> MultiPoly:
 
 
 def level_subsets(n: int, size: int) -> list[tuple[int, ...]]:
-    """Subsets of 1..n of the given size, in colex order."""
-    n, size = _integer("n", n), _integer("size", size)
+    """Subsets of 1..n of the given size, in colex order, for n in
+    0..MAX_N and size in 0..n."""
+    n, size = _check_n(n), _integer("size", size)
+    if not 0 <= size <= n:
+        raise ValueError(f"size must lie in 0..{n}")
     return sorted(combinations(range(1, n + 1), size), key=lambda t: tuple(reversed(t)))
 
 

@@ -227,23 +227,24 @@ class MultiPoly:
         """Decompose a polynomial in x, y, z by powers of z.
 
         Returns ``[(i, s_i)]`` with each nonzero ``s_i`` over (x, y),
-        sorted by i.
+        sorted by i, as a view over :meth:`_z_buckets`, the one pass that
+        reads every slice that :mod:`~stirlingperms.gamma` expands.
         """
-        buckets: dict[int, dict[tuple[int, int], int]] = {}
-        for (ex, ey, ez), c in self._xyz_terms().items():
-            buckets.setdefault(ez, {})[(ex, ey)] = c
-        return [
-            (i, MultiPoly._canonical(("x", "y"), buckets[i]))
-            for i in sorted(buckets)
-        ]
-
-    def _xyz_terms(self) -> dict[tuple[int, int, int], int]:
-        """Terms over exactly (x, y, z), for a polynomial within those
-        variables."""
         extra = set(self.vars) - {"x", "y", "z"}
         if extra:
             raise ValueError(f"z_slices needs variables within x,y,z, got {sorted(extra)}")
-        return self.with_vars(("x", "y", "z")).terms
+        buckets = self._z_buckets()
+        return [(i, MultiPoly._canonical(("x", "y"), buckets[i])) for i in sorted(buckets)]
+
+    def _z_buckets(self) -> dict[int, dict[tuple[int, int], int]]:
+        """Terms grouped by the power of z and keyed by their (x, y)
+        exponents; no variable but x, y and z may occur."""
+        p = self.with_vars({*self.vars, "x", "y", "z"})
+        ix, iy, iz = map(p.vars.index, "xyz")
+        buckets: dict[int, dict[tuple[int, int], int]] = {}
+        for evec, c in p.terms.items():
+            buckets.setdefault(evec[iz], {})[evec[ix], evec[iy]] = c
+        return buckets
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Evaluate with values from any commutative ring (duck-typed).

@@ -327,6 +327,8 @@ def verify_all(
     """
     if max_total < 1:
         raise ValueError("max-total must be at least 1")
+    if isinstance(suites, str):
+        raise TypeError(f"suites must be a collection of suite names, not the string {suites!r}")
     chosen = tuple(suites) if suites is not None else SUITE_NAMES
     for s in chosen:
         if s not in _SUITES:

@@ -250,7 +250,7 @@ def test_bad_composition_is_value_error(backend, parts):
 
 @pytest.mark.parametrize("parts, error", [((0,), ValueError), ((1, -1), ValueError),
                                           ((1,) * 256, ValueError), ((1, 1.5), TypeError)])
-def test_hop_tables_rejects_what_words_of_rejects(backend, parts, error):
+def test_joint_hist_and_gfs_scan_reject_what_words_of_rejects(backend, parts, error):
     # joint_hist and gfs_scan read the same word set, so they must fail the same way
     with pytest.raises(error) as expected:
         backend.words_of(parts)

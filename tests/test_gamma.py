@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +164,57 @@ def test_partial_gamma_error_annotates_slice():
         assert type(einfo.value) is error and str(einfo.value) == text
 
 
+@st.composite
+def any_trivariate(draw):
+    """A polynomial within x, y, z whose z-slices are usually neither
+    homogeneous nor symmetric.  Half the draws add the x, y swap, which
+    makes every slice symmetric and every one-term slice homogeneous, so
+    that tables are built and later slices are reached."""
+    vs = draw(st.sampled_from([("x", "y", "z"), ("x", "z"), ("y", "z"), ("x", "y"), ("z",)]))
+    exps = st.tuples(*(st.integers(0, 3) for _ in vs))
+    p = MultiPoly(vs, draw(st.dictionaries(exps, st.integers(-9, 9), min_size=1, max_size=6)))
+    return p + p.swap_vars("x", "y") if draw(st.booleans()) else p
+
+
+def naive_partial_gamma(p):
+    """Per-slice :func:`naive_gamma_expand`, slices split off by hand in
+    increasing i; the first failing slice raises its error, prefixed."""
+    xyz = p.with_vars(("x", "y", "z"))
+    entries, degree = {}, 0
+    for i in sorted({ez for _, _, ez in xyz.terms}):
+        s = MultiPoly(("x", "y"), {(ex, ey): c for (ex, ey, ez), c in xyz.terms.items() if ez == i})
+        try:
+            gammas = naive_gamma_expand(s)
+        except (gamma.NotHomogeneousError, gamma.NotSymmetricError) as exc:
+            raise type(exc)(f"slice i={i}: {exc}") from None
+        degree = max(degree, i + s.degree())
+        entries.update({(i, j): g for j, g in enumerate(gammas) if g})
+    return gamma.GammaTable(degree, entries, all(g >= 0 for g in entries.values()))
+
+
+@given(any_trivariate())
+@settings(max_examples=300, deadline=None)
+def test_partial_gamma_matches_per_slice_oracle(p):
+    got, want = expand_outcome(gamma.partial_gamma, p), expand_outcome(naive_partial_gamma, p)
+    assert got == want
+    if isinstance(want, gamma.GammaTable):
+        assert dict(got.entries) == dict(want.entries)
+
+
+def test_elimination_residue_is_reported(monkeypatch):
+    # with every binomial read as 0 the elimination subtracts nothing, so
+    # the symmetric row itself is left as the residue
+    monkeypatch.setattr(gamma, "comb", lambda n, k: 0)
+    with pytest.raises(gamma.InternalResidueError) as einfo:
+        gamma.gamma_expand(X**2 * Y + X * Y**2)
+    assert type(einfo.value) is gamma.InternalResidueError
+    assert str(einfo.value) == "nonzero residue row [0, 1, 1, 0]"
+    with pytest.raises(gamma.InternalResidueError) as einfo:
+        gamma.partial_gamma(gamma.s_poly((2, 2)))
+    assert type(einfo.value) is gamma.InternalResidueError
+    assert str(einfo.value) == "slice i=1: nonzero residue row [0, 0, 1, 0, 0]"
+
+
 def test_gamma_combinatorial_examples():
     assert dict(gamma.gamma_combinatorial((2, 2)).entries) == {(1, 2): 1, (2, 1): 1}
     assert dict(gamma.gamma_combinatorial((1,)).entries) == {(0, 1): 1}
@@ -215,6 +268,20 @@ def test_gamma_table_serialization():
         "positive": True,
     }
     assert table.to_csv() == "i,j,gamma\n1,2,1\n2,1,1\n"
+
+
+def test_gamma_table_to_json_text():
+    table = gamma.partial_gamma(gamma.s_poly((2, 2)))
+    assert table.to_json() == (
+        '{"degree": 5, "entries": [{"i": 1, "j": 2, "g": "1"}, {"i": 2, "j": 1, "g": "1"}], '
+        '"positive": true}'
+    )
+
+
+def test_theorem_report_is_truthy_exactly_when_it_passes():
+    report = gamma.verify_theorem((2, 1))
+    assert report.passed and bool(report) is True
+    assert bool(replace(report, passed=False)) is False
 
 
 def test_classical_series_examples():

@@ -147,6 +147,12 @@ def test_missing_rule_error():
     assert einfo.value.var == "q"
 
 
+def test_missing_rule_error_text():
+    with pytest.raises(grammar.MissingRuleError) as einfo:
+        grammar.derive(grammar.dumont_grammar(), MultiPoly.var("q"))
+    assert str(einfo.value) == "no substitution rule for variable 'q'"
+
+
 @given(
     st.dictionaries(
         st.tuples(st.integers(0, 2), st.integers(0, 2)),

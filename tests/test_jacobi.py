@@ -248,6 +248,17 @@ def test_verify_conjecture(n):
     assert len(report.tables) == n + 1
     assert all(t.positive for t in report.tables)
 
+def test_verify_conjecture_needs_a_nonempty_alphabet():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        jacobi.verify_conjecture(0)
+
+
+def test_conjecture_report_is_truthy_exactly_when_it_passes():
+    report = jacobi.verify_conjecture(1)
+    assert report.passed and bool(report) is True
+    assert bool(replace(report, passed=False)) is False
+
+
 def test_check_jacobi_reports_the_first_subset_mismatch(monkeypatch):
     """A polynomial skewed on every one-letter subset fails at the first
     of them, with the direct and collapsed polynomials as the payload."""
@@ -294,3 +305,18 @@ def test_jword_text_round_trip():
 def test_level_subsets_colex():
     assert jacobi.level_subsets(3, 2) == [(1, 2), (1, 3), (2, 3)]
     assert jacobi.level_subsets(3, 0) == [()]
+
+
+@pytest.mark.parametrize(
+    "n, size, text",
+    [
+        (-2, 1, f"n must lie in 0..{jacobi.MAX_N}"),
+        (jacobi.MAX_N + 73, 1, f"n must lie in 0..{jacobi.MAX_N}"),
+        (3, -1, "size must lie in 0..3"),
+        (3, 4, "size must lie in 0..3"),
+    ],
+)
+def test_level_subsets_checks_ranges(n, size, text):
+    with pytest.raises(ValueError) as einfo:
+        jacobi.level_subsets(n, size)
+    assert str(einfo.value) == text

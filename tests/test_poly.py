@@ -1,4 +1,5 @@
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,46 @@ def test_negative_exponents_rejected():
         MultiPoly(("x",), {(-1,): 1})
 
 
+def test_constructor_rejects_duplicate_variables_and_misfit_exponents():
+    with pytest.raises(ValueError, match=r"^duplicate variable in \('x', 'x'\)$"):
+        MultiPoly(("x", "x"), {})
+    with pytest.raises(ValueError, match=r"^exponent vector \(1,\) does not match variables \('x', 'y'\)$"):
+        MultiPoly(("x", "y"), {(1,): 1})
+
+
+def test_with_vars_refuses_to_drop_a_variable():
+    with pytest.raises(ValueError, match=r"^cannot drop variables \['y'\]$"):
+        (X * Y).with_vars(("x", "z"))
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError, match="^negative powers are not supported$"):
+        X**-1
+
+
+def test_zero_polynomial_is_homogeneous_of_any_degree():
+    zero = MultiPoly.zero(("x", "y"))
+    assert zero.is_homogeneous() and zero.is_homogeneous(0) and zero.is_homogeneous(7)
+
+
+def test_repr():
+    assert repr(X**2 - 3 * Y) == "MultiPoly(x^2 - 3*y)"
+    assert repr(MultiPoly.zero()) == "MultiPoly(0)"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_operators_refuse_a_float(op):
+    # each side returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        op(X, 1.5)
+    with pytest.raises(TypeError):
+        op(1.5, X)
+
+
+def test_equality_with_a_float_is_false():
+    assert not X == 1.5 and X != 1.5
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -309,6 +350,11 @@ def test_series_divide_examples():
         series_divide([1], 0, 3)
 
 
+def test_series_divide_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        series_divide([1], 1, -1)
+
+
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=5), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_series_divide_round_trip(coeffs, r):
@@ -331,3 +377,10 @@ def test_truncated_series_type():
     assert s != [1, 2.5, 3]
     with pytest.raises(ValueError):
         TruncatedSeries([])
+
+
+def test_truncated_series_equality_hash_and_repr():
+    s = TruncatedSeries([1, 2, 3])
+    assert s == TruncatedSeries((1, 2, 3)) and hash(s) == hash(TruncatedSeries([1, 2, 3]))
+    assert s != TruncatedSeries([1, 2]) and s != "123"
+    assert repr(s) == "TruncatedSeries([1, 2, 3])"

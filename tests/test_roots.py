@@ -97,6 +97,17 @@ def test_is_palindromic_examples():
     assert roots.is_palindromic(UniPoly.of([0, 0, 7]))
 
 
+def test_zero_polynomial_is_excluded():
+    for check in (roots.is_real_rooted, roots.is_palindromic):
+        with pytest.raises(ValueError, match="^the zero polynomial is excluded$"):
+            check(UniPoly.of([]))
+
+
+def test_unipoly_str():
+    assert str(UniPoly.of([])) == "0"
+    assert str(UniPoly.of([1, -1, 0, -1, 2])) == "1 - x - x^3 + 2*x^4"
+
+
 @given(
     st.lists(st.tuples(st.integers(1, 4), st.integers(-6, 6)), min_size=0, max_size=3),
     st.lists(st.integers(1, 9), min_size=0, max_size=2),

@@ -56,6 +56,12 @@ def test_verify_all_rejects_an_unknown_suite():
         verify.verify_all(3, suites=["counting", "nope"])
 
 
+def test_verify_all_rejects_a_bare_suite_name():
+    # a string is iterable, and would otherwise be read letter by letter
+    with pytest.raises(TypeError, match="^suites must be a collection of suite names, not the string 'counting'$"):
+        verify.verify_all(2, suites="counting")
+
+
 @pytest.mark.parametrize(
     "name, params, args",
     [
