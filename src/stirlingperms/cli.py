@@ -332,8 +332,8 @@ def _cmd_jacobi(args) -> int:
     if level is not None:
         if not 0 <= level <= n:
             raise _UsageError(f"--level: must lie in 0..{n}")
-        if args.words:
-            raise _UsageError("--words: needs --set, not --level")
+        if args.words or args.poly:
+            raise _UsageError(f"--{'words' if args.words else 'poly'}: needs --set, not --level")
         # every word of the level has the 2n doubled letters and n - level barred ones
         _refuse_above_budget(
             "--level", f"level {level} of n={n}", _level_word_count(n, level), 3 * n - level

@@ -13,10 +13,10 @@ vacuous for them).
 
 ``present_ranks`` lists the surviving alphabet, and ``m_of_s`` reads
 off its multiplicity vector after collapsing it onto 1..(2n-|S|).  The
-valid words are the plain words of ``m_of_s`` read back as ranks, by one
-``bytes.translate`` table per subset, so enumeration and the trivariate
-generating polynomials transport from the plain word machinery, while
-the statistics are computed on the rank-encoded words themselves.
+collapse is strictly increasing, so the valid words are the plain words
+of ``m_of_s`` read back as ranks, and every statistic (which compares
+letters only) is the same on both sides: the trivariate polynomials are
+the plain ones, read from the shared joint statistic table.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._backend import kernel
 from .gamma import GammaTable, partial_gamma, s_poly
@@ -87,32 +87,20 @@ def m_of_s(n: int, subset: Iterable[int]) -> Composition:
     return tuple(mult for _, mult in present_ranks(n, subset))
 
 
-def _rank_words(n: int, subset: Iterable[int]) -> Iterator[bytes]:
-    """The valid words, packed over ranks: the plain words of
-    :func:`m_of_s` read back through one translate table that sends the
-    collapsed letter c to the c-th surviving rank."""
-    pairs = present_ranks(n, subset)
-    words = kernel.words_of(tuple(mult for _, mult in pairs))
-    table = bytes([0, *(r for r, _ in pairs)]).ljust(256, b"\0")
-    return (w.translate(table) for w in words)
-
-
 def enumerate_jsp(n: int, subset: Iterable[int]) -> list[JWord]:
-    """All valid words of the surviving multiset, by pulling the plain
-    enumeration back through the rank collapse (lex order of the rank
-    sequences)."""
-    return [tuple(w) for w in _rank_words(n, subset)]
+    """All valid words of the surviving multiset, in lex order: the plain
+    words of :func:`m_of_s` read back through one translate table that
+    sends the collapsed letter c to the c-th surviving rank."""
+    pairs = present_ranks(n, subset)
+    table = bytes([0, *(r for r, _ in pairs)]).ljust(256, b"\0")
+    return [tuple(w.translate(table)) for w in kernel.words_of(tuple(m for _, m in pairs))]
 
 
 def jsp_stat_poly(n: int, subset: Iterable[int]) -> MultiPoly:
-    """Sum of ``x^asc y^des z^plat`` over the valid words, with the
-    statistics computed directly on the rank-encoded sequences."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for w in _rank_words(n, subset):
-        p = kernel.profile12(w)
-        key = (p[0], p[2], p[1])
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly._canonical(("x", "y", "z"), terms)
+    """Sum of ``x^asc y^des z^plat`` over the valid words.  The collapse
+    onto :func:`m_of_s` is strictly increasing and the statistics compare
+    letters only, so this is ``s_poly(m_of_s(n, subset))``."""
+    return s_poly(m_of_s(n, subset))
 
 
 def level_subsets(n: int, size: int) -> list[tuple[int, ...]]:
@@ -137,47 +125,28 @@ def jsp_level_poly(n: int, level: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Per-level gamma tables for one alphabet size.  ``mismatch`` is the
-    first subset (levels in order, colex within one) whose direct and
-    collapsed polynomials differ, with both, or None."""
+    """Per-level gamma tables for one alphabet size."""
 
     n: int
     tables: tuple[GammaTable, ...]
     passed: bool
     detail: str
-    mismatch: tuple[tuple[int, ...], MultiPoly, MultiPoly] | None
 
     def __bool__(self) -> bool:
         return self.passed
 
 
 def verify_conjecture(n: int) -> ConjectureReport:
-    """Every subset's word polynomial equals its collapsed ``s_poly``,
-    and for every level i the aggregate of the subsets' polynomials has
-    a nonnegative gamma table.  One pass: each subset's words are
-    enumerated and profiled once."""
+    """For every level i the aggregate of the subsets' polynomials has a
+    nonnegative gamma table; ``detail`` names the first level that does
+    not."""
     n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    tables = []
-    detail = ""
-    mismatch = None
-    for level in range(n + 1):
-        agg = MultiPoly.zero(("x", "y", "z"))
-        for s in level_subsets(n, level):
-            direct = jsp_stat_poly(n, s)
-            collapsed = s_poly(m_of_s(n, s))
-            if mismatch is None and direct != collapsed:
-                mismatch = (s, direct, collapsed)
-            agg = agg + direct
-        table = partial_gamma(agg)
-        tables.append(table)
-        if not table.positive and not detail:
-            detail = f"level {level}: negative gamma coefficient"
-    if mismatch is not None and not detail:
-        detail = f"subset {list(mismatch[0])}: direct polynomial differs from collapsed"
-    passed = mismatch is None and all(t.positive for t in tables)
-    return ConjectureReport(n, tuple(tables), passed, detail, mismatch)
+    tables = tuple(partial_gamma(jsp_level_poly(n, level)) for level in range(n + 1))
+    bad = next((level for level, t in enumerate(tables) if not t.positive), None)
+    detail = "" if bad is None else f"level {bad}: negative gamma coefficient"
+    return ConjectureReport(n, tables, bad is None, detail)
 
 
 def format_jword(jword: Sequence[int]) -> str:

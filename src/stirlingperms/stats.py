@@ -137,8 +137,9 @@ def project_counts(
 
 
 def labeling(word: Sequence[int]) -> Labeling:
-    """The index labeling of a word (index 0 gets ``z`` when nonempty)."""
-    w = tuple(word)
+    """The index labeling of a word (index 0 gets ``z`` when nonempty).
+    Letters must lie in 1..255, as for :func:`profile`."""
+    w = pack_word(word)
     m = len(w)
     if m == 0:
         return Labeling(("z",))

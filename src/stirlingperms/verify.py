@@ -248,18 +248,10 @@ def check_theorem(parts: Composition) -> dict | None:
 
 @_suite("jacobi", lambda _: [(n,) for n in range(1, JACOBI_MAX_N + 1)], lambda n: f"n={n}")
 def check_jacobi(n: int) -> dict | None:
-    """Barred-alphabet polynomials equal their collapsed counterparts
-    for every subset, and every level aggregate has a nonnegative
-    gamma table (one pass of ``jacobi.verify_conjecture``)."""
+    """Every level aggregate of the barred-alphabet polynomials (the
+    collapsed ``s_poly`` of each subset) has a nonnegative gamma table
+    (``jacobi.verify_conjecture``)."""
     report = jacobi_mod.verify_conjecture(n)
-    if report.mismatch is not None:
-        s, direct, collapsed = report.mismatch
-        return {
-            "n": n,
-            "subset": list(s),
-            "direct": direct.to_json_dict(),
-            "collapsed": collapsed.to_json_dict(),
-        }
     return None if report.passed else {"n": n, "detail": report.detail}
 
 

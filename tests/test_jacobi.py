@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from stirlingperms import _pure, gamma, jacobi, verify
+from stirlingperms import _pure, gamma, jacobi, stats, verify
 from stirlingperms.poly import MultiPoly
 from stirlingperms.words import enumerate_words
 from conftest import assert_canonical
@@ -128,10 +128,14 @@ def test_decompress_rejects_letters_outside_the_alphabet():
 
 @pytest.fixture(params=["imported", "pure"])
 def jacobi_kernel(request, monkeypatch):
-    """Run ``jacobi`` on the imported kernel, and again on the pure one."""
+    """Run ``jacobi`` on the imported kernel, and again on the pure one,
+    with the cached joint statistic table rebuilt on that kernel."""
     if request.param == "pure":
         monkeypatch.setattr(jacobi, "kernel", _pure)
-    return jacobi.kernel
+        monkeypatch.setattr(stats, "kernel", _pure)
+    stats._joint_counts.cache_clear()
+    yield jacobi.kernel
+    stats._joint_counts.cache_clear()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -209,7 +213,10 @@ def test_enumerate_examples():
 @pytest.mark.parametrize("n", [1, 2])
 def test_enumerate_matches_brute_force(n):
     for s in all_subsets(n):
-        assert jacobi.enumerate_jsp(n, s) == brute_jsp(n, s)
+        words = brute_jsp(n, s)
+        assert jacobi.enumerate_jsp(n, s) == words
+        terms = Counter((p[0], p[2], p[1]) for p in (_pure.profile12(bytes(jw)) for jw in words))
+        assert jacobi.jsp_stat_poly(n, s) == MultiPoly(("x", "y", "z"), terms)
 
 def test_enumerate_count_matches_formula():
     from stirlingperms.words import count_words
@@ -259,29 +266,6 @@ def test_conjecture_report_is_truthy_exactly_when_it_passes():
     assert bool(replace(report, passed=False)) is False
 
 
-def test_check_jacobi_reports_the_first_subset_mismatch(monkeypatch):
-    """A polynomial skewed on every one-letter subset fails at the first
-    of them, with the direct and collapsed polynomials as the payload."""
-    real = jacobi.jsp_stat_poly
-    bump = MultiPoly(("x", "y", "z"), {(0, 0, 9): 1})
-
-    def skewed(n, s):
-        p = real(n, s)
-        return p + bump if len(tuple(s)) == 1 else p
-
-    monkeypatch.setattr(jacobi, "jsp_stat_poly", skewed)
-    report = jacobi.verify_conjecture(2)
-    assert not report.passed
-    assert report.mismatch[0] == (1,)
-    expected = {
-        "n": 2,
-        "subset": [1],
-        "direct": (real(2, (1,)) + bump).to_json_dict(),
-        "collapsed": gamma.s_poly((2, 1, 2)).to_json_dict(),
-    }
-    assert verify.check_jacobi(2).counterexample == json.dumps(expected, sort_keys=True)
-
-
 def test_check_jacobi_reports_a_negative_level(monkeypatch):
     real = jacobi.partial_gamma
     monkeypatch.setattr(jacobi, "partial_gamma", lambda p: replace(real(p), positive=False))
@@ -289,6 +273,30 @@ def test_check_jacobi_reports_a_negative_level(monkeypatch):
     assert not report.passed
     expected = {"n": 2, "detail": "level 0: negative gamma coefficient"}
     assert report.counterexample == json.dumps(expected, sort_keys=True)
+
+
+def test_suite_reads_the_shared_table(jacobi_kernel, monkeypatch):
+    """The suite profiles no word itself: it makes one ``joint_hist``
+    call per distinct collapsed composition, through the cached table."""
+    calls = Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            def counted(*args):
+                calls[name, args] += 1
+                return getattr(jacobi_kernel, name)(*args)
+
+            return counted
+
+    for module in (jacobi, stats, verify):
+        monkeypatch.setattr(module, "kernel", Counting())
+    reports, _ = verify.verify_all(1, suites=("jacobi",))
+    assert [r.passed for r in reports] == [True] * verify.JACOBI_MAX_N
+    assert not any(name == "profile12" for name, _ in calls)
+    sizes = range(1, verify.JACOBI_MAX_N + 1)
+    collapsed = {jacobi.m_of_s(n, s) for n in sizes for s in all_subsets(n)}
+    hists = {args[0]: k for (name, args), k in calls.items() if name == "joint_hist"}
+    assert hists == dict.fromkeys(collapsed, 1)
 
 
 def test_jword_text_round_trip():

@@ -49,6 +49,15 @@ def test_labeling_small_and_empty():
     assert stats.labeling(()).labels == ("z",)
 
 
+@pytest.mark.parametrize("word", [[0], [-1, 2], [300, 1], [1, 0, 1]])
+def test_labeling_refuses_what_profile_refuses(word):
+    with pytest.raises(ValueError) as refused:
+        stats.profile(word)
+    with pytest.raises(ValueError) as labeled:
+        stats.labeling(word)
+    assert str(labeled.value) == str(refused.value)
+
+
 def test_empty_word_profile():
     p = stats.profile(())
     assert (p.asc, p.plat, p.des) == (1, 0, 0)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from stirlingperms import gamma, verify
+from stirlingperms import gamma, jacobi, verify
 from stirlingperms._backend import kernel
 from stirlingperms.cli import main
 from stirlingperms.poly import MultiPoly
@@ -98,15 +98,9 @@ def asymmetric_slice(monkeypatch):
     only_at(monkeypatch, gamma, "s_poly", (2, 1), lambda p: p + extra)
 
 
-def barred_ascent_on_plateaux(monkeypatch):
-    # words of three letters (only n=1 has them) with a plateau gain an ascent
-    real = kernel.profile12
-
-    def profile12(w):
-        p = real(w)
-        return (p[0] + (len(w) == 3 and p[1] > 0),) + p[1:]
-
-    monkeypatch.setattr(kernel, "profile12", profile12)
+def barred_poly_times_x(monkeypatch):
+    # the collapsed polynomial of n=1, S={} gains a factor x
+    only_at(monkeypatch, jacobi, "s_poly", (1, 2), lambda p: p * MultiPoly.var("x"))
 
 
 def numerator_off_by_one(monkeypatch):
@@ -206,7 +200,7 @@ CASES = {
     ),
     "jacobi-not-symmetric": Case(
         "jacobi",
-        barred_ascent_on_plateaux,
+        barred_poly_times_x,
         (1,),
         {"error": "NotSymmetricError", "message": "slice i=1: not symmetric in x, y: x^3*y + x^2*y^2"},
         1, 1, 3,
