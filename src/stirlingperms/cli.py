@@ -41,10 +41,17 @@ from .words import (
 #: ``gamma``, ``realroot``, ``jacobi`` and ``verify`` build for one
 #: multiplicity vector, or ``jacobi --level`` for one level.  The kernel
 #: sorts a word set in buffers of one byte per letter, so the set may
-#: also hold at most ``16 * MAX_WORDS`` letters.  Every vector of total
-#: at most 10 fits: the largest, ``1,...,1``, has 3,628,800 words of 10
-#: letters.
+#: also hold at most ``16 * MAX_WORDS`` letters; its radix sort makes one
+#: pass over them per letter position, so words times letters squared
+#: may be at most ``256 * 16 * MAX_WORDS``, which only a set of words
+#: longer than 256 letters can exceed.  Every vector of total at most 10
+#: fits: the largest, ``1,...,1``, has 3,628,800 words of 10 letters.
 MAX_WORDS = 5_000_000
+
+#: The largest ``grammar --dumont`` order.  The cost of the derivative
+#: grows about as the order to the power 2.7, so orders far past this
+#: one do not finish at desk scale.
+MAX_DUMONT = 2000
 
 
 class _UsageError(Exception):
@@ -72,6 +79,12 @@ def _refuse_above_budget(option: str, what: str, count: int, length: int) -> Non
         raise _UsageError(
             f"{option}: {what} has {count} words of {length} letters, "
             f"more than the {16 * MAX_WORDS} letters this command builds"
+        )
+    if count * length * length > 256 * 16 * MAX_WORDS:
+        raise _UsageError(
+            f"{option}: {what} has {count} words of {length} letters, "
+            f"more than the {256 * 16 * MAX_WORDS} letter moves (words x letters^2) "
+            "this command sorts"
         )
 
 
@@ -280,6 +293,8 @@ def _cmd_grammar(args) -> int:
         return _poly_answer(args, quintuple_poly(_parts(args)))
     if args.dumont < 0:
         raise _UsageError("--dumont: the derivative order must be nonnegative")
+    if args.dumont > MAX_DUMONT:
+        raise _UsageError(f"--dumont: the derivative order must be at most {MAX_DUMONT}")
     return _poly_answer(args, dumont_poly(args.dumont))
 
 

@@ -76,18 +76,14 @@ class GammaTable:
         return "\n".join(lines) + "\n"
 
 
-def triple_counts(parts: Iterable[int]) -> dict[tuple[int, int, int], int]:
-    """Histogram of (asc, des, plat) over all words with content ``parts``."""
-    return project_counts(parts, lambda p: (p[0], p[2], p[1]))
-
-
 def s_poly(parts: Iterable[int]) -> MultiPoly:
     """Sum of ``x^asc y^des z^plat`` over the word set.
 
     >>> print(s_poly((1, 1)))
     x^2*y + x*y^2
     """
-    return MultiPoly._canonical(("x", "y", "z"), triple_counts(parts))
+    counts = project_counts(check_composition(parts), ("asc", "des", "plat"))
+    return MultiPoly._canonical(("x", "y", "z"), counts)
 
 
 def _row_gammas(row: list[int]) -> list[int]:
@@ -171,7 +167,7 @@ def gamma_combinatorial(parts: Iterable[int]) -> GammaTable:
     # the empty word's ascpp = 0 sits outside the j >= 1 range of the
     # expansion, which starts from a nonempty multiset
     if parts:
-        by_class = project_counts(parts, lambda p: (p[8], p[9], p[11], p[10]))
+        by_class = project_counts(parts, ("sddes", "fdesp", "mdup", "ascpp"))
         for (sddes, fdesp, mdup, ascpp), c in by_class.items():
             if sddes == fdesp == 0:
                 entries[(mdup, ascpp)] = c
@@ -243,7 +239,7 @@ class SeriesReport:
 
 
 def _descent_numerator(parts: tuple[int, ...]) -> list[int]:
-    by_des = project_counts(parts, lambda p: p[2])
+    by_des = project_counts(parts, ("des",))
     return [by_des.get(k, 0) for k in range(max(by_des) + 1)]
 
 

@@ -165,9 +165,3 @@ def quintuple_poly(parts: Iterable[int]) -> MultiPoly:
         terms = _derive_uniform(terms, _label_monomial(mk))
     return MultiPoly._canonical(QUINTUPLE_VARS, terms)
 
-
-def quintuple_exponents(profile_quintuple: tuple[int, int, int, int, int]) -> tuple[int, ...]:
-    """Map a (sdes, mdes, fplat, uplat, asc) tuple to the exponent
-    vector over QUINTUPLE_VARS (alphabetical: x, xt, y, yt, z)."""
-    sdes, mdes, fplat, uplat, asc = profile_quintuple
-    return (sdes, mdes, uplat, fplat, asc)

@@ -194,6 +194,8 @@ class MultiPoly:
 
     def __hash__(self):
         # hash over nonzero structure only, consistent with aligned equality
+        if not any(map(any, self.terms)):  # a constant (or zero) equals its int
+            return hash(sum(self.terms.values()))
         live = tuple(sorted(
             (tuple((v, e) for v, e in zip(self.vars, evec) if e), c)
             for evec, c in self.terms.items()

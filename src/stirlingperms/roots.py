@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index, itemgetter
+from operator import index
 from typing import Iterable, Sequence
 
 from .stats import project_counts
@@ -188,7 +188,7 @@ def _plateau_rows(parts: Composition) -> list[list[int]]:
     counts the words with that many plateaux and descents."""
     total = sum(parts)
     rows = [[0] * (total + 2) for _ in range(max(total, 1))]
-    for (plat, des), c in project_counts(parts, itemgetter(1, 2)).items():
+    for (plat, des), c in project_counts(parts, ("plat", "des")).items():
         rows[plat][des] += c
     return rows
 

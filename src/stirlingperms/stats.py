@@ -21,14 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from ._backend import kernel
 from .words import Composition, check_composition, pack_word
 
 #: Labeling symbols in the order (single descent, multiple descent,
-#: first plateau, unmovable plateau, ascent).
-LABEL_SYMBOLS = ("x", "xt", "yt", "y", "z")
+#: first plateau, unmovable plateau, ascent), each with its statistic.
+LABEL_STATS = {"x": "sdes", "xt": "mdes", "yt": "fplat", "y": "uplat", "z": "asc"}
+LABEL_SYMBOLS = tuple(LABEL_STATS)
 
 #: Single-character escapes for serialized labelings (xt -> X, yt -> Y).
 LABEL_ESCAPES = {"x": "x", "xt": "X", "yt": "Y", "y": "y", "z": "z"}
@@ -100,14 +102,18 @@ def profile(word: Sequence[int]) -> StatProfile:
     return StatProfile(*kernel.profile12(pack_word(word)))
 
 
+#: Position of each statistic in a ``profile12`` tuple: StatProfile's field order.
+_FIELD_INDEX = {f.name: i for i, f in enumerate(fields(StatProfile))}
+
+
 def joint_counts(parts: Iterable[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Joint histogram of all twelve statistics over the word set, as
     ``(profile12 tuple, word count)`` pairs in order of first occurrence.
 
     Every word-set histogram (triples, gamma counts, plateau slices, the
-    lemma and grammar suites) is a projection of this one table, so each
-    composition is enumerated and profiled once per process, by the one
-    kernel call ``joint_hist``.  The result is cached and immutable.
+    lemma and grammar suites) is a :func:`project_counts` of this table,
+    so each composition is enumerated and profiled once per process, by
+    the one kernel call ``joint_hist``.  The result is cached and immutable.
 
     >>> joint_counts((2,))
     (((1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1), 1),)
@@ -120,17 +126,20 @@ def _joint_counts(parts: Composition) -> tuple[tuple[tuple[int, ...], int], ...]
     return kernel.joint_hist(parts)
 
 
-def project_counts(
-    parts: Iterable[int], key: Callable[[tuple[int, ...]], Hashable]
-) -> dict:
-    """Histogram of ``key(profile12 tuple)`` over the word set, summed
-    from :func:`joint_counts`; a fresh dict on every call.
+def project_counts(parts: Composition, names: Sequence[str]) -> dict:
+    """Histogram of the statistics ``names`` (tuple keys; the bare value
+    for one name) over the word set of a validated composition, summed
+    from its joint table; a fresh dict on every call.
 
-    >>> project_counts((2, 2), lambda p: p[1])  # plateaux
-    {2: 2, 1: 1}
+    >>> project_counts((2, 2), ("asc", "des"))
+    {(2, 1): 1, (2, 2): 1, (1, 2): 1}
     """
+    try:
+        key = itemgetter(*[_FIELD_INDEX[n] for n in names])
+    except KeyError as exc:
+        raise ValueError(f"unknown statistic {exc.args[0]!r}") from None
     out: dict = {}
-    for p, c in joint_counts(parts):
+    for p, c in _joint_counts(parts):
         k = key(p)
         out[k] = out.get(k, 0) + c
     return out

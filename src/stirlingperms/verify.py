@@ -30,9 +30,9 @@ from ._backend import backend_name, kernel
 from . import gamma as gamma_mod
 from . import jacobi as jacobi_mod
 from . import roots as roots_mod
-from .grammar import QUINTUPLE_VARS, quintuple_exponents, quintuple_poly
+from .grammar import QUINTUPLE_VARS, quintuple_poly
 from .poly import MultiPoly
-from .stats import WORKED_EXAMPLE_NOTE, project_counts
+from .stats import LABEL_STATS, WORKED_EXAMPLE_NOTE, project_counts
 from .words import (
     Composition,
     compositions_up_to,
@@ -149,28 +149,22 @@ def check_counting(parts: Composition) -> dict | None:
     }
 
 
-#: The lemma's equidistributions as (kind, left key, right key) on
-#: profile12 tuples: (des, plat, asc) ~ (fplat+sdes, mdup, asc), and
-#: (sdes, mdes, fplat, uplat, asc) ~ (sdes, fplat, mdes, uplat, asc).
-_LEMMA_PAIRS = (
-    ("triple", lambda p: (p[2], p[1], p[0]), lambda p: (p[5] + p[3], p[11], p[0])),
-    (
-        "quintuple",
-        lambda p: (p[3], p[4], p[5], p[6], p[0]),
-        lambda p: (p[3], p[5], p[4], p[6], p[0]),
-    ),
-)
-
-
 @_suite("lemma-equidistribution", _compositions(0), _m)
 def check_lemma(parts: Composition) -> dict | None:
     """Triple equidistribution (des, plat, asc) ~ (fplat+sdes, mdup, asc)
     and the quintuple swap (sdes, mdes, fplat, uplat, asc) ~
     (sdes, fplat, mdes, uplat, asc)."""
-    for kind, left, right in _LEMMA_PAIRS:
-        lhs, rhs = project_counts(parts, left), project_counts(parts, right)
-        if lhs != rhs:
-            return {"m": list(parts), "kind": kind, "diff": _hist_diff(lhs, rhs)}
+    triple = project_counts(parts, ("des", "plat", "asc"))
+    folded: dict = {}
+    for (fplat, sdes, *rest), c in project_counts(parts, ("fplat", "sdes", "mdup", "asc")).items():
+        key = (fplat + sdes, *rest)
+        folded[key] = folded.get(key, 0) + c
+    if triple != folded:
+        return {"m": list(parts), "kind": "triple", "diff": _hist_diff(triple, folded)}
+    quintuple = project_counts(parts, ("sdes", "mdes", "fplat", "uplat", "asc"))
+    swapped = project_counts(parts, ("sdes", "fplat", "mdes", "uplat", "asc"))
+    if quintuple != swapped:
+        return {"m": list(parts), "kind": "quintuple", "diff": _hist_diff(quintuple, swapped)}
     return None
 
 
@@ -183,17 +177,14 @@ def _hist_diff(a: dict, b: dict) -> dict:
     }
 
 
-def _label_exponents(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Exponents over QUINTUPLE_VARS of one word's label monomial."""
-    return quintuple_exponents((p[3], p[4], p[5], p[6], p[0]))
-
-
 @_suite("grammar-claim", _compositions(0), _m)
 def check_grammar(parts: Composition) -> dict | None:
     """The iterated grammar derivative of z equals the enumeration-side
-    joint generating polynomial of (sdes, mdes, fplat, uplat, asc)."""
+    joint generating polynomial of (sdes, mdes, fplat, uplat, asc), each
+    statistic counting its label variable (``stats.LABEL_STATS``)."""
     derived = quintuple_poly(parts)
-    enumerated = MultiPoly._canonical(QUINTUPLE_VARS, project_counts(parts, _label_exponents))
+    labels = project_counts(parts, [LABEL_STATS[v] for v in QUINTUPLE_VARS])
+    enumerated = MultiPoly._canonical(QUINTUPLE_VARS, labels)
     if derived != enumerated:
         return {
             "m": list(parts),

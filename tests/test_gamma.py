@@ -25,7 +25,7 @@ def test_s_poly_equals_the_validating_constructor(parts):
     # re-validates the same terms
     p = gamma.s_poly(parts)
     assert_canonical(p)
-    assert p == MultiPoly(("x", "y", "z"), gamma.triple_counts(parts))
+    assert p == MultiPoly(("x", "y", "z"), stats.project_counts(parts, ("asc", "des", "plat")))
 
 
 #: Label variables to (asc, des, plat) variables: descents x, xt -> y,

@@ -16,7 +16,7 @@ def enumeration_side(parts):
     total = MultiPoly.zero(grammar.QUINTUPLE_VARS)
     for w in words.enumerate_words(parts):
         p = stats.profile(w)
-        evec = grammar.quintuple_exponents(p.quintuple())
+        evec = (p.sdes, p.mdes, p.uplat, p.fplat, p.asc)  # over x, xt, y, yt, z
         total = total + MultiPoly(grammar.QUINTUPLE_VARS, {evec: 1})
     return total
 

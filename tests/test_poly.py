@@ -379,6 +379,15 @@ def test_truncated_series_type():
         TruncatedSeries([])
 
 
+@pytest.mark.parametrize("value", [0, 3, -7, 2**70])
+def test_constants_hash_as_the_int_they_equal(value):
+    over_xy = MultiPoly(("x", "y"), {(0, 0): value} if value else {})
+    for c in (MultiPoly.const(value), over_xy, X - X + value):
+        assert c == value and hash(c) == hash(value)
+        assert len({value, c}) == 1
+    assert MultiPoly.zero(("x",)) == 0 and hash(MultiPoly.zero(("x",))) == hash(0)
+
+
 def test_truncated_series_equality_hash_and_repr():
     s = TruncatedSeries([1, 2, 3])
     assert s == TruncatedSeries((1, 2, 3)) and hash(s) == hash(TruncatedSeries([1, 2, 3]))

@@ -33,18 +33,32 @@ def brute_count_off_by_one(monkeypatch):
     only_at(monkeypatch, kernel, "brute_count", (1, 2), lambda count: count + 1)
 
 
-def lemma_right_key_splits_plateaux(kind):
-    """The right-hand key of one lemma pair sets apart the words with at
-    least two plateaux, so compositions that have such words fail."""
+def project_by_plateaux(monkeypatch, names, change):
+    """Replace verify's projection onto the statistics ``names`` by the
+    histogram of ``change(key, plat)``: each word's key, changed by its
+    number of plateaux.  Returns the replacement."""
+    real = verify.project_counts
+
+    def project(parts, keys):
+        if tuple(keys) != names:
+            return real(parts, keys)
+        out = {}
+        for (*key, plat), c in real(parts, names + ("plat",)).items():
+            k = change(tuple(key), plat)
+            out[k] = out.get(k, 0) + c
+        return out
+
+    monkeypatch.setattr(verify, "project_counts", project)
+    return project
+
+
+def lemma_right_key_splits_plateaux(names):
+    """The right-hand side of one lemma comparison, projected onto
+    ``names``, sets apart the words with at least two plateaux, so
+    compositions that have such words fail."""
 
     def corrupt(monkeypatch):
-        def split(right):
-            return lambda p: right(p) if p[1] < 2 else right(p) + (0,)
-
-        pairs = tuple(
-            (k, left, split(right) if k == kind else right) for k, left, right in verify._LEMMA_PAIRS
-        )
-        monkeypatch.setattr(verify, "_LEMMA_PAIRS", pairs)
+        project_by_plateaux(monkeypatch, names, lambda key, plat: key if plat < 2 else key + (0,))
 
     return corrupt
 
@@ -52,17 +66,14 @@ def lemma_right_key_splits_plateaux(kind):
 def asymmetric_grammar(monkeypatch):
     # the derivation and the enumeration agree on a polynomial whose xt
     # exponent is one higher than it should be on the words with a plateau
-    real_label = verify._label_exponents
-
-    def label(p):
-        e = real_label(p)
-        return e[:1] + (e[1] + (p[1] > 0),) + e[2:]
-
-    monkeypatch.setattr(verify, "_label_exponents", label)
+    names = ("sdes", "mdes", "uplat", "fplat", "asc")  # the label statistics over x, xt, y, yt, z
+    project = project_by_plateaux(
+        monkeypatch, names, lambda e, plat: e[:1] + (e[1] + (plat > 0),) + e[2:]
+    )
     monkeypatch.setattr(
         verify,
         "quintuple_poly",
-        lambda parts: MultiPoly._canonical(verify.QUINTUPLE_VARS, verify.project_counts(parts, label)),
+        lambda parts: MultiPoly._canonical(verify.QUINTUPLE_VARS, project(parts, names)),
     )
 
 
@@ -136,14 +147,14 @@ CASES = {
     ),
     "lemma-triple": Case(
         "lemma-equidistribution",
-        lemma_right_key_splits_plateaux("triple"),
+        lemma_right_key_splits_plateaux(("fplat", "sdes", "mdup", "asc")),
         ((3,),),
         {"diff": {"[1, 2, 1, 0]": [0, 1], "[1, 2, 1]": [1, 0]}, "kind": "triple", "m": [3]},
         3, 1, 8,
     ),
     "lemma-quintuple": Case(
         "lemma-equidistribution",
-        lemma_right_key_splits_plateaux("quintuple"),
+        lemma_right_key_splits_plateaux(("sdes", "fplat", "mdes", "uplat", "asc")),
         ((3,),),
         {"diff": {"[0, 1, 1, 1, 1, 0]": [0, 1], "[0, 1, 1, 1, 1]": [1, 0]}, "kind": "quintuple", "m": [3]},
         3, 1, 8,
