@@ -65,27 +65,32 @@ sorted_words(PyObject *arg, Py_ssize_t *n, Py_ssize_t *count, Py_ssize_t *len)
 {
     Py_ssize_t parts[MAX_LETTERS], offset[MAX_LETTERS + 1];
     Py_ssize_t total, rows = 1, m = 0, k, i, g, pos, v, sum;
-    unsigned char *cur = NULL, *nxt = NULL, *dst;
+    unsigned char *cur, *nxt, *dst;
 
     if ((*n = fill_parts(arg, parts, &total)) < 0)
         return NULL;
-    /* Size both sort buffers before the first allocation: the last level
-     * has prod_k (1 + parts[0] + ... + parts[k-1]) rows of ``total``
-     * bytes, and every earlier level is smaller. */
+    /* Two buffers of the last level's size serve every level and every
+     * sort pass, as source and destination in turn: the last level has
+     * prod_k (1 + parts[0] + ... + parts[k-1]) rows of ``total`` bytes,
+     * and every earlier level is smaller. */
     for (k = 0; k < *n && rows <= PY_SSIZE_T_MAX / (m + 1); m += parts[k], k++)
         rows *= m + 1;
     if (k < *n || (total > 0 && rows > PY_SSIZE_T_MAX / 2 / total)) {
         PyErr_SetString(PyExc_OverflowError, "the word set is too large to enumerate");
         return NULL;
     }
+    cur = PyMem_Malloc((size_t)(rows * total) + 1);
+    nxt = PyMem_Malloc((size_t)(rows * total) + 1);
+    if (cur == NULL || nxt == NULL) {
+        PyMem_Free(cur);
+        PyMem_Free(nxt);
+        PyErr_NoMemory();
+        return NULL;
+    }
     /* Level k inserts the block (k+1)^parts[k] into every gap of every
      * level-(k-1) word; level 0 is the empty word. */
-    if ((cur = PyMem_Malloc(1)) == NULL)
-        goto fail;
     for (k = 0, rows = 1, m = 0; k < *n; k++) {
         Py_ssize_t nm = m + parts[k];
-        if ((nxt = PyMem_Malloc((size_t)(rows * (m + 1) * nm))) == NULL)
-            goto fail;
         for (i = 0, dst = nxt; i < rows; i++) {
             const unsigned char *src = cur + i * m;
             for (g = 0; g <= m; g++, dst += nm) {
@@ -94,16 +99,12 @@ sorted_words(PyObject *arg, Py_ssize_t *n, Py_ssize_t *count, Py_ssize_t *len)
                 memcpy(dst + g + parts[k], src + g, m - g);
             }
         }
-        PyMem_Free(cur);
-        cur = nxt;
-        nxt = NULL;
+        dst = cur, cur = nxt, nxt = dst;
         rows *= m + 1;
         m = nm;
     }
     /* Stable LSD counting sort: one pass per position, from the last,
      * over the byte values 0..n; no comparisons. */
-    if (m > 0 && (nxt = PyMem_Malloc((size_t)(rows * m))) == NULL)
-        goto fail;
     for (pos = m - 1; pos >= 0; pos--) {
         memset(offset, 0, (size_t)(*n + 1) * sizeof *offset);
         for (i = 0; i < rows; i++)
@@ -121,11 +122,6 @@ sorted_words(PyObject *arg, Py_ssize_t *n, Py_ssize_t *count, Py_ssize_t *len)
     *count = rows;
     *len = m;
     return cur;
-fail:
-    PyMem_Free(cur);
-    PyMem_Free(nxt);
-    PyErr_NoMemory();
-    return NULL;
 }
 
 /* The ``count`` rows of ``len`` bytes at ``buf`` as a list of bytes. */
@@ -352,33 +348,27 @@ profile12(PyObject *Py_UNUSED(self), PyObject *arg)
     return stats_tuple(out);
 }
 
-/* The value class of letter ``x`` from the window around its leftmost
- * occurrence ``pos`` (0-based) in the word ``w`` of length ``m``. */
-static int
-letter_class(const unsigned char *w, Py_ssize_t m, Py_ssize_t pos, long x)
-{
-    unsigned char p = pos >= 1 ? w[pos - 1] : 0, nx = pos + 1 < m ? w[pos + 1] : 0;
-    Py_ssize_t i, cnt = 0;
-    if (p > x && x == nx)
-        return FREE_DESCENT_PLATEAU;
-    if (p > x && x > nx) {
-        for (i = 0; i < m; i++)
-            cnt += w[i] == x;
-        if (cnt == 1)
-            return SINGLE_DOUBLE_DESCENT;
-    }
-    if (p < x && x < nx)
-        return DOUBLE_ASCENT;
-    return FIXED;
-}
-
-/* The value class of letter ``x`` in the ``m``-byte word ``w``, where
- * ``x`` occurs; its leftmost occurrence into ``*pos``. */
+/* The value class of letter ``x`` (0..255) in the ``m``-byte word ``w``,
+ * from the window around its leftmost occurrence, which goes into
+ * ``*pos`` (0-based); or -1 when ``x`` does not occur. */
 static int
 class_at(const unsigned char *w, Py_ssize_t m, long x, Py_ssize_t *pos)
 {
-    *pos = (const unsigned char *)memchr(w, (int)x, (size_t)m) - w;
-    return letter_class(w, m, *pos, x);
+    const unsigned char *at = memchr(w, (int)x, (size_t)m), *end = w + m;
+    unsigned char p, nx;
+    if (at == NULL)
+        return -1;
+    *pos = at - w;
+    p = at > w ? at[-1] : 0;
+    nx = at + 1 < end ? at[1] : 0;
+    if (p > x && x == nx)
+        return FREE_DESCENT_PLATEAU;
+    /* single: no occurrence after the leftmost */
+    if (p > x && x > nx && memchr(at + 1, (int)x, (size_t)(end - at - 1)) == NULL)
+        return SINGLE_DOUBLE_DESCENT;
+    if (p < x && x < nx)
+        return DOUBLE_ASCENT;
+    return FIXED;
 }
 
 /* Write the hop of letter ``x`` of class ``cls`` (not FIXED), whose
@@ -417,26 +407,22 @@ static int
 classify(const char *name, PyObject *const *args, Py_ssize_t nargs,
          PyObject **wb, long *x, Py_ssize_t *pos)
 {
-    const unsigned char *w;
-    Py_ssize_t i, m;
-    int overflow;
+    int overflow, cls = -1;
 
     if (!two_args(name, nargs))
         return -1;
+    /* an int that overflows a long reads as -1, outside the letters */
     *x = PyLong_AsLongAndOverflow(args[1], &overflow);
     if ((*x == -1 && PyErr_Occurred()) || (*wb = PyBytes_FromObject(args[0])) == NULL)
         return -1;
-    w = (const unsigned char *)PyBytes_AS_STRING(*wb);
-    m = PyBytes_GET_SIZE(*wb);
-    for (i = 0; i < m && !overflow && w[i] != *x; i++)
-        ;
-    if (i == m || overflow) {
+    if (*x >= 0 && *x <= 255)
+        cls = class_at((const unsigned char *)PyBytes_AS_STRING(*wb), PyBytes_GET_SIZE(*wb), *x,
+                       pos);
+    if (cls < 0) {
         Py_CLEAR(*wb);
         PyErr_Format(PyExc_ValueError, "letter %R does not occur in the word", args[1]);
-        return -1;
     }
-    *pos = i;
-    return letter_class(w, m, i, *x);
+    return cls;
 }
 
 static PyObject *
@@ -561,7 +547,7 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
     unsigned char *member = NULL, *img = NULL, *grown;
     const unsigned char *r, *at = NULL;
     const char *failure = NULL;
-    PyObject *out;
+    PyObject *out = NULL;
 
     if (buf == NULL)
         return NULL;
@@ -569,7 +555,7 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
     for (i = 0; i < m; i++)
         mult[buf[i]]++;
     if ((img = PyMem_Malloc((size_t)m + 1)) == NULL)
-        goto nomem;
+        goto done;
     for (i = 0, r = buf, left = count; i < count && failure == NULL; i++, r += m) {
         stats12(r, m, mult, seen, pr);
         if (pr[8] || pr[9]) /* not a representative */
@@ -591,7 +577,7 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
         size = (Py_ssize_t)1 << k;
         if (size * m >= cap) {
             if ((grown = PyMem_Realloc(member, (size_t)(size * m + 1))) == NULL)
-                goto nomem;
+                goto done;
             member = grown, cap = size * m + 1;
         }
         memcpy(member, r, (size_t)m);
@@ -609,15 +595,13 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
         out = Py_BuildValue("(sy#l)", failure, (const char *)at, m, letter);
     else
         out = Py_NewRef(Py_None);
+done:
+    if (out == NULL && !PyErr_Occurred())
+        PyErr_NoMemory();
     PyMem_Free(buf);
     PyMem_Free(member);
     PyMem_Free(img);
     return out;
-nomem:
-    PyMem_Free(buf);
-    PyMem_Free(member);
-    PyMem_Free(img);
-    return PyErr_NoMemory();
 }
 
 /* One distinct profile of joint_hist and the number of words with it. */
@@ -655,7 +639,7 @@ joint_hist(PyObject *Py_UNUSED(self), PyObject *arg)
      * table of ``cap`` slots that is kept at most half full */
     if ((entry = PyMem_Malloc((size_t)cap / 2 * sizeof *entry)) == NULL
         || (slot = PyMem_Calloc((size_t)cap, sizeof *slot)) == NULL)
-        goto fail;
+        goto done;
     for (i = 0, mask = (size_t)cap - 1; i < count; i++) {
         stats12(buf + i * m, m, mult, seen, prof);
         for (h = stats_hash(prof) & mask; slot[h]; h = (h + 1) & mask)
@@ -673,7 +657,7 @@ joint_hist(PyObject *Py_UNUSED(self), PyObject *arg)
             if ((grown = PyMem_Calloc((size_t)cap * 2, sizeof *slot)) == NULL
                 || (e = PyMem_Realloc(entry, (size_t)cap * sizeof *entry)) == NULL) {
                 PyMem_Free(grown);
-                goto fail;
+                goto done;
             }
             PyMem_Free(slot);
             slot = grown, entry = e, cap *= 2, mask = (size_t)cap - 1;
@@ -685,24 +669,21 @@ joint_hist(PyObject *Py_UNUSED(self), PyObject *arg)
         }
     }
     if ((out = PyTuple_New(used)) == NULL)
-        goto fail;
+        goto done;
     for (k = 0; k < used; k++) {
-        if ((item = Py_BuildValue("(Nn)", stats_tuple(entry[k].stats), entry[k].count)) == NULL)
-            goto fail;
+        if ((item = Py_BuildValue("(Nn)", stats_tuple(entry[k].stats), entry[k].count)) == NULL) {
+            Py_CLEAR(out);
+            break;
+        }
         PyTuple_SET_ITEM(out, k, item);
     }
-    PyMem_Free(buf);
-    PyMem_Free(entry);
-    PyMem_Free(slot);
-    return out;
-fail:
-    if (!PyErr_Occurred())
+done:
+    if (out == NULL && !PyErr_Occurred())
         PyErr_NoMemory();
     PyMem_Free(buf);
     PyMem_Free(entry);
     PyMem_Free(slot);
-    Py_XDECREF(out);
-    return NULL;
+    return out;
 }
 
 static PyMethodDef core_methods[] = {

@@ -160,49 +160,41 @@ def profile12(word):
 
     Indices 0..m (sentinel value 0 at both ends) are classified as
     ascent/plateau/descent; the pattern statistics look at the window
-    ``(w[i-1], w[i], w[i+1])`` for i in 1..m.  A letter counts as
-    multiple when it occurs more than once in the word itself.  The
-    empty word is the grammar base case and counts one ascent.
+    ``(w[i-1], w[i], w[i+1])`` for i in 1..m, which also classifies
+    index i, so one pass does both.  A letter counts as multiple when it
+    occurs more than once in the word itself.  The empty word is the
+    grammar base case and counts one ascent.
     """
     m = len(word)
     if m == 0:
         return (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    mult = {}
-    first = {}
-    for idx, c in enumerate(word):
-        mult[c] = mult.get(c, 0) + 1
-        if c not in first:
-            first[c] = idx + 1
-    asc = plat = des = 0
-    sdes = mdes = fplat = uplat = 0
+    # index 0 compares the sentinel with word[0]
+    asc, plat = (0, 1) if word[0] == 0 else (1, 0)
+    des = sdes = mdes = fplat = uplat = 0
     dasc = sddes = fdesp = ascpp = mdup = 0
-    for i in range(m + 1):
-        a = word[i - 1] if i >= 1 else 0
-        b = word[i] if i < m else 0
-        if a < b:
-            asc += 1
-        elif a == b:
-            plat += 1
-        else:
-            des += 1
-    for i in range(1, m + 1):
-        p = word[i - 2] if i >= 2 else 0
-        c = word[i - 1]
+    seen = set()
+    p = 0
+    for i, c in enumerate(word, start=1):
         nx = word[i] if i < m else 0
-        multiple = mult[c] > 1
-        leftmost = first[c] == i
+        multiple = word.count(c) > 1
+        leftmost = c not in seen
+        seen.add(c)
         if c > nx:
+            des += 1
             if multiple:
                 mdes += 1
                 mdup += 1
             else:
                 sdes += 1
         elif c == nx:
+            plat += 1
             if leftmost:
                 fplat += 1
             if not (p > c and leftmost) and not p < c:
                 uplat += 1
                 mdup += 1
+        else:
+            asc += 1
         if p < c < nx:
             dasc += 1
         if p > c > nx and not multiple:
@@ -211,6 +203,7 @@ def profile12(word):
             fdesp += 1
         if p < c and c >= nx:
             ascpp += 1
+        p = c
     return (asc, plat, des, sdes, mdes, fplat, uplat, dasc, sddes, fdesp, ascpp, mdup)
 
 
@@ -228,7 +221,7 @@ def classify_letter(word, x):
     """Value class of letter ``x``: looks at the window around its
     leftmost occurrence (0 fixed, 1 free descent-plateau value, 2 single
     double-descent value, 3 double-ascent value)."""
-    pos = word.find(x)
+    pos = word.find(x) if 0 <= x <= 255 else -1
     if pos < 0:
         raise ValueError(f"letter {x} does not occur in the word")
     p = word[pos - 1] if pos >= 1 else 0

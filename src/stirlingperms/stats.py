@@ -69,10 +69,6 @@ class StatProfile:
         """Flat JSON-ready mapping of named integers."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def quintuple(self) -> tuple[int, int, int, int, int]:
-        """(sdes, mdes, fplat, uplat, asc), the label multiset."""
-        return (self.sdes, self.mdes, self.fplat, self.uplat, self.asc)
-
     def triple(self) -> tuple[int, int, int]:
         """(asc, des, plat)."""
         return (self.asc, self.des, self.plat)

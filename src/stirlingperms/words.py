@@ -53,7 +53,9 @@ def is_stirling(word: Sequence[int], parts: Iterable[int]) -> bool:
         packed = pack_word(word)
     except ValueError:
         return False
-    return kernel.is_stirling(packed, parts)
+    # a length mismatch is refused here, before parts too large for the
+    # compiled kernel's sizes can reach it
+    return len(packed) == sum(parts) and kernel.is_stirling(packed, parts)
 
 
 def enumerate_words(parts: Iterable[int]) -> list[Word]:

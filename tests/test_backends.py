@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import _pure, verify
+from stirlingperms import _pure, verify, words
 from conftest import action_tables_pass, compositions_up_to, oracle_words, per_word_hop_tables
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -237,6 +237,36 @@ def test_absent_letter_is_value_error(backend, x):
     for fn in (backend.classify_letter, backend.phi_letter):
         with pytest.raises(ValueError):
             fn(b"\x01\x02\x01", x)
+
+
+def test_kernels_agree_at_the_byte_boundary(core):
+    # letters 1..255 and 255 copies of one letter: the largest words the
+    # byte letters allow, with letters and runs at both ends of a word
+    up = bytes(range(1, 256))
+    for w, parts in [(up, (1,) * 255), (up[::-1], (1,) * 255), (b"\x01" * 255, (255,))]:
+        assert core.is_stirling(w, parts) and _pure.is_stirling(w, parts)
+        assert core.profile12(w) == _pure.profile12(w)
+        for x in set(w) & {1, 2, 128, 254, 255}:
+            assert core.classify_letter(w, x) == _pure.classify_letter(w, x)
+            assert core.phi_letter(w, x) == _pure.phi_letter(w, x)
+    for fn in ("words_of", "enum_counts", "joint_hist", "gfs_scan"):
+        assert getattr(core, fn)((255,)) == getattr(_pure, fn)((255,))
+        assert getattr(core, fn)((1, 254)) == getattr(_pure, fn)((1, 254))
+
+
+@pytest.mark.parametrize("x", [-1, 0, 3, 256, 300, 2**70])
+def test_absent_letter_has_one_message(backend, x):
+    # a letter outside a byte does not occur either, on both backends
+    for fn in (backend.classify_letter, backend.phi_letter):
+        with pytest.raises(ValueError, match=f"^letter {x} does not occur in the word$"):
+            fn(b"\x01\x02\x01", x)
+
+
+@pytest.mark.parametrize("parts", [(2**62, 2**62), (2**70,)])
+def test_is_stirling_is_false_for_parts_past_the_kernel_sizes(backend, monkeypatch, parts):
+    # a content mismatch simply yields False, however large the parts
+    monkeypatch.setattr(words, "kernel", backend)
+    assert words.is_stirling((1, 1), parts) is False
 
 
 @pytest.mark.parametrize("parts", [(0,), (1, -1), (1,) * 256])

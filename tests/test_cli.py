@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -32,6 +33,31 @@ def test_cli_corpus(capsys, monkeypatch, case):
     code, out, err = run_cli(capsys, *case["argv"])
     out = out.replace(f"backend: {_backend.backend_name()}", "backend: *")
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_cli_corpus_on_the_pure_backend():
+    # one fresh process in which the compiled kernel cannot import; it
+    # prints the entries whose answer differs, with what it got
+    code = """
+import contextlib, io, json, sys
+sys.modules["stirlingperms._core"] = None
+from stirlingperms.cli import main
+failed = []
+for case in json.loads(open(sys.argv[1]).read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(case["argv"])
+    got = [code, out.getvalue().replace("backend: pure", "backend: *"), err.getvalue()]
+    if got != [case["code"], case["stdout"], case["stderr"]]:
+        failed.append([case["argv"], got])
+print(json.dumps(failed))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent / "cli_corpus.json")],
+        capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_enumerate_text(capsys):

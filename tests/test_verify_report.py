@@ -1,6 +1,7 @@
 """The verify text report is byte-identical to the one recorded with the
-benchmark (``perfbench/expected``), except for the ``backend:`` note,
-which names the kernel that ran rather than a result."""
+benchmark (``perfbench/expected``), and the total-8 text and JSON to the
+ones pinned beside these tests, except for the ``backend:`` note, which
+names the kernel that ran rather than a result."""
 
 import inspect
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 from stirlingperms import verify
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-sweep-7.txt"
+#: ``verify --max-total 8 --jobs 1`` as text and as JSON, without the
+#: ``backend:`` note
+PINNED_8 = Path(__file__).resolve().parent / "verify-total-8"
 
 
 def test_report_at_total_7_matches_the_recorded_text():
@@ -17,6 +21,13 @@ def test_report_at_total_7_matches_the_recorded_text():
     text = verify.render_text(reports, notes)
     got = [line for line in text.splitlines(keepends=True) if not line.startswith("backend:")]
     assert got == EXPECTED.read_bytes().decode().splitlines(keepends=True)
+
+
+def test_report_at_total_8_matches_the_pinned_text_and_json():
+    reports, notes = verify.verify_all(8, jobs=1)
+    notes = [note for note in notes if not note.startswith("backend:")]
+    assert verify.render_text(reports, notes) == PINNED_8.with_suffix(".txt").read_bytes().decode()
+    assert verify.render_json(reports, notes) == PINNED_8.with_suffix(".json").read_bytes().decode()
 
 
 def test_suite_names_keep_declaration_order():
