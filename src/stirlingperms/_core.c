@@ -57,6 +57,23 @@ two_args(const char *name, Py_ssize_t nargs)
     return 0;
 }
 
+/* The number of words of the ``n`` parts ``parts`` of sum ``total``,
+ * prod_k (1 + parts[0] + ... + parts[k-1]); or -1 with OverflowError set
+ * when two buffers of that many rows of ``total`` bytes would not fit in
+ * PY_SSIZE_T_MAX. */
+static Py_ssize_t
+word_count(const Py_ssize_t *parts, Py_ssize_t n, Py_ssize_t total)
+{
+    Py_ssize_t rows = 1, m = 0, k;
+    for (k = 0; k < n && rows <= PY_SSIZE_T_MAX / (m + 1); m += parts[k], k++)
+        rows *= m + 1;
+    if (k < n || (total > 0 && rows > PY_SSIZE_T_MAX / 2 / total)) {
+        PyErr_SetString(PyExc_OverflowError, "the word set is too large to enumerate");
+        return -1;
+    }
+    return rows;
+}
+
 /* The sorted word set of ``parts`` as one flat buffer of ``*count``
  * rows of ``*len`` bytes each (release it with PyMem_Free), with the
  * number of letters in ``*n``; or NULL with an exception set. */
@@ -64,21 +81,15 @@ static unsigned char *
 sorted_words(PyObject *arg, Py_ssize_t *n, Py_ssize_t *count, Py_ssize_t *len)
 {
     Py_ssize_t parts[MAX_LETTERS], offset[MAX_LETTERS + 1];
-    Py_ssize_t total, rows = 1, m = 0, k, i, g, pos, v, sum;
+    Py_ssize_t total, rows, m, k, i, g, pos, v, sum;
     unsigned char *cur, *nxt, *dst;
 
-    if ((*n = fill_parts(arg, parts, &total)) < 0)
-        return NULL;
     /* Two buffers of the last level's size serve every level and every
      * sort pass, as source and destination in turn: the last level has
-     * prod_k (1 + parts[0] + ... + parts[k-1]) rows of ``total`` bytes,
-     * and every earlier level is smaller. */
-    for (k = 0; k < *n && rows <= PY_SSIZE_T_MAX / (m + 1); m += parts[k], k++)
-        rows *= m + 1;
-    if (k < *n || (total > 0 && rows > PY_SSIZE_T_MAX / 2 / total)) {
-        PyErr_SetString(PyExc_OverflowError, "the word set is too large to enumerate");
+     * word_count rows of ``total`` bytes, and every earlier level is
+     * smaller. */
+    if ((*n = fill_parts(arg, parts, &total)) < 0 || (rows = word_count(parts, *n, total)) < 0)
         return NULL;
-    }
     cur = PyMem_Malloc((size_t)(rows * total) + 1);
     nxt = PyMem_Malloc((size_t)(rows * total) + 1);
     if (cur == NULL || nxt == NULL) {
@@ -166,11 +177,14 @@ enum_counts(PyObject *Py_UNUSED(self), PyObject *arg)
     return Py_BuildValue("(nn)", count, distinct);
 }
 
-/* Stack of letters with more occurrences still to come; the stack is
- * strictly increasing, so any letter smaller than the top sits between two
- * occurrences of the top letter.  ``w`` must have content ``mult``, so a
- * letter's count is only read after its first occurrence has set it. */
-static int
+/* The first index at which the ``m``-byte word ``w`` fails the nesting
+ * property, or -1 when it passes.  Stack of letters with more occurrences
+ * still to come; the stack is strictly increasing, so any letter smaller
+ * than the top sits between two occurrences of the top letter.  The
+ * decision at index ``i`` reads only ``w[0..i]``.  ``w`` must have content
+ * ``mult``, so a letter's count is only read after its first occurrence
+ * has set it. */
+static Py_ssize_t
 stirling_property(const unsigned char *w, Py_ssize_t m, const Py_ssize_t *mult)
 {
     Py_ssize_t seen[MAX_LETTERS + 1];
@@ -185,13 +199,13 @@ stirling_property(const unsigned char *w, Py_ssize_t m, const Py_ssize_t *mult)
         }
         else {
             if (top >= 0 && stack[top] > c)
-                return 0;
+                return i;
             seen[c] = 1;
             if (mult[c] > 1)
                 stack[++top] = c;
         }
     }
-    return 1;
+    return -1;
 }
 
 static PyObject *
@@ -218,7 +232,7 @@ is_stirling(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     for (k = 1; k <= n; k++)
         if (mult[k] != parts[k - 1])
             goto done;
-    ok = stirling_property(w, m, mult);
+    ok = stirling_property(w, m, mult) < 0;
 done:
     Py_DECREF(wb);
     return PyBool_FromLong(ok);
@@ -242,15 +256,25 @@ next_permutation(unsigned char *a, Py_ssize_t m)
     return 1;
 }
 
+/* Count Stirling words by deciding every multiset permutation, in
+ * lexicographic order from the sorted one.  The scan that fails at index
+ * ``i`` reads only ``arr[0..i]``, so every permutation with that prefix
+ * fails too; they form one block, which ends when the suffix
+ * ``arr[i+1..]`` is in descending order.  A failure sorts that suffix
+ * descending, so the next permutation leaves the block: the count stays
+ * exact.  Every permutation visited is a word or a (valid prefix, next
+ * letter) pair, so the visits number at most
+ * ``words * (1 + (total + 1) * letters)``, and the word set is refused
+ * where ``sorted_words`` refuses it. */
 static PyObject *
 brute_count(PyObject *Py_UNUSED(self), PyObject *arg)
 {
-    Py_ssize_t parts[MAX_LETTERS], mult[MAX_LETTERS + 1] = {0};
-    Py_ssize_t m, n = fill_parts(arg, parts, &m), k, i;
+    Py_ssize_t parts[MAX_LETTERS], mult[MAX_LETTERS + 1] = {0}, left[MAX_LETTERS + 1] = {0};
+    Py_ssize_t m, n = fill_parts(arg, parts, &m), k, i, j;
     unsigned long long count = 0;
     unsigned char *arr;
 
-    if (n < 0)
+    if (n < 0 || word_count(parts, n, m) < 0)
         return NULL;
     if (m == 0)
         return PyLong_FromLong(1);
@@ -261,9 +285,19 @@ brute_count(PyObject *Py_UNUSED(self), PyObject *arg)
         memset(arr + i, (int)(k + 1), parts[k]);
     }
     Py_BEGIN_ALLOW_THREADS
-    do
-        count += stirling_property(arr, m, mult);
-    while (next_permutation(arr, m));
+    do {
+        if ((i = stirling_property(arr, m, mult)) < 0)
+            count++;
+        else {
+            /* counting sort of arr[i+1..] into descending order, which
+             * leaves ``left`` all zero again */
+            for (j = i + 1; j < m; j++)
+                left[arr[j]]++;
+            for (k = n, j = i + 1; j < m; k--)
+                for (; left[k] > 0; left[k]--)
+                    arr[j++] = (unsigned char)k;
+        }
+    } while (next_permutation(arr, m));
     Py_END_ALLOW_THREADS
     PyMem_Free(arr);
     return PyLong_FromUnsignedLongLong(count);
@@ -491,7 +525,7 @@ orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_
                 memcpy(v, from, (size_t)m);
             else
                 hop(from, m, pos, moving[top], cls, v);
-            if (!stirling_property(v, m, mult)) {
+            if (stirling_property(v, m, mult) >= 0) {
                 *at = from, *letter = moving[top];
                 return "closure";
             }
@@ -525,7 +559,7 @@ orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_
                 image = img;
             }
             if (memcmp(image, member + (s ^ bit[x]) * m, (size_t)m) != 0)
-                failure = stirling_property(image, m, mult) ? "hop" : "closure";
+                failure = stirling_property(image, m, mult) < 0 ? "hop" : "closure";
             else if ((cls == FREE_DESCENT_PLATEAU || cls == SINGLE_DOUBLE_DESCENT)
                      != (class_at(image, m, x, &pos) == DOUBLE_ASCENT))
                 failure = "toggle";
@@ -698,7 +732,8 @@ static PyMethodDef core_methods[] = {
      "Content check against ``parts`` plus the nesting property."},
     {"brute_count", brute_count, METH_O,
      "brute_count(parts)\n--\n\n"
-     "Count Stirling words by filtering every multiset permutation."},
+     "Count Stirling words by deciding every multiset permutation,\n"
+     "skipping each block that shares a failing prefix."},
     {"profile12", profile12, METH_O,
      "profile12(word)\n--\n\n"
      "The twelve comparison statistics; see the pure backend docstring."},

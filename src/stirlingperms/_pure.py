@@ -80,23 +80,26 @@ def enum_counts(parts):
 
 
 def _stirling_property(word, mult):
+    """The first index at which ``word`` fails the nesting property, or
+    -1 when it passes; the decision at index ``i`` reads only
+    ``word[:i + 1]``."""
     # Stack of letters with more occurrences still to come; the stack is
     # strictly increasing, so any letter smaller than the top sits between
     # two occurrences of the top letter.
     stack = []
     seen = [0] * len(mult)
-    for c in word:
+    for i, c in enumerate(word):
         if stack and stack[-1] == c:
             seen[c] += 1
             if seen[c] == mult[c]:
                 stack.pop()
         else:
             if stack and stack[-1] > c:
-                return False
+                return i
             seen[c] = 1
             if mult[c] > 1:
                 stack.append(c)
-    return True
+    return -1
 
 
 def is_stirling(word, parts):
@@ -113,7 +116,7 @@ def is_stirling(word, parts):
     for k in range(1, n + 1):
         if mult[k] != parts[k - 1]:
             return False
-    return _stirling_property(word, mult)
+    return _stirling_property(word, mult) < 0
 
 
 def _sorted_letters(parts):
@@ -139,8 +142,20 @@ def _next_permutation(a):
 
 
 def brute_count(parts):
-    """Count Stirling words by filtering every multiset permutation."""
+    """Count Stirling words by deciding every multiset permutation.
+
+    The permutations run in lexicographic order from the sorted one.  The
+    scan that fails at index ``i`` reads only ``arr[:i + 1]``, so every
+    permutation with that prefix fails too; they form one block, which
+    ends when the suffix ``arr[i + 1:]`` is in descending order.  A
+    failure sorts that suffix descending, so the next permutation leaves
+    the block: the count stays exact.  Every permutation visited is a
+    word or a (valid prefix, next letter) pair, so the visits number at
+    most ``words * (1 + (total + 1) * letters)``, and the word set is
+    refused where :func:`words_of` refuses it.
+    """
     _check_parts(parts)
+    _check_size(parts)
     arr = _sorted_letters(parts)
     if not arr:
         return 1
@@ -149,8 +164,11 @@ def brute_count(parts):
         mult[k] = mk
     count = 0
     while True:
-        if _stirling_property(arr, mult):
+        i = _stirling_property(arr, mult)
+        if i < 0:
             count += 1
+        else:
+            arr[i + 1 :] = sorted(arr[i + 1 :], reverse=True)
         if not _next_permutation(arr):
             return count
 

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import sysconfig
 import types
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,47 @@ def test_enumeration_agrees(core, parts):
 @pytest.mark.parametrize("parts", compositions_up_to(6))
 def test_brute_force_agrees(core, parts):
     assert core.brute_count(parts) == _pure.brute_count(parts)
+
+
+@pytest.mark.parametrize("parts", compositions_up_to(6))
+def test_brute_count_matches_the_oracle(backend, parts):
+    assert backend.brute_count(parts) == len(oracle_words(parts))
+
+
+def test_brute_count_matches_the_formula_on_the_counting_extras(backend):
+    # every composition with at most 4 letters and parts at most 3, the
+    # largest brute-filter cases of the counting checks
+    for n in range(5):
+        for parts in product((1, 2, 3), repeat=n):
+            assert backend.brute_count(parts) == words.count_words(parts), parts
+
+
+def counted_visits(monkeypatch):
+    """A list that grows by one per permutation the pure ``brute_count``
+    visits: it calls ``_next_permutation`` once after each."""
+    visits, step = [], _pure._next_permutation
+
+    def counted(arr):
+        visits.append(None)
+        return step(arr)
+
+    monkeypatch.setattr(_pure, "_next_permutation", counted)
+    return visits
+
+
+@pytest.mark.parametrize("parts", [(3, 3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4), (2, 1, 2, 1, 2)])
+def test_pure_brute_count_skips_failing_prefix_blocks(monkeypatch, parts):
+    visits = counted_visits(monkeypatch)
+    count = words.count_words(parts)
+    assert _pure.brute_count(parts) == count
+    # each visit is a word or a (valid prefix, next letter) pair
+    assert len(visits) <= count * (1 + (sum(parts) + 1) * len(parts))
+
+
+def test_pure_brute_count_visits_every_permutation_of_distinct_letters(monkeypatch):
+    visits = counted_visits(monkeypatch)
+    assert _pure.brute_count((1,) * 6) == 720
+    assert len(visits) == 720
 
 
 @pytest.mark.parametrize("parts", compositions_up_to(6))
@@ -291,9 +333,13 @@ def test_joint_hist_and_gfs_scan_reject_what_words_of_rejects(backend, parts, er
 
 def test_oversized_word_set_is_refused_before_enumerating(backend):
     # 21! words: the size check must raise before any level is built
-    for fn in (backend.words_of, backend.enum_counts, backend.joint_hist, backend.gfs_scan):
+    for fn in (backend.words_of, backend.enum_counts, backend.joint_hist, backend.gfs_scan,
+               backend.brute_count):
         with pytest.raises(OverflowError, match="^the word set is too large to enumerate$"):
             fn((1,) * 21)
+    # a total past sys.maxsize is refused, not allocated
+    with pytest.raises(OverflowError):
+        backend.brute_count((2**62, 2**62))
 
 
 def test_non_integer_part_raises(backend):
