@@ -25,7 +25,7 @@ from .gamma import (
     verify_theorem,
 )
 from .gfs import ValueClass, canonical_rep, classify_value, orbit, phi, phi_set
-from .grammar import Grammar, derive, derive_n, dumont_poly, gk, quintuple_poly
+from .grammar import Grammar, derive, dumont_poly, gk, quintuple_poly
 from .jacobi import enumerate_jsp, jsp_level_poly, jsp_stat_poly, m_of_s, verify_conjecture
 from .poly import MultiPoly, TruncatedSeries, series_divide
 from .roots import UniPoly, is_palindromic, is_real_rooted, s_mi, sturm_real_roots
@@ -36,7 +36,6 @@ from .words import (
     is_stirling,
     parse_composition,
     parse_word,
-    reverse_word,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "classify_value",
     "count_words",
     "derive",
-    "derive_n",
     "dumont_poly",
     "enumerate_jsp",
     "enumerate_words",
@@ -79,7 +77,6 @@ __all__ = [
     "phi_set",
     "profile",
     "quintuple_poly",
-    "reverse_word",
     "s_mi",
     "s_poly",
     "series_divide",

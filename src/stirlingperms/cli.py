@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from math import comb
 from typing import Sequence
 
 from . import __version__, _backend
@@ -52,6 +53,11 @@ MAX_WORDS = 5_000_000
 #: grows about as the order to the power 2.7, so orders far past this
 #: one do not finish at desk scale.
 MAX_DUMONT = 2000
+
+#: The most terms ``grammar --m`` may build, as bounded from the vector
+#: by ``_grammar_term_bound`` before deriving: ``1,2,3`` repeated 10 times
+#: (at most 46,376 terms) is admitted, repeated 11 times (66,045) is not.
+MAX_GRAMMAR_TERMS = 50_000
 
 
 class _UsageError(Exception):
@@ -91,6 +97,16 @@ def _refuse_above_budget(option: str, what: str, count: int, length: int) -> Non
 def _check_budget(parts: tuple[int, ...]) -> None:
     """Refuse a multiplicity vector above the budget."""
     _refuse_above_budget("--m", format_composition(parts), count_words(parts), sum(parts))
+
+
+def _grammar_term_bound(parts: tuple[int, ...]) -> int:
+    """At most this many terms in ``quintuple_poly(parts)``.  A term is
+    fixed by how many of the blocks replaced each label, and only ``z``,
+    ``x`` (with a part 1), ``xt`` and ``yt`` (with a part of 2 or more)
+    and ``y`` (with a part of 3 or more) can occur."""
+    top = max(parts, default=0)
+    labels = 1 + (1 in parts) + 2 * (top >= 2) + (top >= 3)
+    return comb(len(parts) + labels - 1, labels - 1)
 
 
 def _level_word_count(n: int, level: int) -> int:
@@ -290,7 +306,14 @@ def _cmd_poly(args) -> int:
 
 def _cmd_grammar(args) -> int:
     if args.dumont is None:
-        return _poly_answer(args, quintuple_poly(_parts(args)))
+        parts = _parts(args)
+        terms = _grammar_term_bound(parts)
+        if terms > MAX_GRAMMAR_TERMS:
+            raise _UsageError(
+                f"--m: the derivative for {format_composition(parts)} may have {terms} terms, "
+                f"more than the {MAX_GRAMMAR_TERMS} this command builds"
+            )
+        return _poly_answer(args, quintuple_poly(parts))
     if args.dumont < 0:
         raise _UsageError("--dumont: the derivative order must be nonnegative")
     if args.dumont > MAX_DUMONT:
@@ -329,6 +352,9 @@ def _cmd_gfs(args) -> int:
         with _option("--classify"):
             payload = {"letter": args.classify, "class": gfs_mod.classify_value(word, args.classify).name}
     elif args.orbit:
+        # the hops of the k letters that are not FIXED make 2^k words
+        k = sum(gfs_mod.classify_value(word, x) != gfs_mod.ValueClass.FIXED for x in set(word))
+        _refuse_above_budget("--orbit", f"the orbit of {format_word(word)}", 2**k, len(word))
         payload = {"orbit": [format_word(w) for w in gfs_mod.orbit(word)]}
     else:
         payload = {"representative": format_word(gfs_mod.canonical_rep(word))}

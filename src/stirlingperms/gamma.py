@@ -17,7 +17,6 @@ power sums ``sum k^n t^k`` and ``sum S(n+k, k) t^k``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
@@ -49,9 +48,6 @@ class GammaTable:
     entries: Mapping[tuple[int, int], int]
     positive: bool
 
-    def rows(self) -> list[int]:
-        return sorted({i for i, _ in self.entries})
-
     def entry(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
@@ -66,9 +62,6 @@ class GammaTable:
             ],
             "positive": self.positive,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
         lines = ["i,j,gamma"]

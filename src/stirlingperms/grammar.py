@@ -82,15 +82,6 @@ def derive(g: Grammar, p: MultiPoly) -> MultiPoly:
     return out
 
 
-def derive_n(g: Grammar, p: MultiPoly, n: int) -> MultiPoly:
-    """n-fold iterate of :func:`derive`."""
-    if n < 0:
-        raise ValueError("derivative count must be nonnegative")
-    for _ in range(n):
-        p = derive(g, p)
-    return p
-
-
 def _label_monomial(k: int) -> tuple[int, ...]:
     """Exponents over QUINTUPLE_VARS of the monomial ``r_k`` that every
     labeling variable rewrites to: ``x*z`` for k = 1, else

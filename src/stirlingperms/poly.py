@@ -17,7 +17,6 @@ x^2 + 2*x*y + y^2
 
 from __future__ import annotations
 
-import json
 from math import comb
 from operator import index, mul
 from typing import Iterable, Mapping, Sequence
@@ -338,9 +337,6 @@ class MultiPoly:
             "terms": [{"e": list(e), "c": str(c)} for e, c in self.terms_sorted()],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 class TruncatedSeries:
     """Integer power series known exactly through order K."""
@@ -351,10 +347,6 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coeffs = tuple(map(index, coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):

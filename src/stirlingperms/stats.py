@@ -65,14 +65,6 @@ class StatProfile:
     ascpp: int
     mdup: int
 
-    def as_dict(self) -> dict[str, int]:
-        """Flat JSON-ready mapping of named integers."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def triple(self) -> tuple[int, int, int]:
-        """(asc, des, plat)."""
-        return (self.asc, self.des, self.plat)
-
 
 @dataclass(frozen=True)
 class Labeling:
@@ -92,7 +84,8 @@ class Labeling:
 def profile(word: Sequence[int]) -> StatProfile:
     """Compute every statistic of a word.
 
-    >>> profile((1, 1, 2, 2)).triple()
+    >>> p = profile((1, 1, 2, 2))
+    >>> p.asc, p.des, p.plat
     (2, 1, 2)
     """
     return StatProfile(*kernel.profile12(pack_word(word)))

@@ -76,11 +76,6 @@ def count_words(parts: Iterable[int]) -> int:
     return count
 
 
-def reverse_word(word: Sequence[int]) -> Word:
-    """Sequence reversal; maps the word set onto itself."""
-    return tuple(reversed(tuple(word)))
-
-
 def composition_of(word: Sequence[int]) -> Composition:
     """Content vector of a word whose letters are exactly 1..n."""
     w = tuple(word)

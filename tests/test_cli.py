@@ -10,7 +10,15 @@ from types import SimpleNamespace
 import pytest
 
 from stirlingperms import __version__, _backend, jacobi, roots, verify
-from stirlingperms.cli import MAX_WORDS, _check_budget, _level_word_count, main
+from stirlingperms.cli import (
+    MAX_GRAMMAR_TERMS,
+    MAX_WORDS,
+    _check_budget,
+    _grammar_term_bound,
+    _level_word_count,
+    main,
+)
+from stirlingperms.grammar import quintuple_poly
 from stirlingperms.poly import MultiPoly
 from stirlingperms.words import compositions_up_to, count_words
 
@@ -237,6 +245,28 @@ def test_word_set_with_too_many_letters_is_refused_before_enumerating(capsys, mo
 def test_letter_budget_admits_every_vector_of_total_10():
     for parts in compositions_up_to(10):
         _check_budget(parts)
+
+
+def test_grammar_term_bound_bounds_the_derivative():
+    for parts in compositions_up_to(7):
+        assert len(quintuple_poly(parts).terms) <= _grammar_term_bound(parts), parts
+    assert _grammar_term_bound((1, 2, 3) * 10) <= MAX_GRAMMAR_TERMS < _grammar_term_bound((1, 2, 3) * 15)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["grammar", "--m", ",".join(["1,2,3"] * 11)], "terms"),
+     (["gfs", "--word", ",".join(map(str, range(1, 25))), "--orbit"], "words")],
+)
+def test_grammar_and_orbit_are_refused_before_building(capsys, monkeypatch, argv, what):
+    def refuse(*args):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr("stirlingperms.cli.quintuple_poly", refuse)
+    monkeypatch.setattr("stirlingperms.gfs.orbit", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{what}, more than the " in err
 
 
 def test_gfs_commands(capsys):

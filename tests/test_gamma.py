@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -250,7 +251,7 @@ def test_gamma_row_sums_count_plateau_slices(parts):
     for w in words.enumerate_words(parts):
         pl = stats.profile(w).plat
         plat_counts[pl] = plat_counts.get(pl, 0) + 1
-    for i in table.rows():
+    for i in sorted({i for i, _ in table.entries}):
         row_sum = sum(
             g * 2 ** (total + 1 - i - 2 * j)
             for (ii, j), g in table.entries.items()
@@ -272,7 +273,7 @@ def test_gamma_table_serialization():
 
 def test_gamma_table_to_json_text():
     table = gamma.partial_gamma(gamma.s_poly((2, 2)))
-    assert table.to_json() == (
+    assert json.dumps(table.to_json_dict()) == (
         '{"degree": 5, "entries": [{"i": 1, "j": 2, "g": "1"}, {"i": 2, "j": 1, "g": "1"}], '
         '"positive": true}'
     )

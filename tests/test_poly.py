@@ -102,7 +102,7 @@ def test_str_graded_lex():
 
 def test_json_round_trip_bit_exact():
     p = 12345678901234567890 * X**2 * Y - Z
-    data = json.loads(p.to_json())
+    data = json.loads(json.dumps(p.to_json_dict()))
     assert data["vars"] == ["x", "y", "z"]
     assert data["terms"][0]["c"] == "12345678901234567890"
     assert from_json_dict(data) == p
@@ -372,7 +372,6 @@ def test_series_divide_round_trip(coeffs, r):
 
 def test_truncated_series_type():
     s = TruncatedSeries([1, 2, 3])
-    assert s.order == 2
     assert s == [1, 2, 3]
     assert s != [1, 2.5, 3]
     with pytest.raises(ValueError):

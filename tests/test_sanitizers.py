@@ -1,4 +1,4 @@
-"""The compiled kernel passes the backend and action tests under
+"""The compiled kernel passes the backend agreement tests under
 AddressSanitizer and UndefinedBehaviorSanitizer.
 
 The kernel is built with both sanitizers from a copy of ``src`` in a
@@ -21,9 +21,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # Python's own CFLAGS carry -fwrapv, which defines signed overflow and so
 # hides it from UBSan; -fno-wrapv, later on the line, turns that back off
 SANITIZE = "-fsanitize=address,undefined -fno-omit-frame-pointer -O1 -fno-wrapv"
-# test_backends.py holds the boundary inputs: empty, oversized and
-# malformed compositions, absent letters and letters outside a byte
-TESTS = ["tests/test_backends.py", "tests/test_gfs.py"]
+# test_backends.py holds the boundary inputs (empty, oversized and
+# malformed compositions, absent letters and letters outside a byte) and
+# every kernel call that the action tests of test_gfs.py make
+TESTS = ["tests/test_backends.py"]
 # the runs parametrized with the pure backend, and the warnings check,
 # which only runs the compiler, reach no kernel code
 DESELECT = "not pure and not compiles_without_warnings"
