@@ -27,7 +27,7 @@ from .gamma import (
 from .gfs import ValueClass, canonical_rep, classify_value, orbit, phi, phi_set
 from .grammar import Grammar, derive, dumont_poly, gk, quintuple_poly
 from .jacobi import enumerate_jsp, jsp_level_poly, jsp_stat_poly, m_of_s, verify_conjecture
-from .poly import MultiPoly, TruncatedSeries, series_divide
+from .poly import MultiPoly, series_divide
 from .roots import UniPoly, is_palindromic, is_real_rooted, s_mi, sturm_real_roots
 from .stats import Labeling, StatProfile, labeling, profile
 from .words import (
@@ -48,7 +48,6 @@ __all__ = [
     "Labeling",
     "MultiPoly",
     "StatProfile",
-    "TruncatedSeries",
     "UniPoly",
     "ValueClass",
     "canonical_rep",

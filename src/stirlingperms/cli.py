@@ -54,10 +54,11 @@ MAX_WORDS = 5_000_000
 #: one do not finish at desk scale.
 MAX_DUMONT = 2000
 
-#: The most terms ``grammar --m`` may build, as bounded from the vector
-#: by ``_grammar_term_bound`` before deriving: ``1,2,3`` repeated 10 times
-#: (at most 46,376 terms) is admitted, repeated 11 times (66,045) is not.
-MAX_GRAMMAR_TERMS = 50_000
+#: The most terms ``grammar --m`` may feed to its derivatives, summed over
+#: the steps and bounded from the vector by ``_grammar_term_bound`` before
+#: deriving: ``1,2,3`` repeated 10 times (at most 278,248 terms) is
+#: admitted, repeated 11 times (435,889) is not.
+MAX_GRAMMAR_TERMS = 300_000
 
 
 class _UsageError(Exception):
@@ -100,13 +101,17 @@ def _check_budget(parts: tuple[int, ...]) -> None:
 
 
 def _grammar_term_bound(parts: tuple[int, ...]) -> int:
-    """At most this many terms in ``quintuple_poly(parts)``.  A term is
-    fixed by how many of the blocks replaced each label, and only ``z``,
-    ``x`` (with a part 1), ``xt`` and ``yt`` (with a part of 2 or more)
-    and ``y`` (with a part of 3 or more) can occur."""
-    top = max(parts, default=0)
-    labels = 1 + (1 in parts) + 2 * (top >= 2) + (top >= 3)
-    return comb(len(parts) + labels - 1, labels - 1)
+    """At most this many terms, summed over the steps, in the polynomials
+    that ``quintuple_poly(parts)`` derives.  After j blocks a term is
+    fixed by how many of them replaced each label, and only ``z``, ``x``
+    (once a part is 1), ``xt`` and ``yt`` (once a part is 2 or more) and
+    ``y`` (once a part is 3 or more) can occur."""
+    total, labels, has_one, top = 0, 1, False, 0
+    for j, mk in enumerate(parts):
+        total += comb(j + labels - 1, labels - 1)
+        has_one, top = has_one or mk == 1, max(top, mk)
+        labels = 1 + has_one + 2 * (top >= 2) + (top >= 3)
+    return total
 
 
 def _level_word_count(n: int, level: int) -> int:
@@ -310,7 +315,7 @@ def _cmd_grammar(args) -> int:
         terms = _grammar_term_bound(parts)
         if terms > MAX_GRAMMAR_TERMS:
             raise _UsageError(
-                f"--m: the derivative for {format_composition(parts)} may have {terms} terms, "
+                f"--m: deriving {format_composition(parts)} step by step may build {terms} terms, "
                 f"more than the {MAX_GRAMMAR_TERMS} this command builds"
             )
         return _poly_answer(args, quintuple_poly(parts))

@@ -338,37 +338,13 @@ class MultiPoly:
         }
 
 
-class TruncatedSeries:
-    """Integer power series known exactly through order K."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int]):
-        if not coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = tuple(map(index, coeffs))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (list, tuple)):
-            return list(self.coeffs) == list(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)})"
-
-
-def series_divide(numerator: Sequence[int], r: int, order: int) -> TruncatedSeries:
+def series_divide(numerator: Sequence[int], r: int, order: int) -> tuple[int, ...]:
     """Expansion of ``numerator / (1 - t)^r`` through ``t^order``.
 
     The divisor expands as ``sum_k C(k + r - 1, r - 1) t^k``; the result
     is the exact convolution, truncated.
 
-    >>> series_divide([0, 1], 2, 4).coeffs
+    >>> series_divide([0, 1], 2, 4)
     (0, 1, 2, 3, 4)
     """
     if r < 1:
@@ -389,4 +365,4 @@ def series_divide(numerator: Sequence[int], r: int, order: int) -> TruncatedSeri
             if c:
                 acc += c * comb(k - i + r - 1, r - 1)
         out.append(acc)
-    return TruncatedSeries(out)
+    return tuple(out)

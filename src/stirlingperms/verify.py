@@ -279,7 +279,7 @@ def check_series(kind: str, n: int) -> dict | None:
         "kind": kind,
         "n": n,
         "numerator": list(report.numerator),
-        "expanded": list(report.expanded.coeffs),
+        "expanded": list(report.expanded),
         "target": list(report.target),
     }
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stirlingperms import __version__, _backend, jacobi, roots, verify
+from stirlingperms import __version__, _backend, grammar, jacobi, roots, verify
 from stirlingperms.cli import (
     MAX_GRAMMAR_TERMS,
     MAX_WORDS,
@@ -18,7 +18,6 @@ from stirlingperms.cli import (
     _level_word_count,
     main,
 )
-from stirlingperms.grammar import quintuple_poly
 from stirlingperms.poly import MultiPoly
 from stirlingperms.words import compositions_up_to, count_words
 
@@ -248,15 +247,22 @@ def test_letter_budget_admits_every_vector_of_total_10():
 
 
 def test_grammar_term_bound_bounds_the_derivative():
-    for parts in compositions_up_to(7):
-        assert len(quintuple_poly(parts).terms) <= _grammar_term_bound(parts), parts
-    assert _grammar_term_bound((1, 2, 3) * 10) <= MAX_GRAMMAR_TERMS < _grammar_term_bound((1, 2, 3) * 15)
+    for parts in compositions_up_to(9):
+        # the terms quintuple_poly feeds to each derivative, summed over the steps
+        terms, fed = {(0, 0, 0, 0, 1): 1}, 0
+        for mk in parts:
+            fed += len(terms)
+            terms = grammar._derive_uniform(terms, grammar._label_monomial(mk))
+        assert fed <= _grammar_term_bound(parts), parts
+    assert _grammar_term_bound((1, 2, 3) * 10) <= MAX_GRAMMAR_TERMS < _grammar_term_bound((1, 2, 3) * 11)
 
 
 @pytest.mark.parametrize(
     "argv, what",
     [(["grammar", "--m", ",".join(["1,2,3"] * 11)], "terms"),
-     (["gfs", "--word", ",".join(map(str, range(1, 25))), "--orbit"], "words")],
+     (["gfs", "--word", ",".join(map(str, range(1, 25))), "--orbit"], "words"),
+     (["grammar", "--m", ",".join(["3"] * 64)], "terms"),
+     (["grammar", "--m", ",".join(["2"] * 255)], "terms")],
 )
 def test_grammar_and_orbit_are_refused_before_building(capsys, monkeypatch, argv, what):
     def refuse(*args):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirlingperms import gamma, grammar, stats, words
-from stirlingperms.poly import MultiPoly
+from stirlingperms.poly import MultiPoly, series_divide
 from conftest import assert_canonical, compositions_up_to, naive_gamma_expand
 
 X, Y, Z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
@@ -287,11 +287,13 @@ def test_theorem_report_is_truthy_exactly_when_it_passes():
 
 def test_classical_series_examples():
     r = gamma.classical_series_check("eulerian", 1, 5)
-    assert r.passed and list(r.expanded.coeffs) == [0, 1, 2, 3, 4, 5]
+    assert r.passed and list(r.expanded) == [0, 1, 2, 3, 4, 5]
     r = gamma.classical_series_check("eulerian", 2, 4)
-    assert r.passed and r.numerator == (0, 1, 1) and list(r.expanded.coeffs) == [0, 1, 4, 9, 16]
+    assert r.passed and r.numerator == (0, 1, 1) and list(r.expanded) == [0, 1, 4, 9, 16]
     r = gamma.classical_series_check("second_order", 1, 4)
-    assert r.passed and list(r.expanded.coeffs) == [0, 1, 3, 6, 10]
+    assert r.passed and list(r.expanded) == [0, 1, 3, 6, 10]
+    for got in (series_divide([0, 1], 3, 4), r.expanded):
+        assert type(got) is tuple and all(type(c) is int for c in got)
     with pytest.raises(ValueError):
         gamma.classical_series_check("eulerian", 0, 8)
     with pytest.raises(ValueError):
@@ -301,6 +303,6 @@ def test_classical_series_examples():
 
 
 @pytest.mark.parametrize("kind", ["eulerian", "second_order"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_classical_series_sweep(kind, n):
     assert gamma.classical_series_check(kind, n, 8).passed
