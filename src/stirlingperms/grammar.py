@@ -18,10 +18,10 @@ generates the bivariate ascent/descent polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .poly import MultiPoly
+from .poly import MultiPoly, packed_width, unpack_terms
 from .words import check_composition
 
 QUINTUPLE_VARS = ("x", "xt", "y", "yt", "z")
@@ -111,32 +111,39 @@ def dumont_poly(n: int) -> MultiPoly:
     ``xy*(d/dx + d/dy)``."""
     if n < 0:
         raise ValueError("derivative count must be nonnegative")
-    terms = {(1, 0): 1}
+    if not n:
+        return MultiPoly.var("x")
+    width = packed_width(n + 1)  # each step raises the degree by one
+    steps, mask = _steps((1, 1), width), (1 << width) - 1
+    terms = {1: 1}  # x
     for _ in range(n):
-        terms = _derive_uniform(terms, (1, 1))
-    return MultiPoly._canonical(("x", "y"), terms) if n else MultiPoly.var("x")
+        terms = _derive_uniform(terms, steps, mask)
+    return MultiPoly._canonical(("x", "y"), unpack_terms(terms, 2, width))
+
+
+@lru_cache(maxsize=1024)
+def _steps(monomial: tuple[int, ...], width: int) -> tuple[tuple[int, int], ...]:
+    """``(offset, delta)`` per variable ``v``: where ``v``'s field starts
+    in a key of ``width``-bit fields, and the packed ``monomial - e_v``."""
+    r = sum(e << width * v for v, e in enumerate(monomial))
+    return tuple((width * v, r - (1 << width * v)) for v in range(len(monomial)))
 
 
 def _derive_uniform(
-    terms: Mapping[tuple[int, ...], int], monomial: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """Grammar derivative on raw terms when every variable rewrites to
-    the same ``monomial``: ``D = monomial * (sum of all partials)``, so
-    the occurrence of variable ``v`` shifts a term's exponents by
-    ``monomial - e_v``.  Every coefficient of ``D`` is positive, so
-    positive terms in give positive terms out and nothing cancels."""
-    shifts = []
-    for v in range(len(monomial)):
-        shift = list(monomial)
-        shift[v] -= 1
-        shifts.append((v, tuple(shift)))
-    acc: dict[tuple[int, ...], int] = {}
-    for evec, c in terms.items():
-        for v, shift in shifts:
-            e = evec[v]
+    terms: Mapping[int, int], steps: tuple[tuple[int, int], ...], mask: int
+) -> dict[int, int]:
+    """Grammar derivative on packed terms, whose ``mask``-wide fields hold
+    every exponent of the result, when every variable rewrites to the same
+    monomial: ``D = monomial * (sum of all partials)``, so an occurrence of
+    ``v`` moves a term's key by ``v``'s ``delta`` in ``steps``.  Positive
+    terms in give positive terms out, so nothing cancels."""
+    acc: dict[int, int] = {}
+    for key, c in terms.items():
+        for s, delta in steps:
+            e = key >> s & mask
             if e:
-                key = tuple(map(add, evec, shift))
-                acc[key] = acc.get(key, 0) + c * e
+                out = key + delta
+                acc[out] = acc.get(out, 0) + c * e
     return acc
 
 
@@ -151,8 +158,11 @@ def quintuple_poly(parts: Iterable[int]) -> MultiPoly:
     parts = check_composition(parts)
     if not parts:
         return MultiPoly.var("z")
-    terms = {(0, 0, 0, 0, 1): 1}
+    # the result has degree total + 1 and every step raises the degree
+    width = packed_width(sum(parts) + 1)
+    mask = (1 << width) - 1
+    terms = {1 << 4 * width: 1}  # z
     for mk in parts:
-        terms = _derive_uniform(terms, _label_monomial(mk))
-    return MultiPoly._canonical(QUINTUPLE_VARS, terms)
+        terms = _derive_uniform(terms, _steps(_label_monomial(mk), width), mask)
+    return MultiPoly._canonical(QUINTUPLE_VARS, unpack_terms(terms, 5, width))
 

@@ -22,6 +22,21 @@ from operator import index, mul
 from typing import Iterable, Mapping, Sequence
 
 
+def packed_width(bound: int) -> int:
+    """Bits ``w`` per field of a packed exponent key, an int that holds the
+    exponent of variable ``j`` from bit ``j*w`` up: while no exponent
+    exceeds ``bound``, keys add and subtract field by field."""
+    return bound.bit_length()
+
+
+def unpack_terms(terms: Mapping[int, int], nvars: int, width: int) -> dict[tuple[int, ...], int]:
+    """Tuple-keyed terms of packed ``terms`` over ``nvars`` variables of
+    ``width`` bits each, without the zero coefficients."""
+    mask = (1 << width) - 1
+    offsets = [width * j for j in range(nvars)]
+    return {tuple([k >> s & mask for s in offsets]): c for k, c in terms.items() if c}
+
+
 def _merge_vars(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(set(a) | set(b)))
 
@@ -278,19 +293,18 @@ class MultiPoly:
         occur, and is an int (the constant term, or 0) when none
         occurs."""
         top = list(map(max, zip(*self.terms)))
-        used = [i for i, e in enumerate(top) if e]
+        # (position, vars, exponents, coefficient) of each occurring variable's value
+        used = [(i, values[i].vars, *next(iter(values[i].terms.items()))) for i, e in enumerate(top) if e]
         if not used:
             return sum(self.terms.values())
-        out_vars = tuple(sorted({v for i in used for v in values[i].vars}))
-        # No output exponent exceeds the degree bound, so `width` bits hold
-        # each one and packed keys add without carries.
-        width = sum(top[i] * values[i].degree() for i in used).bit_length()
-        offsets = [width * j for j in range(len(out_vars))]
+        out_vars = tuple(sorted({v for _, vs, _, _ in used for v in vs}))
+        # No output exponent exceeds the degree bound.
+        width = packed_width(sum(top[i] * sum(k) for i, _, k, _ in used))
+        offset = {v: width * j for j, v in enumerate(out_vars)}
         shifts = [0] * len(top)
         scales = []
-        for i in used:
-            [(k, c)] = values[i].with_vars(out_vars).terms.items()
-            shifts[i] = sum(e << s for e, s in zip(k, offsets))
+        for i, vs, k, c in used:
+            shifts[i] = sum(e << offset[v] for v, e in zip(vs, k))
             if c != 1:
                 scales.append((i, c))
         acc: dict[int, int] = {}
@@ -299,10 +313,7 @@ class MultiPoly:
             for i, ci in scales:
                 c *= ci ** evec[i]
             acc[key] = acc.get(key, 0) + c
-        mask = (1 << width) - 1
-        return MultiPoly._canonical(
-            out_vars, {tuple([k >> s & mask for s in offsets]): v for k, v in acc.items() if v}
-        )
+        return MultiPoly._canonical(out_vars, unpack_terms(acc, len(out_vars), width))
 
     # -- rendering ----------------------------------------------------
 

@@ -18,7 +18,7 @@ from stirlingperms.cli import (
     _level_word_count,
     main,
 )
-from stirlingperms.poly import MultiPoly
+from stirlingperms.poly import MultiPoly, packed_width
 from stirlingperms.words import compositions_up_to, count_words
 
 
@@ -249,10 +249,12 @@ def test_letter_budget_admits_every_vector_of_total_10():
 def test_grammar_term_bound_bounds_the_derivative():
     for parts in compositions_up_to(9):
         # the terms quintuple_poly feeds to each derivative, summed over the steps
-        terms, fed = {(0, 0, 0, 0, 1): 1}, 0
+        width = packed_width(sum(parts) + 1)
+        terms, fed = {1 << 4 * width: 1}, 0  # z
         for mk in parts:
             fed += len(terms)
-            terms = grammar._derive_uniform(terms, grammar._label_monomial(mk))
+            steps = grammar._steps(grammar._label_monomial(mk), width)
+            terms = grammar._derive_uniform(terms, steps, (1 << width) - 1)
         assert fed <= _grammar_term_bound(parts), parts
     assert _grammar_term_bound((1, 2, 3) * 10) <= MAX_GRAMMAR_TERMS < _grammar_term_bound((1, 2, 3) * 11)
 
@@ -527,6 +529,19 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^2*y + x*y^2"
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["--version"], 0), (["grammar", "--dumont", "2001"], 2)], ids=["version", "usage-error"]
+)
+def test_package_runs_as_a_module(capsys, argv, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stirlingperms", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+    assert proc.returncode == code
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from stirlingperms import grammar, stats, verify, words
 from stirlingperms.poly import MultiPoly
-from conftest import compositions_up_to, naive_derive
+from conftest import assert_canonical, compositions_up_to, naive_derive
 
 X, Y = MultiPoly.var("x"), MultiPoly.var("y")
 
@@ -57,8 +57,20 @@ def test_dumont_poly_matches_the_naive_derivative_chain(n):
     for _ in range(n):
         chain = naive_derive(grammar.dumont_grammar(), chain)
     fast = grammar.dumont_poly(n)
+    assert_canonical(fast)
     assert fast == chain
     assert fast.vars == chain.vars
+
+
+def test_dumont_poly_across_the_field_width_boundary():
+    # orders 254..256 have exponent bounds 255..257: fields of 8, then 9 bits
+    chain = X
+    for n in range(1, 257):
+        chain = naive_derive(grammar.dumont_grammar(), chain)
+        if n >= 254:
+            fast = grammar.dumont_poly(n)
+            assert_canonical(fast)
+            assert fast.vars == chain.vars and fast.terms == chain.terms, n
 
 
 def test_dumont_poly_rejects_a_negative_order():
@@ -125,7 +137,23 @@ def test_quintuple_poly_matches_generic_derivative_chain(total):
         for mk in parts:
             chain = naive_derive(grammar.gk(mk), chain)
         fast = grammar.quintuple_poly(parts)
+        assert_canonical(fast)
         assert fast.vars == chain.vars and fast.terms == chain.terms, parts
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(254,), (255,), (256,), (300,), (3, 1, 300), (1,) * 255],
+    ids=lambda m: f"{len(m)}-parts-total-{sum(m)}",
+)
+def test_quintuple_poly_across_the_field_width_boundary(parts):
+    # exponent bounds total + 1 from 255 to 305: fields of 8 bits, then 9
+    chain = MultiPoly.var("z")
+    for mk in parts:
+        chain = naive_derive(grammar.gk(mk), chain)
+    fast = grammar.quintuple_poly(parts)
+    assert_canonical(fast)
+    assert fast.vars == chain.vars and fast.terms == chain.terms
 
 
 @pytest.mark.parametrize("parts", compositions_up_to(6))

@@ -205,8 +205,25 @@ def count_shift_passes(monkeypatch):
 def test_label_substitution_takes_the_shift_path(monkeypatch, parts):
     calls = count_shift_passes(monkeypatch)
     labels = {"x": Y, "xt": Y, "y": Z, "yt": Z, "z": X}
-    assert quintuple_poly(parts).evaluate(labels) == s_poly(parts)
+    got = quintuple_poly(parts).evaluate(labels)
+    assert_canonical(got)
+    assert got == s_poly(parts)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cap", [255, 256, 2**16])
+@pytest.mark.parametrize("top", ["x", "z"])
+def test_one_term_substitution_at_the_exponent_cap(monkeypatch, cap, top):
+    # the degree bound is ``cap`` and one output exponent reaches it, in
+    # the lowest or the highest field of the packed keys
+    calls = count_shift_passes(monkeypatch)
+    p = MultiPoly(("a", "b"), {(cap, 0): 1, (cap - 1, 3): -4, (0, 1): 3, (0, 0): 2})
+    values = {"a": -MultiPoly.var(top), "b": MultiPoly(("x", "y", "z"), {(0, 0, 0): 5})}
+    got, want = p.evaluate(values), naive_evaluate(p, values)
+    assert len(calls) == 1
+    assert_canonical(got)
+    assert got.vars == want.vars == ("x", "y", "z")
+    assert got.terms == want.terms
 
 
 @pytest.mark.parametrize(
