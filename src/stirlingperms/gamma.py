@@ -96,19 +96,20 @@ def _row_gammas(row: list[int]) -> list[int]:
     return gammas
 
 
-def _slice_gammas(s: MultiPoly) -> tuple[int, list[int]]:
-    """Degree and gamma coefficients of one z-slice ``s`` over (x, y):
-    checks that it is homogeneous and symmetric while reading it into its
-    coefficient row ``r[k]`` of ``x^k y^(d-k)``, then eliminates."""
+def _slice_gammas(terms: Mapping[tuple[int, int], int]) -> tuple[int, list[int]]:
+    """Degree and gamma coefficients of one z-slice, given as its
+    ``(ex, ey) -> c`` terms: checks that it is homogeneous and symmetric
+    while reading it into its coefficient row ``r[k]`` of ``x^k y^(d-k)``,
+    then eliminates."""
     row: list[int] = []
-    for (ex, ey), c in s.terms.items():
+    for (ex, ey), c in terms.items():
         if not row:
             row = [0] * (ex + ey + 1)
         elif len(row) != ex + ey + 1:
-            raise NotHomogeneousError(f"not homogeneous: {s}")
+            raise NotHomogeneousError(f"not homogeneous: {MultiPoly._canonical(('x', 'y'), terms)}")
         row[ex] = c
     if row != row[::-1]:
-        raise NotSymmetricError(f"not symmetric in x, y: {s}")
+        raise NotSymmetricError(f"not symmetric in x, y: {MultiPoly._canonical(('x', 'y'), terms)}")
     return len(row) - 1, _row_gammas(row)
 
 
@@ -116,15 +117,16 @@ def gamma_expand(h: MultiPoly) -> list[int]:
     """Exact coefficients ``[g_0, ..., g_floor(d/2)]`` with
     ``h = sum_j g_j (xy)^j (x+y)^(d-2j)``.
 
-    Requires ``h`` homogeneous and symmetric in x, y.  The one-slice
-    case of :func:`partial_gamma`: ``h`` is its own ``z^0`` slice, read
-    and expanded as each slice there is, without the ``slice i=`` prefix.
+    Requires ``h`` homogeneous and symmetric in x, y; any other variable
+    may be listed but must not occur.  The one-slice case of
+    :func:`partial_gamma`: ``h`` is its own ``z^0`` slice, read and
+    expanded as each slice there is, without the ``slice i=`` prefix.
     """
     for evec in h.terms:
         for v, e in zip(h.vars, evec):
             if e and v not in ("x", "y"):
                 raise ValueError(f"gamma_expand needs a polynomial in x, y; found {v}")
-    return _slice_gammas(MultiPoly._canonical(("x", "y"), h._z_buckets().get(0, {})))[1]
+    return _slice_gammas(h._z_buckets().get(0, {}))[1]
 
 
 def partial_gamma(p: MultiPoly) -> GammaTable:
@@ -133,15 +135,16 @@ def partial_gamma(p: MultiPoly) -> GammaTable:
     Each z-slice must be homogeneous in x, y (degrees may differ across
     slices) and symmetric; nonzero coefficients land in
     ``entries[(i, j)]`` and the table is flagged positive when all of
-    them are nonnegative.  One pass, :meth:`MultiPoly.z_slices`, reads
+    them are nonnegative.  One pass, :meth:`MultiPoly._z_buckets`, reads
     every slice; they are expanded in increasing i, as :func:`gamma_expand`
     expands its one slice, and an error names its slice (``slice i=``).
     """
     entries: dict[tuple[int, int], int] = {}
     degree = 0
-    for i, s in p.z_slices():
+    buckets = p._z_buckets()
+    for i in sorted(buckets):
         try:
-            d, gammas = _slice_gammas(s)
+            d, gammas = _slice_gammas(buckets[i])
         except (NotHomogeneousError, NotSymmetricError, InternalResidueError) as exc:
             raise type(exc)(f"slice i={i}: {exc}") from None
         degree = max(degree, i + d)

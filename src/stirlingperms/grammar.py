@@ -57,9 +57,6 @@ class Grammar:
         except KeyError:
             raise MissingRuleError(var) from None
 
-    def to_json_dict(self) -> dict:
-        return {"rules": {v: self.rules[v].to_json_dict() for v in sorted(self.rules)}}
-
 
 def derive(g: Grammar, p: MultiPoly) -> MultiPoly:
     """One formal derivative of ``p`` under the grammar: the sum over the

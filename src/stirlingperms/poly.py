@@ -47,6 +47,8 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple[int, ...], int] | None = None):
+        if isinstance(vars, str):  # not split into one-letter names
+            raise TypeError(f"variables must be a collection of names, not the string {vars!r}")
         vs = tuple(vars)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable in {vs}")
@@ -93,17 +95,12 @@ class MultiPoly:
     def var(cls, name: str) -> "MultiPoly":
         return cls((name,), {(1,): 1})
 
-    @classmethod
-    def monomial(cls, vars: Iterable[str], evec: Sequence[int], coeff: int = 1) -> "MultiPoly":
-        return cls(vars, {tuple(evec): coeff})
-
     # -- structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def with_vars(self, vars: Iterable[str]) -> "MultiPoly":
         """Re-express over a superset of the current variables."""
+        if isinstance(vars, str):
+            raise TypeError(f"variables must be a collection of names, not the string {vars!r}")
         new = tuple(sorted(vars))
         if new == self.vars:
             return self
@@ -124,10 +121,6 @@ class MultiPoly:
     def _aligned(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
         vs = _merge_vars(self.vars, other.vars)
         return self.with_vars(vs), other.with_vars(vs)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def terms_sorted(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lex order (the canonical order)."""
@@ -218,16 +211,6 @@ class MultiPoly:
 
     # -- queries ------------------------------------------------------
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """Every term has the same total degree (``degree`` if given).
-        The zero polynomial is homogeneous of any degree."""
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
     def swap_vars(self, u: str, v: str) -> "MultiPoly":
         """Exchange two variables (either may be absent)."""
         p = self.with_vars(_merge_vars(self.vars, (u, v)))
@@ -246,52 +229,43 @@ class MultiPoly:
         sorted by i, as a view over :meth:`_z_buckets`, the one pass that
         reads every slice that :mod:`~stirlingperms.gamma` expands.
         """
-        extra = set(self.vars) - {"x", "y", "z"}
-        if extra:
-            raise ValueError(f"z_slices needs variables within x,y,z, got {sorted(extra)}")
         buckets = self._z_buckets()
         return [(i, MultiPoly._canonical(("x", "y"), buckets[i])) for i in sorted(buckets)]
 
     def _z_buckets(self) -> dict[int, dict[tuple[int, int], int]]:
         """Terms grouped by the power of z and keyed by their (x, y)
-        exponents; no variable but x, y and z may occur."""
-        p = self.with_vars({*self.vars, "x", "y", "z"})
-        ix, iy, iz = map(p.vars.index, "xyz")
+        exponents.  Any other variable may be listed, as equality ignores
+        it, but must not occur."""
+        vs = self.vars
+        others = [i for i, v in enumerate(vs) if v not in ("x", "y", "z")]
+        found = sorted({vs[i] for evec in self.terms for i in others if evec[i]}) if others else []
+        if found:
+            raise ValueError(f"z_slices needs variables within x,y,z, got {found}")
+        # an absent variable reads the 0 appended to each exponent vector
+        ix, iy, iz = (vs.index(v) if v in vs else len(vs) for v in ("x", "y", "z"))
         buckets: dict[int, dict[tuple[int, int], int]] = {}
-        for evec, c in p.terms.items():
+        for evec, c in self.terms.items():
+            evec += (0,)
             buckets.setdefault(evec[iz], {})[evec[ix], evec[iy]] = c
         return buckets
 
-    def evaluate(self, assignment: Mapping[str, object]):
-        """Evaluate with values from any commutative ring (duck-typed).
+    def evaluate(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly | int":
+        """Substitute a one-term ``MultiPoly`` ``C*x^K`` for each variable.
 
-        When every value is a one-term ``MultiPoly`` ``C*x^K``, the
-        substitution runs in one pass over the terms, on exponent vectors
-        packed into ints: each term's key shifts by ``e*K`` and its
-        coefficient scales by ``C^e``.  Every other assignment (ints,
-        values of several terms, the zero polynomial, or a mix) goes
-        through the ring loop, term by term in the values' arithmetic.
+        One pass over the terms, on exponent vectors packed into ints:
+        each term's key shifts by ``e*K`` and its coefficient scales by
+        ``C^e``.  The result spans the values of the variables that
+        occur, and is an int (the constant term, or 0) when none occurs.
+        A value that is not a one-term ``MultiPoly`` (an int, a value of
+        several terms, the zero polynomial) raises ``ValueError``.
         """
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise ValueError(f"no value for variables {missing}")
         values = [assignment[v] for v in self.vars]
-        if all(isinstance(val, MultiPoly) and len(val.terms) == 1 for val in values):
-            return self._substitute(values)
-        total = 0
-        for evec, c in self.terms.items():
-            term = c
-            for val, e in zip(values, evec):
-                if e:
-                    term = term * val ** e
-            total = total + term
-        return total
-
-    def _substitute(self, values: Sequence["MultiPoly"]):
-        """``evaluate`` with a one-term value for each variable.  As in
-        the ring loop, the result spans the values of the variables that
-        occur, and is an int (the constant term, or 0) when none
-        occurs."""
+        for v, val in zip(self.vars, values):
+            if not (isinstance(val, MultiPoly) and len(val.terms) == 1):
+                raise ValueError(f"the value of {v} must be a one-term MultiPoly, got {val!r}")
         top = list(map(max, zip(*self.terms)))
         # (position, vars, exponents, coefficient) of each occurring variable's value
         used = [(i, values[i].vars, *next(iter(values[i].terms.items()))) for i, e in enumerate(top) if e]

@@ -89,14 +89,14 @@ def naive_gamma_expand(h: MultiPoly) -> list[int]:
     aligned = h.with_vars(sorted(set(h.vars) | {"x", "y"}))
     ix, iy = aligned.vars.index("x"), aligned.vars.index("y")
     h = MultiPoly(("x", "y"), {(e[ix], e[iy]): c for e, c in aligned.terms.items()})
-    if h.is_zero():
+    if not h.terms:
         return []
-    if not h.is_homogeneous():
+    if len({sum(e) for e in h.terms}) > 1:
         raise NotHomogeneousError(f"not homogeneous: {h}")
     if h != h.swap_vars("x", "y"):
         raise NotSymmetricError(f"not symmetric in x, y: {h}")
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
-    d = h.degree()
+    d = max(map(sum, h.terms))
     residue = h
     gammas: list[int] = []
     for j in range(d // 2 + 1):
@@ -104,7 +104,7 @@ def naive_gamma_expand(h: MultiPoly) -> list[int]:
         gammas.append(g)
         if g:
             residue = residue - g * (x * y) ** j * (x + y) ** (d - 2 * j)
-    if not residue.is_zero():
+    if residue.terms:
         raise InternalResidueError(f"nonzero residue {residue}")
     return gammas
 
