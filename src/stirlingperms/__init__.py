@@ -28,7 +28,7 @@ from .gfs import ValueClass, canonical_rep, classify_value, orbit, phi, phi_set
 from .grammar import Grammar, derive, dumont_poly, gk, quintuple_poly
 from .jacobi import enumerate_jsp, jsp_level_poly, jsp_stat_poly, m_of_s, verify_conjecture
 from .poly import MultiPoly, series_divide
-from .roots import UniPoly, is_palindromic, is_real_rooted, s_mi, sturm_real_roots
+from .roots import UniPoly, is_palindromic, is_real_rooted, s_mi
 from .stats import Labeling, StatProfile, labeling, profile
 from .words import (
     count_words,
@@ -79,7 +79,6 @@ __all__ = [
     "s_mi",
     "s_poly",
     "series_divide",
-    "sturm_real_roots",
     "verify_conjecture",
     "verify_theorem",
 ]

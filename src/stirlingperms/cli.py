@@ -411,17 +411,17 @@ def _cmd_realroot(args) -> int:
     if p.is_zero():
         payload = {"m": list(parts), "i": args.i, "poly": "0", "zero": True}
         return _answer(args, payload, "polynomial: 0 (empty slice)")
-    # one chain gives the certificate, the root count and, as it ends
-    # at gcd(p, p'), the lengths reported
-    chain, distinct, real_rooted = roots_mod._sturm_certificate(p)
+    # one walk of the chain of p itself gives the root count, the lengths
+    # reported and, as the chain ends at gcd(p, p'), the certificate
+    distinct, lengths = roots_mod._sturm_walk(p.coeffs)
     payload = {
         "m": list(parts),
         "i": args.i,
         "poly": [str(c) for c in p.coeffs],
-        "real_rooted": real_rooted,
+        "real_rooted": distinct == lengths[0] - lengths[-1],
         "palindromic": roots_mod.is_palindromic(p),
         "distinct_real_roots": distinct,
-        "sturm_chain_lengths": [len(f) for f in chain],
+        "sturm_chain_lengths": lengths,
     }
     # the text lists the verdicts after the polynomial, as JSON writes them
     lines = [f"polynomial: {p}"] + [f"{key}: {json.dumps(payload[key])}" for key in list(payload)[3:]]

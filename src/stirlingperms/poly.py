@@ -256,19 +256,21 @@ class MultiPoly:
         each term's key shifts by ``e*K`` and its coefficient scales by
         ``C^e``.  The result spans the values of the variables that
         occur, and is an int (the constant term, or 0) when none occurs.
-        A value that is not a one-term ``MultiPoly`` (an int, a value of
-        several terms, the zero polynomial) raises ``ValueError``.
+        Only the variables that occur need a value, as equality ignores
+        the rest; a value that is not a one-term ``MultiPoly`` (an int, a
+        value of several terms, the zero polynomial) raises ``ValueError``.
         """
-        missing = [v for v in self.vars if v not in assignment]
+        top = list(map(max, zip(*self.terms)))
+        occurring = [(i, v) for i, (v, e) in enumerate(zip(self.vars, top)) if e]
+        missing = [v for _, v in occurring if v not in assignment]
         if missing:
             raise ValueError(f"no value for variables {missing}")
-        values = [assignment[v] for v in self.vars]
-        for v, val in zip(self.vars, values):
+        for _, v in occurring:
+            val = assignment[v]
             if not (isinstance(val, MultiPoly) and len(val.terms) == 1):
                 raise ValueError(f"the value of {v} must be a one-term MultiPoly, got {val!r}")
-        top = list(map(max, zip(*self.terms)))
         # (position, vars, exponents, coefficient) of each occurring variable's value
-        used = [(i, values[i].vars, *next(iter(values[i].terms.items()))) for i, e in enumerate(top) if e]
+        used = [(i, assignment[v].vars, *next(iter(assignment[v].terms.items()))) for i, v in occurring]
         if not used:
             return sum(self.terms.values())
         out_vars = tuple(sorted({v for _, vs, _, _ in used for v in vs}))

@@ -1,12 +1,11 @@
 """Exact real-rootedness certificates.
 
 Univariate polynomials carry big-integer coefficients; root counting
-uses a Sturm chain built from sign-corrected pseudo-remainders with
-content stripped at every step, so no rationals or floats enter the
-certification path.  The chain of ``p`` ends at ``gcd(p, p')``, so
-``is_real_rooted`` certifies from that one chain: its count of distinct
-real roots must equal ``deg p - deg gcd(p, p')``, the number of
-distinct complex roots.
+walks a Sturm chain of sign-corrected pseudo-remainders with content
+stripped at every step, keeping only lengths and leading signs, so no
+rationals or floats enter the certification path.  ``is_real_rooted``
+strips the factor ``x^lo`` first; the ``realroot`` command walks ``p``
+itself and prints its chain lengths.
 
 A homogeneous bivariate polynomial with nonnegative coefficients is
 stable exactly when its dehomogenization is real-rooted, so certifying
@@ -73,11 +72,6 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _primitive(cs: list[int]) -> list[int]:
-    g = gcd(*cs)
-    return cs if g == 1 else [c // g for c in cs]
-
-
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     """Remainder of ``lc(g)^(deg f - deg g + 1) * f`` modulo ``g``, on
     coefficient lists with no trailing zeros."""
@@ -101,71 +95,65 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
-    """Sturm chain of a nonzero polynomial, as coefficient lists."""
-    # The chain is the Euclidean remainder sequence of p and p', so it
-    # ends at gcd(p, p') up to a constant factor.  Every member is a
-    # multiple of that gcd, which changes no sign at minus or plus
-    # infinity, so a p with repeated roots needs no squarefree reduction.
-    chain = [_primitive(list(coeffs))]
-    if len(coeffs) > 1:
-        chain.append(_primitive([i * c for i, c in enumerate(coeffs)][1:]))
-        while True:
-            f, g = chain[-2], chain[-1]
-            if len(g) < 2:
-                break
-            r = _pseudo_rem(f, g)
-            if not r:
-                break
-            # _pseudo_rem scaled f by lc(g)^(steps); flip the result's sign
-            # only when that scale factor is positive, so the chain agrees
-            # with the rational Sturm sequence up to positive multiples.
-            steps = len(f) - len(g) + 1
-            scale_positive = g[-1] > 0 or steps % 2 == 0
-            r = _primitive(r)
-            chain.append([-c for c in r] if scale_positive else r)
-    return chain
+def _sturm_walk(coeffs: Sequence[int]) -> tuple[int, list[int]]:
+    """Count of distinct real roots of a nonzero polynomial ``p``, and the
+    coefficient count of each member of its Sturm chain.
 
-
-def _sturm_certificate(p: UniPoly) -> tuple[list[list[int]], int, bool]:
-    """The Sturm chain of a nonzero ``p``, its count of distinct real
-    roots, and whether every complex root is real.
-
-    The count is the sign variations of the chain at minus infinity less
-    those at plus infinity; its members are nonzero, so no sign is zero.
-    The chain ends at ``gcd(p, p')``, so ``p`` has ``deg p - deg gcd``
-    distinct complex roots, and all are real when the chain counts that
-    many.
+    The count is the sign variations at minus infinity less those at plus
+    infinity, read off each member's length and leading sign as it is
+    built; only the last two members are kept.  The chain is the
+    remainder sequence of ``p`` and ``p'``, so it ends at ``gcd(p, p')``,
+    and every member is a multiple of that gcd, which changes no sign at
+    either infinity.  So ``p`` needs no squarefree reduction, and all its
+    roots are real exactly when the count is ``lengths[0] - lengths[-1]``,
+    that is ``deg p - deg gcd``, the number of distinct complex roots.
     """
-    chain = _sturm_chain(p.coeffs)
-    at_pos = [1 if f[-1] > 0 else -1 for f in chain]
-    at_neg = [s if len(f) % 2 else -s for f, s in zip(chain, at_pos)]
-
-    def variations(signs: list[int]) -> int:
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    distinct = variations(at_neg) - variations(at_pos)
-    return chain, distinct, distinct == p.degree - (len(chain[-1]) - 1)
-
-
-def sturm_real_roots(p: UniPoly) -> int:
-    """Number of distinct real roots, by the sign-variation difference
-    of the Sturm chain at minus and plus infinity.
-
-    >>> sturm_real_roots(UniPoly.of([-1, 0, 1]))
-    2
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no root count")
-    return _sturm_certificate(p)[1]
+    f = list(coeffs)
+    lengths = [len(f)]
+    if len(f) < 2:
+        return 0, lengths
+    g = [i * c for i, c in enumerate(f)][1:]
+    # the sign of each member at plus infinity, and at minus infinity,
+    # where a member of odd degree (even length) flips it
+    at_pos = f[-1] > 0
+    at_neg = at_pos == len(f) % 2
+    changes = 0
+    while True:
+        lengths.append(len(g))
+        pos = g[-1] > 0
+        neg = pos == len(g) % 2
+        changes += (at_neg != neg) - (at_pos != pos)
+        at_pos, at_neg = pos, neg
+        if len(g) < 2:
+            break
+        r = _pseudo_rem(f, g)
+        if not r:
+            break
+        # _pseudo_rem scaled f by lc(g)^(steps); divide by the content,
+        # negated when that scale factor is positive, so the chain agrees
+        # with the rational Sturm sequence up to positive multiples.
+        # p and p' keep their contents: a positive factor moves no sign.
+        d = gcd(*r)
+        if g[-1] > 0 or (len(f) - len(g)) % 2:
+            d = -d
+        f, g = g, [c // d for c in r]
+    return changes, lengths
 
 
 def is_real_rooted(p: UniPoly) -> bool:
-    """True when every complex root is real, certified by the Sturm
-    chain of ``p``, which ends at ``gcd(p, p')``."""
-    if p.is_zero():
+    """True when every complex root is real, certified by the Sturm walk
+    of ``p / x^lo`` for the lowest power ``x^lo`` in ``p``: zero is a
+    real root, so ``p`` is real-rooted exactly when that quotient is."""
+    cs = p.coeffs
+    if not cs:
         raise ValueError("the zero polynomial is excluded")
-    return _sturm_certificate(p)[2]
+    lo = 0
+    while not cs[lo]:
+        lo += 1
+    if len(cs) - lo < 3:  # a constant or linear quotient
+        return True
+    distinct, lengths = _sturm_walk(cs[lo:])
+    return distinct == lengths[0] - lengths[-1]
 
 
 def is_palindromic(p: UniPoly) -> bool:

@@ -118,6 +118,20 @@ def test_evaluate():
         p.evaluate({"x": X})
 
 
+def test_evaluate_needs_values_only_for_occurring_variables():
+    # a listed variable that does not occur changes no equality, so it
+    # needs no value, and a value given for it is not checked
+    p = X * Y
+    w = p.with_vars(("w", "x", "y"))
+    assert w == p
+    swap = {"x": Y, "y": X}
+    assert w.evaluate(swap) == p.evaluate(swap) == X * Y
+    assert w.evaluate(dict(swap, w=2)) == X * Y
+    assert MultiPoly(("w", "x"), {(0, 0): 5}).evaluate({}) == 5
+    with pytest.raises(ValueError, match=r"^no value for variables \['y'\]$"):
+        w.evaluate({"x": Y, "w": X})
+
+
 def naive_evaluate(p, assignment):
     """Term-by-term substitution through ``MultiPoly`` arithmetic."""
     total = 0

@@ -59,12 +59,17 @@ def test_s_mi_matches_slice_substitution():
             assert roots.s_mi(parts, i) == UniPoly.of(coeffs)
 
 
+def distinct_real_roots(p):
+    """The root count of the Sturm walk of ``p`` itself, unstripped."""
+    return roots._sturm_walk(p.coeffs)[0]
+
+
 def test_sturm_examples():
-    assert roots.sturm_real_roots(UniPoly.of([1, 0, 1])) == 0
-    assert roots.sturm_real_roots(UniPoly.of([-1, 0, 1])) == 2
-    assert roots.sturm_real_roots(UniPoly.of([0, 0, 0, 1])) == 1  # x^3, one distinct
-    with pytest.raises(ValueError):
-        roots.sturm_real_roots(UniPoly.of([]))
+    assert distinct_real_roots(UniPoly.of([1, 0, 1])) == 0
+    assert distinct_real_roots(UniPoly.of([-1, 0, 1])) == 2
+    assert distinct_real_roots(UniPoly.of([0, 0, 0, 1])) == 1  # x^3, one distinct
+    # the chain of x^3 ends at gcd(p, p') = x^2
+    assert roots._sturm_walk([0, 0, 0, 1]) == (1, [4, 3])
 
 
 def test_is_real_rooted_examples():
@@ -87,7 +92,7 @@ def test_unipoly_constructor_rejects_trailing_zeros():
     with pytest.raises(ValueError, match="trailing zero"):
         UniPoly((1, 0))
     assert UniPoly((1,)) == UniPoly.of([1, 0]) and UniPoly(()).is_zero()
-    assert roots.sturm_real_roots(UniPoly.of([1, 0])) == 0
+    assert roots._sturm_walk(UniPoly.of([1, 0]).coeffs) == (0, [1])
 
 
 def test_is_palindromic_examples():
@@ -122,7 +127,7 @@ def test_sturm_on_constructed_products(linear, quad_constants):
         coeffs = unipoly_mul(coeffs, [c, 0, 1])
     p = UniPoly.of(coeffs)
     expected = len({Fraction(b, a) for a, b in linear})
-    assert roots.sturm_real_roots(p) == expected
+    assert distinct_real_roots(p) == expected
     assert roots.is_real_rooted(p) == (len(quad_constants) == 0 or p.degree == 0)
 
 
@@ -136,7 +141,7 @@ def test_sturm_against_sympy(coeffs):
     x = sympy.Symbol("x")
     expr = sum(c * x**i for i, c in enumerate(p.coeffs))
     expected = sympy.Poly(expr, x).count_roots(-sympy.oo, sympy.oo)
-    assert roots.sturm_real_roots(p) == expected
+    assert distinct_real_roots(p) == expected
 
 
 def _with_degree(coeffs):
@@ -166,12 +171,13 @@ _factor = st.one_of(
 )
 
 
-@given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=4))
+@given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=4), st.integers(0, 4))
 @settings(max_examples=150, deadline=None)
-def test_is_real_rooted_against_sympy_with_multiplicity(factors):
-    # linear and quadratic factors, each raised to the power 1, 2 or 3;
-    # sympy's real_roots lists every real root with its multiplicity
-    coeffs = [1]
+def test_is_real_rooted_against_sympy_with_multiplicity(factors, k):
+    # linear and quadratic factors, each raised to the power 1, 2 or 3,
+    # times x^k, which is_real_rooted strips; sympy's real_roots lists
+    # every real root with its multiplicity
+    coeffs = [0] * k + [1]
     for f, power in factors:
         for _ in range(power):
             coeffs = unipoly_mul(coeffs, list(f))
@@ -189,6 +195,17 @@ def test_refined_descent_polys_real_rooted_palindromic(parts):
             continue
         assert roots.is_palindromic(p), (parts, level, p)
         assert roots.is_real_rooted(p), (parts, level, p)
+
+
+def test_stripped_verdict_equals_the_walk_of_p_itself():
+    # realroot prints the verdict of the unstripped chain of p
+    for parts in compositions_up_to(8):
+        for level, row in enumerate(roots._plateau_rows(parts)):
+            p = UniPoly.of(row)
+            if p.is_zero():
+                continue
+            distinct, lengths = roots._sturm_walk(p.coeffs)
+            assert roots.is_real_rooted(p) == (distinct == lengths[0] - lengths[-1]), (parts, level)
 
 
 @pytest.mark.parametrize("parts", [p for p in compositions_up_to(5) if p])
