@@ -80,56 +80,61 @@ word_count(const Py_ssize_t *parts, Py_ssize_t n, Py_ssize_t total)
 static unsigned char *
 sorted_words(PyObject *arg, Py_ssize_t *n, Py_ssize_t *count, Py_ssize_t *len)
 {
-    Py_ssize_t parts[MAX_LETTERS], offset[MAX_LETTERS + 1];
-    Py_ssize_t total, rows, m, k, i, g, pos, v, sum;
+    Py_ssize_t parts[MAX_LETTERS], *start;
+    Py_ssize_t total, rows, m, k, i, j, g, lo;
     unsigned char *cur, *nxt, *dst;
 
-    /* Two buffers of the last level's size serve every level and every
-     * sort pass, as source and destination in turn: the last level has
-     * word_count rows of ``total`` bytes, and every earlier level is
-     * smaller. */
+    /* Two buffers of the last level's size serve every level, as source
+     * and destination in turn: the last level has word_count rows of
+     * ``total`` bytes, and every earlier level is smaller.  ``start``
+     * holds one row index per prefix length 0..total. */
     if ((*n = fill_parts(arg, parts, &total)) < 0 || (rows = word_count(parts, *n, total)) < 0)
         return NULL;
     cur = PyMem_Malloc((size_t)(rows * total) + 1);
     nxt = PyMem_Malloc((size_t)(rows * total) + 1);
-    if (cur == NULL || nxt == NULL) {
+    start = PyMem_Malloc((size_t)(total + 1) * sizeof *start);
+    if (cur == NULL || nxt == NULL || start == NULL) {
         PyMem_Free(cur);
         PyMem_Free(nxt);
+        PyMem_Free(start);
         PyErr_NoMemory();
         return NULL;
     }
     /* Level k inserts the block (k+1)^parts[k] into every gap of every
-     * level-(k-1) word; level 0 is the empty word. */
+     * level-(k-1) word; level 0 is the empty word.  The block's letter
+     * exceeds every letter placed, so w[:g] + block + w[g:] sorts after
+     * every insertion deeper into a word that shares w[:g], and two
+     * insertions at one gap keep the order of their source rows.  So a
+     * sorted level is written sorted by one walk over its rows: start[g]
+     * is the first row of the open prefix of length g, and once row i
+     * leaves that prefix (row i+1 shares only ``lo`` letters with it),
+     * every gap past ``lo``, deepest first, takes the block in each of
+     * the rows start[g]..i. */
     for (k = 0, rows = 1, m = 0; k < *n; k++) {
-        Py_ssize_t nm = m + parts[k];
+        Py_ssize_t b = parts[k], nm = m + b;
+        memset(start, 0, (size_t)(m + 1) * sizeof *start);
         for (i = 0, dst = nxt; i < rows; i++) {
             const unsigned char *src = cur + i * m;
-            for (g = 0; g <= m; g++, dst += nm) {
-                memcpy(dst, src, g);
-                memset(dst + g, (int)(k + 1), parts[k]);
-                memcpy(dst + g + parts[k], src + g, m - g);
-            }
+            lo = -1;
+            if (i + 1 < rows)
+                for (lo = 0; lo < m && src[lo] == src[m + lo]; lo++)
+                    ;
+            for (g = m; g > lo; g--)
+                for (j = start[g]; j <= i; j++, dst += nm) {
+                    const unsigned char *row = cur + j * m;
+                    memcpy(dst, row, g);
+                    memset(dst + g, (int)(k + 1), b);
+                    memcpy(dst + g + b, row + g, m - g);
+                }
+            for (g = lo + 1; g <= m; g++)
+                start[g] = i + 1;
         }
         dst = cur, cur = nxt, nxt = dst;
         rows *= m + 1;
         m = nm;
     }
-    /* Stable LSD counting sort: one pass per position, from the last,
-     * over the byte values 0..n; no comparisons. */
-    for (pos = m - 1; pos >= 0; pos--) {
-        memset(offset, 0, (size_t)(*n + 1) * sizeof *offset);
-        for (i = 0; i < rows; i++)
-            offset[cur[i * m + pos]]++;
-        for (v = 0, sum = 0; v <= *n; v++) {
-            Py_ssize_t c = offset[v];
-            offset[v] = sum;
-            sum += c;
-        }
-        for (i = 0; i < rows; i++)
-            memcpy(nxt + offset[cur[i * m + pos]]++ * m, cur + i * m, (size_t)m);
-        dst = cur, cur = nxt, nxt = dst;
-    }
     PyMem_Free(nxt);
+    PyMem_Free(start);
     *count = rows;
     *len = m;
     return cur;
@@ -170,9 +175,11 @@ enum_counts(PyObject *Py_UNUSED(self), PyObject *arg)
     unsigned char *buf = sorted_words(arg, &n, &count, &len);
     if (buf == NULL)
         return NULL;
-    /* sorted rows of equal length, so duplicates are adjacent */
+    /* A row counts as distinct only when it is strictly greater than the
+     * row before: sorted_words emits its order rather than sorting, so a
+     * duplicated or mis-ordered row makes distinct < count. */
     for (i = 0; i < count; i++)
-        distinct += i == 0 || memcmp(buf + (i - 1) * len, buf + i * len, (size_t)len) != 0;
+        distinct += i == 0 || memcmp(buf + (i - 1) * len, buf + i * len, (size_t)len) < 0;
     PyMem_Free(buf);
     return Py_BuildValue("(nn)", count, distinct);
 }

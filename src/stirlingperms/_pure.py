@@ -36,7 +36,7 @@ def _check_parts(parts):
 
 
 def _check_size(parts):
-    """Raise ``OverflowError`` when the compiled kernel's two sort
+    """Raise ``OverflowError`` when the compiled kernel's two level
     buffers for the word set of ``parts`` (word count times word length
     bytes each) would not fit in ``sys.maxsize``."""
     count, length = 1, 0
@@ -70,13 +70,10 @@ def words_of(parts):
 def enum_counts(parts):
     """``(total, distinct)`` sizes of the insertion-construction output."""
     ws = words_of(parts)
-    distinct = 0
-    prev = None
-    for w in ws:
-        if w != prev:
-            distinct += 1
-            prev = w
-    return len(ws), distinct
+    # A word counts as distinct only when it is strictly greater than the
+    # word before, as in the compiled kernel, which emits its order rather
+    # than sorting: a duplicated or mis-ordered word makes distinct < total.
+    return len(ws), 1 + sum(a < b for a, b in zip(ws, ws[1:]))
 
 
 def _stirling_property(word, mult):

@@ -91,10 +91,33 @@ def backend(request):
     return _pure if request.param == "pure" else request.getfixturevalue("core")
 
 
-@pytest.mark.parametrize("parts", compositions_up_to(7))
+# the last three have many rows with long shared prefixes, and words of
+# up to 203 letters, so the ordered walk closes hundreds of gaps at once
+@pytest.mark.parametrize("parts", compositions_up_to(7) + [(40, 1, 1), (3, 40, 2), (1, 1, 200, 1)])
 def test_enumeration_agrees(core, parts):
     assert core.words_of(parts) == _pure.words_of(parts)
     assert core.enum_counts(parts) == _pure.enum_counts(parts)
+
+
+def test_words_of_distinct_letters_is_strictly_increasing(core):
+    ws = core.words_of((1,) * 9)
+    assert len(ws) == 362880
+    assert all(a < b for a, b in zip(ws, ws[1:]))
+    assert core.enum_counts((1,) * 9) == (362880, 362880)
+
+
+def test_words_of_one_long_run_and_one_letter(backend):
+    # one level of 3,001 gaps, closed in a single step after its only row
+    one = b"\x01"
+    expected = [one * g + b"\x02" + one * (3000 - g) for g in range(3000, -1, -1)]
+    assert backend.words_of((3000, 1)) == expected
+
+
+@pytest.mark.parametrize("rows", [[b"\x02\x01", b"\x01\x02"], [b"\x01\x02", b"\x01\x02"]])
+def test_enum_counts_counts_only_strict_increases(monkeypatch, rows):
+    # a mis-ordered or duplicated row shows as distinct < total
+    monkeypatch.setattr(_pure, "words_of", lambda parts: rows)
+    assert _pure.enum_counts((1, 1)) == (2, 1)
 
 
 @pytest.mark.parametrize("parts", compositions_up_to(6))
