@@ -215,6 +215,25 @@ stirling_property(const unsigned char *w, Py_ssize_t m, const Py_ssize_t *mult)
     return -1;
 }
 
+/* Whether the ``m``-byte word ``w`` holds exactly ``mult[c]`` copies of
+ * each letter ``c`` in 1..n and no other letter. */
+static int
+has_content(const unsigned char *w, Py_ssize_t m, Py_ssize_t n, const Py_ssize_t *mult)
+{
+    Py_ssize_t count[MAX_LETTERS + 1], k;
+    for (k = 1; k <= n; k++)
+        count[k] = 0;
+    for (k = 0; k < m; k++) {
+        if (w[k] < 1 || w[k] > n)
+            return 0;
+        count[w[k]]++;
+    }
+    for (k = 1; k <= n; k++)
+        if (count[k] != mult[k])
+            return 0;
+    return 1;
+}
+
 static PyObject *
 is_stirling(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -222,25 +241,16 @@ is_stirling(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t n, m, k, total;
     const unsigned char *w;
     PyObject *wb;
-    int ok = 0;
+    int ok;
 
     if (!two_args("is_stirling", nargs) || (n = fill_parts(args[1], parts, &total)) < 0
         || (wb = PyBytes_FromObject(args[0])) == NULL)
         return NULL;
     w = (const unsigned char *)PyBytes_AS_STRING(wb);
     m = PyBytes_GET_SIZE(wb);
-    if (m != total)
-        goto done;
-    for (k = 0; k < m; k++) {
-        if (w[k] < 1 || w[k] > n)
-            goto done;
-        mult[w[k]]++;
-    }
-    for (k = 1; k <= n; k++)
-        if (mult[k] != parts[k - 1])
-            goto done;
-    ok = stirling_property(w, m, mult) < 0;
-done:
+    for (k = 0; k < n; k++)
+        mult[k + 1] = parts[k];
+    ok = m == total && has_content(w, m, n, mult) && stirling_property(w, m, mult) < 0;
     Py_DECREF(wb);
     return PyBool_FromLong(ok);
 }
@@ -389,27 +399,53 @@ profile12(PyObject *Py_UNUSED(self), PyObject *arg)
     return stats_tuple(out);
 }
 
-/* The value class of letter ``x`` (0..255) in the ``m``-byte word ``w``,
- * from the window around its leftmost occurrence, which goes into
- * ``*pos`` (0-based); or -1 when ``x`` does not occur. */
+/* The value class of letter ``x`` from the window ``(p, x, nx)`` around
+ * its leftmost occurrence; ``single`` when it has no other occurrence. */
 static int
-class_at(const unsigned char *w, Py_ssize_t m, long x, Py_ssize_t *pos)
+window_class(unsigned char p, long x, unsigned char nx, int single)
 {
-    const unsigned char *at = memchr(w, (int)x, (size_t)m), *end = w + m;
-    unsigned char p, nx;
-    if (at == NULL)
-        return -1;
-    *pos = at - w;
-    p = at > w ? at[-1] : 0;
-    nx = at + 1 < end ? at[1] : 0;
     if (p > x && x == nx)
         return FREE_DESCENT_PLATEAU;
-    /* single: no occurrence after the leftmost */
-    if (p > x && x > nx && memchr(at + 1, (int)x, (size_t)(end - at - 1)) == NULL)
+    if (p > x && x > nx && single)
         return SINGLE_DOUBLE_DESCENT;
     if (p < x && x < nx)
         return DOUBLE_ASCENT;
     return FIXED;
+}
+
+/* The value class of letter ``x`` (0..255) in the ``m``-byte word ``w``,
+ * whose leftmost occurrence goes into ``*pos`` (0-based); or -1 when
+ * ``x`` does not occur. */
+static int
+class_at(const unsigned char *w, Py_ssize_t m, long x, Py_ssize_t *pos)
+{
+    const unsigned char *at = memchr(w, (int)x, (size_t)m), *end = w + m;
+    if (at == NULL)
+        return -1;
+    *pos = at - w;
+    return window_class(at > w ? at[-1] : 0, x, at + 1 < end ? at[1] : 0,
+                        memchr(at + 1, (int)x, (size_t)(end - at - 1)) == NULL);
+}
+
+/* The value class and leftmost occurrence of every letter 1..n of the
+ * ``m``-byte word ``w`` into ``cls[1..n]`` and ``pos[1..n]``, in one pass;
+ * every letter must occur in ``w``. */
+static void
+class_table(const unsigned char *w, Py_ssize_t m, Py_ssize_t n, unsigned char *cls,
+            Py_ssize_t *pos)
+{
+    Py_ssize_t i, x;
+    for (x = 1; x <= n; x++)
+        pos[x] = -1, cls[x] = 1; /* cls[x]: x has occurred at most once */
+    for (i = 0; i < m; i++) {
+        if (pos[w[i]] < 0)
+            pos[w[i]] = i;
+        else
+            cls[w[i]] = 0;
+    }
+    for (x = 1; x <= n; x++)
+        cls[x] = (unsigned char)window_class(pos[x] > 0 ? w[pos[x] - 1] : 0, x,
+                                             pos[x] + 1 < m ? w[pos[x] + 1] : 0, cls[x]);
 }
 
 /* Write the hop of letter ``x`` of class ``cls`` (not FIXED), whose
@@ -499,44 +535,189 @@ phi_letter(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return nw;
 }
 
-/* The checks of gfs_scan on the orbit of the representative ``r`` with
- * profile ``pr`` (see the pure backend): its ``k`` moving letters are
- * ``moving``, ``bit[x]`` is the bit of letter ``x`` in a member index (0
- * for a fixed letter), and ``member`` has room for ``2^k`` rows of ``m``
- * bytes, its first row ``r``.  Returns the name of the failed check, or
- * NULL; a failed check of one member names it in ``*at`` (left at ``r``
- * for a check of the whole orbit), and the letter of a failed hop in
- * ``*letter``. */
+/* The depth-first walk of gfs_scan over the Stirling words of one
+ * content, in lexicographic order, cut to the words with sddes = fdesp =
+ * 0 (see stats12); the pure backend's _representatives mirrors it.  Call
+ * a letter open when it is placed and has copies left: a letter may
+ * come next exactly when it is >= every open letter, so the open letters
+ * form an increasing stack, and trying the letters in increasing order
+ * visits the words in order.  Both statistics are local: the window (p,
+ * c, nx) at an index is final once nx is placed, so a prefix is cut as
+ * soon as the letter placed after it shows one. */
+typedef struct {
+    Py_ssize_t n, m, d;         /* letters, word length, letters placed */
+    Py_ssize_t unseen;          /* letters with no copy placed */
+    const Py_ssize_t *mult;     /* copies of each letter */
+    Py_ssize_t left[MAX_LETTERS + 1]; /* copies of each letter not yet placed */
+    unsigned char stack[MAX_LETTERS + 1];
+    int top;                    /* index of the top open letter, -1 for none */
+    unsigned char *w, *first;   /* the word; first[i]: w[i] is a leftmost copy */
+} walk;
+
+/* Whether placing ``a`` (0: the end sentinel) after the ``d`` letters
+ * placed shows a single double-descent or a free descent-plateau at the
+ * last letter placed. */
+static int
+walk_cut(const walk *wk, int a)
+{
+    unsigned char p, c;
+    if (wk->d == 0)
+        return 0;
+    c = wk->w[wk->d - 1];
+    p = wk->d >= 2 ? wk->w[wk->d - 2] : 0;
+    return p > c && ((c > a && wk->mult[c] == 1) || (c == a && wk->first[wk->d - 1]));
+}
+
+static void
+walk_place(walk *wk, int a)
+{
+    wk->w[wk->d] = (unsigned char)a;
+    wk->first[wk->d] = wk->left[a] == wk->mult[a];
+    wk->unseen -= wk->first[wk->d];
+    if (--wk->left[a] == 0) {
+        if (!wk->first[wk->d])
+            wk->top--;
+    }
+    else if (wk->first[wk->d])
+        wk->stack[++wk->top] = (unsigned char)a;
+    wk->d++;
+}
+
+/* Take back the last letter placed, and return it. */
+static int
+walk_unplace(walk *wk)
+{
+    int a = wk->w[--wk->d];
+    wk->unseen += wk->first[wk->d];
+    if (wk->left[a]++ == 0) {
+        if (!wk->first[wk->d])
+            wk->stack[++wk->top] = (unsigned char)a;
+    }
+    else if (wk->first[wk->d])
+        wk->top--;
+    return a;
+}
+
+/* Move ``wk`` to its next leaf, the whole word in ``wk->w``: the first
+ * one when ``fresh``, else the one after the current leaf.  Returns 0
+ * when no leaf is left.  The walk is a loop, not a recursion over the
+ * word length. */
+static int
+walk_next(walk *wk, int fresh)
+{
+    int a = 0, back = !fresh, t, c;
+    Py_ssize_t i, j;
+    for (;;) {
+        if (back) {
+            if (wk->d == 0)
+                return 0;
+            a = walk_unplace(wk);
+        }
+        back = 1;
+        if (wk->unseen == 0) {
+            /* every letter has a copy placed, so the rest is forced: the
+             * open letters' copies, top first.  Each is a later copy of a
+             * letter with more than one, so no cut shows past the window
+             * at the last letter placed */
+            for (i = wk->d, j = wk->top; j >= 0; i += wk->left[c], j--) {
+                c = wk->stack[j];
+                memset(wk->w + i, c, (size_t)wk->left[c]);
+            }
+            if (!walk_cut(wk, wk->d < wk->m ? wk->w[wk->d] : 0))
+                return 1;
+            continue;
+        }
+        /* the next letter after ``a``: the top open letter, or a letter
+         * above it with no copy placed */
+        t = wk->top >= 0 ? wk->stack[wk->top] : 0;
+        for (a = a + 1 > t ? a + 1 : t; a <= wk->n; a++)
+            if ((a == t || wk->left[a] == wk->mult[a]) && !walk_cut(wk, a))
+                break;
+        if (a <= wk->n) {
+            walk_place(wk, a);
+            a = 0, back = 0;
+        }
+    }
+}
+
+/* The orbit buffers of gfs_scan: ``cap`` rows of members (``m`` bytes
+ * each) and of their class tables (``n + 1`` classes and leftmost
+ * occurrences each, from class_table), and one image row. */
+typedef struct {
+    Py_ssize_t n, m, cap;
+    const Py_ssize_t *mult;
+    Py_ssize_t bit[MAX_LETTERS + 1]; /* the bit of a letter in a member index, 0 if fixed */
+    long moving[MAX_LETTERS];
+    unsigned char seen[MAX_LETTERS + 1]; /* stats12's scratch */
+    unsigned char *member, *cls, *img;
+    Py_ssize_t *pos;
+} orbit;
+
+/* Make room for ``rows`` rows in ``o``, keeping the rows it has; returns
+ * 0 with an exception set when that fails. */
+static int
+orbit_reserve(orbit *o, Py_ssize_t rows)
+{
+    Py_ssize_t w1 = o->n + 1;
+    unsigned char *member, *cls;
+    Py_ssize_t *pos;
+    if (rows <= o->cap)
+        return 1;
+    if (rows > PY_SSIZE_T_MAX / (o->m + 1 + w1 * (Py_ssize_t)(1 + sizeof *pos))) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    if ((member = PyMem_Realloc(o->member, (size_t)(rows * o->m + 1))) != NULL)
+        o->member = member;
+    if ((cls = PyMem_Realloc(o->cls, (size_t)(rows * w1))) != NULL)
+        o->cls = cls;
+    if ((pos = PyMem_Realloc(o->pos, (size_t)(rows * w1) * sizeof *pos)) != NULL)
+        o->pos = pos;
+    if (member == NULL || cls == NULL || pos == NULL) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    o->cap = rows;
+    return 1;
+}
+
+/* The checks of gfs_scan on the orbit of the representative in row 0 of
+ * ``o``, with profile ``pr`` and class table in row 0 (see the pure
+ * backend): its ``k`` moving letters are ``o->moving``, and ``o`` has
+ * room for ``2^k`` rows.  Returns the name of the failed check, or NULL;
+ * a failed check of one member names it in ``*at`` (left at the
+ * representative for a check of the whole orbit), and the letter of a
+ * failed hop in ``*letter``. */
 static const char *
-orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_ssize_t *bit,
-              Py_ssize_t n, Py_ssize_t m, const Py_ssize_t *mult, unsigned char *seen,
-              const Py_ssize_t *pr, unsigned char *img, const unsigned char **at, long *letter)
+orbit_failure(orbit *o, Py_ssize_t k, const Py_ssize_t *pr, const unsigned char **at,
+              long *letter)
 {
     Py_ssize_t size = (Py_ssize_t)1 << k, terms[64] = {0}, binom[64] = {1}, p[12];
-    Py_ssize_t s, i, j, top, reps = 0, pos;
-    const unsigned char *from, *image;
+    Py_ssize_t s, i, j, t, top, reps = 0, m = o->m, w1 = o->n + 1;
+    const unsigned char *from, *image, *cls;
+    const Py_ssize_t *pos;
     const char *failure = NULL;
     unsigned char *v;
     long x;
-    int cls;
 
-    for (s = 0, v = member; s < size; s++, v += m) {
+    for (s = 0, v = o->member; s < size; s++, v += m) {
         if (s == 0)
             memcpy(p, pr, sizeof p);
         else {
             for (top = 0; s >> (top + 1); top++)
                 ;
-            from = member + (s ^ ((Py_ssize_t)1 << top)) * m;
-            cls = class_at(from, m, moving[top], &pos);
-            if (cls == FIXED)
+            t = s ^ ((Py_ssize_t)1 << top);
+            from = o->member + t * m, x = o->moving[top];
+            if (o->cls[t * w1 + x] == FIXED)
                 memcpy(v, from, (size_t)m);
             else
-                hop(from, m, pos, moving[top], cls, v);
-            if (stirling_property(v, m, mult) >= 0) {
-                *at = from, *letter = moving[top];
+                hop(from, m, o->pos[t * w1 + x], x, o->cls[t * w1 + x], v);
+            if (stirling_property(v, m, o->mult) >= 0) {
+                *at = from, *letter = x;
                 return "closure";
             }
-            stats12(v, m, mult, seen, p);
+            stats12(v, m, o->mult, o->seen, p);
+            class_table(v, m, o->n, o->cls + s * w1, o->pos + s * w1);
         }
         if (p[11] != pr[11]) {
             *at = v;
@@ -557,57 +738,88 @@ orbit_failure(unsigned char *member, Py_ssize_t k, const long *moving, const Py_
             return "orbit-sum";
     if (reps != 1)
         return "unique-representative";
-    for (s = 0, v = member; s < size; s++, v += m)
-        for (x = 1; x <= n; x++) {
-            cls = class_at(v, m, x, &pos);
-            image = v;
-            if (cls != FIXED) {
-                hop(v, m, pos, x, cls, img);
-                image = img;
+    /* every hop of every member, from the classes of the member and of
+     * the member it must land on */
+    for (s = 0, v = o->member; s < size; s++, v += m) {
+        cls = o->cls + s * w1, pos = o->pos + s * w1;
+        for (x = 1; x <= o->n; x++) {
+            t = s ^ o->bit[x];
+            if (o->bit[x] > s)
+                image = NULL; /* member t was built as this very hop */
+            else if (cls[x] != FIXED) {
+                hop(v, m, pos[x], x, cls[x], o->img);
+                image = o->img;
             }
-            if (memcmp(image, member + (s ^ bit[x]) * m, (size_t)m) != 0)
-                failure = stirling_property(image, m, mult) < 0 ? "hop" : "closure";
-            else if ((cls == FREE_DESCENT_PLATEAU || cls == SINGLE_DOUBLE_DESCENT)
-                     != (class_at(image, m, x, &pos) == DOUBLE_ASCENT))
+            else if (t != s)
+                image = v;
+            else
+                continue; /* the image is the member itself, at the same class */
+            if (image != NULL && memcmp(image, o->member + t * m, (size_t)m) != 0)
+                failure = stirling_property(image, m, o->mult) < 0 ? "hop" : "closure";
+            else if ((cls[x] == FREE_DESCENT_PLATEAU || cls[x] == SINGLE_DOUBLE_DESCENT)
+                     != (o->cls[t * w1 + x] == DOUBLE_ASCENT))
                 failure = "toggle";
             if (failure != NULL) {
                 *at = v, *letter = x;
                 return failure;
             }
         }
+    }
     return NULL;
 }
 
+/* The representatives come from the walk, and each leaf is checked
+ * again before it is used, so a pass does not rest on the cut: the leaf
+ * must be a Stirling word of the content, have sddes = fdesp = 0 in its
+ * profile (else it is skipped), and come strictly after the
+ * representative before it.  The orbit sizes are counted down from
+ * word_count, so no word set is built, although the scan refuses the
+ * word sets that sorted_words refuses. */
 static PyObject *
 gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
 {
-    Py_ssize_t n, count, m, i, j, k, left, size, cap = 0, pos, pr[12];
-    Py_ssize_t mult[MAX_LETTERS + 1] = {0}, bit[MAX_LETTERS + 1] = {0};
-    long x, letter = 0, moving[MAX_LETTERS];
-    unsigned char seen[MAX_LETTERS + 1] = {0}, *buf = sorted_words(arg, &n, &count, &m);
-    unsigned char *member = NULL, *img = NULL, *grown;
+    Py_ssize_t parts[MAX_LETTERS], mult[MAX_LETTERS + 1] = {0}, pr[12];
+    Py_ssize_t total, left, k, x, size;
+    long letter = 0;
+    int fresh, have_prev = 0;
+    unsigned char *prev = NULL;
     const unsigned char *r, *at = NULL;
     const char *failure = NULL;
     PyObject *out = NULL;
+    walk wk = {0};
+    orbit o = {0};
 
-    if (buf == NULL)
+    if ((o.n = fill_parts(arg, parts, &total)) < 0 || (left = word_count(parts, o.n, total)) < 0)
         return NULL;
-    /* every word has the content of the composition */
-    for (i = 0; i < m; i++)
-        mult[buf[i]]++;
-    if ((img = PyMem_Malloc((size_t)m + 1)) == NULL)
+    for (k = 0; k < o.n; k++)
+        mult[k + 1] = wk.left[k + 1] = parts[k];
+    wk.n = wk.unseen = o.n, wk.m = o.m = total, wk.mult = o.mult = mult, wk.top = -1;
+    if ((wk.w = PyMem_Malloc((size_t)total + 1)) == NULL
+        || (wk.first = PyMem_Malloc((size_t)total + 1)) == NULL
+        || (prev = PyMem_Malloc((size_t)total + 1)) == NULL
+        || (o.img = PyMem_Malloc((size_t)total + 1)) == NULL || !orbit_reserve(&o, 1))
         goto done;
-    for (i = 0, r = buf, left = count; i < count && failure == NULL; i++, r += m) {
-        stats12(r, m, mult, seen, pr);
+    for (fresh = 1; walk_next(&wk, fresh); fresh = 0) {
+        r = at = wk.w;
+        if (!has_content(r, total, o.n, mult) || stirling_property(r, total, mult) >= 0) {
+            failure = "closure";
+            break;
+        }
+        stats12(r, total, mult, o.seen, pr);
         if (pr[8] || pr[9]) /* not a representative */
             continue;
-        at = r;
-        for (x = 1, k = 0; x <= n; x++)
-            if (class_at(r, m, x, &pos) != FIXED)
-                moving[k++] = x;
+        if (have_prev && memcmp(prev, r, (size_t)total) >= 0) {
+            failure = "cover";
+            break;
+        }
+        memcpy(prev, r, (size_t)total), have_prev = 1;
+        class_table(r, total, o.n, o.cls, o.pos);
+        for (x = 1, k = 0; x <= o.n; x++)
+            if (o.cls[x] != FIXED)
+                o.moving[k++] = x;
         if (pr[0] - pr[7] != pr[5] + pr[3] || pr[5] + pr[3] != pr[10])
             failure = "identity-ascpp";
-        else if (pr[7] != m + 1 - pr[11] - 2 * pr[10])
+        else if (pr[7] != total + 1 - pr[11] - 2 * pr[10])
             failure = "identity-dasc";
         else if (k != pr[7])
             failure = "orbit-size";
@@ -616,32 +828,34 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
         if (failure != NULL)
             break;
         size = (Py_ssize_t)1 << k;
-        if (size * m >= cap) {
-            if ((grown = PyMem_Realloc(member, (size_t)(size * m + 1))) == NULL)
-                goto done;
-            member = grown, cap = size * m + 1;
-        }
-        memcpy(member, r, (size_t)m);
-        for (x = 1; x <= n; x++)
-            bit[x] = 0;
-        for (j = 0; j < k; j++)
-            bit[moving[j]] = (Py_ssize_t)1 << j;
-        failure = orbit_failure(member, k, moving, bit, n, m, mult, seen, pr, img, &at, &letter);
+        if (!orbit_reserve(&o, size))
+            goto done;
+        memcpy(o.member, r, (size_t)total);
+        for (x = 1; x <= o.n; x++)
+            o.bit[x] = 0;
+        for (x = 0; x < k; x++)
+            o.bit[o.moving[x]] = (Py_ssize_t)1 << x;
+        if ((failure = orbit_failure(&o, k, pr, &at, &letter)) != NULL)
+            break;
         left -= size;
     }
     if (failure == NULL && left != 0)
         failure = "cover", at = NULL;
-    /* ``at`` points into ``buf`` or ``member``; y# makes None of NULL */
+    /* ``at`` points into ``wk.w`` or ``o.member``; y# makes None of NULL */
     if (failure != NULL)
-        out = Py_BuildValue("(sy#l)", failure, (const char *)at, m, letter);
+        out = Py_BuildValue("(sy#l)", failure, (const char *)at, total, letter);
     else
         out = Py_NewRef(Py_None);
 done:
     if (out == NULL && !PyErr_Occurred())
         PyErr_NoMemory();
-    PyMem_Free(buf);
-    PyMem_Free(member);
-    PyMem_Free(img);
+    PyMem_Free(wk.w);
+    PyMem_Free(wk.first);
+    PyMem_Free(prev);
+    PyMem_Free(o.img);
+    PyMem_Free(o.member);
+    PyMem_Free(o.cls);
+    PyMem_Free(o.pos);
     return out;
 }
 

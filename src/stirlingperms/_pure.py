@@ -14,6 +14,7 @@ Statistic order returned by :func:`profile12`::
 
 from __future__ import annotations
 
+import operator
 import sys
 from math import comb
 
@@ -31,20 +32,22 @@ def _check_parts(parts):
     if len(parts) > 255:
         raise ValueError("at most 255 distinct letters are supported")
     for p in parts:
-        if p < 1:
+        if operator.index(p) < 1:
             raise ValueError("multiplicities must be positive")
 
 
-def _check_size(parts):
-    """Raise ``OverflowError`` when the compiled kernel's two level
-    buffers for the word set of ``parts`` (word count times word length
-    bytes each) would not fit in ``sys.maxsize``."""
+def _word_count(parts):
+    """The number of Stirling words of content ``parts``; raise
+    ``OverflowError`` when the compiled kernel's two level buffers for
+    that word set (word count times word length bytes each) would not fit
+    in ``sys.maxsize``."""
     count, length = 1, 0
     for mk in parts:
         count *= length + 1
         length += mk
     if 2 * count * length > sys.maxsize:
         raise OverflowError("the word set is too large to enumerate")
+    return count
 
 
 def words_of(parts):
@@ -55,7 +58,7 @@ def words_of(parts):
     sorted list of packed words.
     """
     _check_parts(parts)
-    _check_size(parts)
+    _word_count(parts)
     cur = [b""]
     for k, mk in enumerate(parts, start=1):
         block = bytes([k]) * mk
@@ -102,18 +105,10 @@ def _stirling_property(word, mult):
 def is_stirling(word, parts):
     """Content check against ``parts`` plus the nesting property."""
     _check_parts(parts)
-    n = len(parts)
-    if len(word) != sum(parts):
+    # with the length right, the counts of 1..n leave room for no other letter
+    if len(word) != sum(parts) or any(word.count(k) != mk for k, mk in enumerate(parts, start=1)):
         return False
-    mult = [0] * (n + 1)
-    for c in word:
-        if c < 1 or c > n:
-            return False
-        mult[c] += 1
-    for k in range(1, n + 1):
-        if mult[k] != parts[k - 1]:
-            return False
-    return _stirling_property(word, mult) < 0
+    return _stirling_property(word, (0, *parts)) < 0
 
 
 def _sorted_letters(parts):
@@ -152,7 +147,7 @@ def brute_count(parts):
     refused where :func:`words_of` refuses it.
     """
     _check_parts(parts)
-    _check_size(parts)
+    _word_count(parts)
     arr = _sorted_letters(parts)
     if not arr:
         return 1
@@ -187,11 +182,15 @@ def profile12(word):
     asc, plat = (0, 1) if word[0] == 0 else (1, 0)
     des = sdes = mdes = fplat = uplat = 0
     dasc = sddes = fdesp = ascpp = mdup = 0
+    # the letters that occur more than once, from one pass
+    once, repeated = set(), set()
+    for c in word:
+        (repeated if c in once else once).add(c)
     seen = set()
     p = 0
     for i, c in enumerate(word, start=1):
         nx = word[i] if i < m else 0
-        multiple = word.count(c) > 1
+        multiple = c in repeated
         leftmost = c not in seen
         seen.add(c)
         if c > nx:
@@ -284,6 +283,80 @@ def _hop(word, x, cls):
     return word[: l1 - 1] + word[l1 : k - 1] + piece + word[k - 1 :]
 
 
+def _representatives(parts):
+    """The Stirling words of content ``parts`` with ``sddes = fdesp = 0``,
+    in lexicographic order, from a depth-first walk.
+
+    Call a letter open when it is placed and has copies left.  A letter
+    may come next exactly when it is at least every open letter, so the
+    open letters form an increasing stack, and trying the letters in
+    increasing order visits the words in order.  Both statistics are
+    local: the window ``(p, c, nx)`` at an index is final once ``nx`` is
+    placed, so a prefix is cut as soon as the letter placed after it
+    shows a single double-descent or a free descent-plateau.  The walk
+    is a loop, not a recursion over the word length.
+
+    Once every letter has a copy placed, the rest of the word is forced:
+    the open letters' copies, top first.  It shows no cut past the window
+    at the last letter placed, since every letter in it is a later copy
+    of a letter that occurs more than once, so it is written at once.
+    """
+    n, m = len(parts), sum(parts)
+    mult = (0, *parts)
+    left = list(mult)  # copies of each letter not yet placed
+    word, first = bytearray(m), bytearray(m)  # first[i]: word[i] is a leftmost copy
+    stack = [0]  # the open letters, over a floor of 0
+    unseen = n  # letters with no copy placed
+    d = a = 0  # letters placed; the letter last tried at depth d
+
+    while True:
+        # after word[:d], a letter below ``lo`` shows a single
+        # double-descent at word[d - 1], and ``skip`` a free descent-plateau
+        lo, skip = 0, -1
+        if d >= 2 and word[d - 2] > word[d - 1]:
+            c = word[d - 1]
+            if mult[c] == 1:
+                lo = c
+            elif first[d - 1]:
+                skip = c
+        if not unseen:
+            rest = b"".join(bytes([c]) * left[c] for c in reversed(stack))
+            nx = rest[0] if rest else 0  # or the end sentinel
+            if lo <= nx != skip:
+                yield bytes(word[:d]) + rest
+            a = -1  # back to the last letter placed
+        else:
+            # the next letter after ``a``: the top open letter, or a letter
+            # above it with no copy placed
+            t = stack[-1]
+            a = max(a + 1, t, lo)
+            while a <= n and (a == skip or a != t and left[a] != mult[a]):
+                a += 1
+        if 0 < a <= n:
+            word[d], first[d] = a, left[a] == mult[a]
+            left[a] -= 1
+            if not left[a]:
+                if not first[d]:
+                    stack.pop()
+            elif first[d]:
+                stack.append(a)
+            unseen -= first[d]
+            d, a = d + 1, 0
+            continue
+        if not d:
+            return
+        # take back the last letter placed, and try the next one there
+        d -= 1
+        a = word[d]
+        if not left[a]:
+            if not first[d]:
+                stack.append(a)
+        elif first[d]:
+            stack.pop()
+        left[a] += 1
+        unseen += first[d]
+
+
 def gfs_scan(parts):
     """Check the hopping action orbit by orbit; ``None`` on a pass, or
     ``(check, word, letter)`` at the first failure: the name of the
@@ -291,8 +364,16 @@ def gfs_scan(parts):
     final ``cover``) and the letter whose hop failed (0 for a check of no
     single letter).
 
-    Every word ``r`` of ``words_of(parts)`` with ``sddes = fdesp = 0`` is
-    a representative.  Its ``k`` moving letters ``x_0 < ... < x_(k-1)``
+    The representatives come from :func:`_representatives`, and each
+    leaf ``r`` of that walk is checked again before it is used, so a pass
+    does not rest on the walk's cut:
+
+    - ``closure``: ``r`` is a Stirling word of content ``parts`` (``r``);
+    - its profile has ``sddes = fdesp = 0``, else ``r`` is skipped;
+    - ``cover``: ``r`` comes strictly after the representative before it
+      (``r``).
+
+    A representative ``r``'s ``k`` moving letters ``x_0 < ... < x_(k-1)``
     are those not FIXED at ``r``, and its orbit is the array ``member``
     over the subsets ``S`` of them: ``member[0] = r``, and ``member[S]``
     hops the highest letter of ``S`` in ``member[S - top]``, so each
@@ -304,9 +385,8 @@ def gfs_scan(parts):
     - ``orbit-size``: ``k == dasc(r)`` (``r``);
     - ``cover``: the orbit sizes so far stay within the word count
       (``r``);
-    - ``closure``: every member is a Stirling word of content ``parts``,
-      that is, one of the sorted words (the member hopped, and the
-      letter);
+    - ``closure``: every member is a Stirling word of content ``parts``
+      (the member hopped, and the letter);
     - ``mdup-invariance``: every member has the ``mdup`` of ``r`` (the
       member);
     - ``orbit-sum``: ``x^asc y^(fplat+sdes)`` summed over the members is
@@ -317,15 +397,20 @@ def gfs_scan(parts):
     - ``hop``: for every member ``member[S]`` and letter ``x``,
       ``phi_x(member[S])`` is ``member[S xor x]`` for a moving ``x``
       and ``member[S]`` for a fixed one, or ``closure`` when that image
-      is not a Stirling word (the member, and ``x``);
+      is not a Stirling word (the member, and ``x``).  When ``x`` is
+      above every letter of ``S``, ``member[S xor x]`` was built as that
+      very hop, so only the toggle is read;
     - ``toggle``: ``x`` is movable-left at the member exactly when it
       is a double-ascent value at that image (the member, and ``x``);
     - ``cover``, once at the end: the orbit sizes sum to the word count
-      (no word).
+      ``count_words(parts)`` (no word).
 
     A pass proves what whole-table checks of the action prove, on the
     set ``W`` of Stirling words of content ``parts``:
 
+    - The representatives are distinct words of ``W`` with ``sddes =
+      fdesp = 0``: each leaf was rechecked, and they come in strictly
+      increasing order.
     - The members are distinct: if ``member[S] = member[T]`` with
       ``S != T``, hopping the letters of ``S`` in both gives
       ``r = member[S xor T]``, a second representative.
@@ -338,26 +423,29 @@ def gfs_scan(parts):
       representatives, which would then lie in one closed orbit with one
       representative.
     - The orbits cover ``W``: they are disjoint subsets of ``W`` whose
-      sizes sum to ``count_words(parts)``, the size of ``W``.
+      sizes sum to ``count_words(parts)``, the size of ``W``.  So every
+      word of ``W`` lies in the orbit of a representative the walk
+      reached, whatever words the walk cut.
     - So each orbit of the group generated by the hops is one array, of
       size ``2^dasc(r)``, with exactly one representative, the two
       identities and the orbit sum.
     """
-    words = words_of(parts)
-    stirling = set(words)
-    n, m = len(parts), len(words[0])
-    left = len(words)  # words not yet covered by an orbit
-    covered = set()  # a representative among them would have failed its orbit
-    for r in words:
-        if r in covered:
-            continue
+    _check_parts(parts)
+    left = _word_count(parts)  # words not yet covered by an orbit
+    n, prev = len(parts), None
+    for r in _representatives(parts):
+        if not is_stirling(r, parts):
+            return "closure", r, 0
         prof = profile12(r)
         if prof[8] or prof[9]:
             continue
+        if prev is not None and r <= prev:
+            return "cover", r, 0
+        prev = r
         asc, _, _, sdes, _, fplat, _, dasc, _, _, ascpp, mdup = prof
         if not asc - dasc == fplat + sdes == ascpp:
             return "identity-ascpp", r, 0
-        if dasc != m + 1 - mdup - 2 * ascpp:
+        if dasc != len(r) + 1 - mdup - 2 * ascpp:
             return "identity-dasc", r, 0
         # the value classes of every letter at each member, row 0 at r
         classes = [[classify_letter(r, x) for x in range(1, n + 1)]]
@@ -376,7 +464,7 @@ def gfs_scan(parts):
                 top = s.bit_length() - 1
                 src, x = s ^ 1 << top, moving[top]
                 v = _hop(member[src], x, classes[src][x - 1])
-                if v not in stirling:
+                if not is_stirling(v, parts):
                     return "closure", member[src], x
                 p = profile12(v)
                 member.append(v)
@@ -394,12 +482,14 @@ def gfs_scan(parts):
             return "orbit-sum", r, 0
         if reps != 1:
             return "unique-representative", r, 0
-        covered.update(member)
         for s, v in enumerate(member):
             for x, cls in enumerate(classes[s], start=1):
-                image, t = _hop(v, x, cls), s ^ bit[x]
-                if image != member[t]:
-                    return "hop" if image in stirling else "closure", v, x
+                t = s ^ bit[x]
+                # member t was built as this very hop when x's bit is above s
+                if bit[x] <= s:
+                    image = _hop(v, x, cls)
+                    if image != member[t]:
+                        return "hop" if is_stirling(image, parts) else "closure", v, x
                 # the class at an image that is a member is that member's
                 if (cls in _MOVABLE_LEFT) != (classes[t][x - 1] == DOUBLE_ASCENT):
                     return "toggle", v, x

@@ -42,11 +42,11 @@ from .words import (
 #: ``gamma``, ``realroot``, ``jacobi`` and ``verify`` build for one
 #: multiplicity vector, or ``jacobi --level`` for one level.  The kernel
 #: builds a word set in buffers of one byte per letter, so the set may
-#: also hold at most ``16 * MAX_WORDS`` letters.  The pure backend's
-#: ``profile12`` counts every letter's occurrences across the whole word,
-#: so its time grows with the square of the word length; words times
-#: letters squared may be at most ``256 * 16 * MAX_WORDS``, which only a
-#: set of words longer than 256 letters can exceed.  Every vector of
+#: also hold at most ``16 * MAX_WORDS`` letters.  Words times letters
+#: squared may be at most ``256 * 16 * MAX_WORDS``, which only a set of
+#: words longer than 256 letters can exceed; every kernel is linear in
+#: the word length, so that bound guards no cost, and it stays with its
+#: message because ``tests/cli_corpus.json`` pins both.  Every vector of
 #: total at most 10 fits: the largest, ``1,...,1``, has 3,628,800 words
 #: of 10 letters.
 MAX_WORDS = 5_000_000

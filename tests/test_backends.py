@@ -8,12 +8,14 @@ tests run wherever a C compiler exists.
 
 import hashlib
 import importlib.util
+import random
 import re
 import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 import types
 from itertools import product
 from pathlib import Path
@@ -237,6 +239,88 @@ def test_hop_tables_match_the_oracle(core, parts):
 @pytest.mark.parametrize("parts", compositions_up_to(7))
 def test_gfs_scan_passes_exactly_where_the_tables_pass(backend, parts):
     assert (backend.gfs_scan(parts) is None) == action_tables_pass(parts)
+
+
+def is_representative(word):
+    prof = _pure.profile12(word)
+    return prof[8] == prof[9] == 0
+
+
+# the last three have long runs, so the walk writes long forced suffixes
+@pytest.mark.parametrize("parts", compositions_up_to(8) + [(40, 1, 1), (3, 40, 2), (1, 1, 200, 1)])
+def test_pure_representatives_are_the_filtered_words(parts):
+    assert list(_pure._representatives(parts)) == [w for w in _pure.words_of(parts) if is_representative(w)]
+
+
+# total 1..7 passes in the test above, where the tables pass; the empty
+# composition fails its identities by design (test_empty_inputs)
+@pytest.mark.parametrize("parts", [p for p in compositions_up_to(8) if sum(p) == 8]
+                         + [(40, 1, 1), (3, 40, 2), (1, 1, 200, 1), (3000, 1)])
+def test_gfs_scan_passes(backend, parts):
+    assert backend.gfs_scan(parts) is None
+
+
+W1122, W1212 = b"\x01\x01\x02\x02", b"\x01\x02\x01\x02"
+
+
+def test_pure_gfs_scan_fails_cover_on_a_repeated_representative(monkeypatch):
+    # 1122 is an orbit of one of the three words of (2, 2); taken twice,
+    # it must fail the strict order at once, not at a later orbit
+    walk = _pure._representatives
+    monkeypatch.setattr(_pure, "_representatives", lambda parts: [W1122, *walk(parts)])
+    assert _pure.gfs_scan((2, 2)) == ("cover", W1122, 0)
+
+
+def test_pure_gfs_scan_fails_closure_on_a_leaf_that_is_no_word(monkeypatch):
+    monkeypatch.setattr(_pure, "_representatives", lambda parts: [W1212])
+    assert _pure.gfs_scan((2, 2)) == ("closure", W1212, 0)
+
+
+@pytest.mark.parametrize("parts", [(2, 2), (2, 1, 1), (1, 2, 1, 1), (1,) * 5])
+def test_pure_gfs_scan_skips_leaves_its_profile_rejects(monkeypatch, parts):
+    # every word as a leaf: the scan takes only those with sddes = fdesp = 0
+    monkeypatch.setattr(_pure, "_representatives", _pure.words_of)
+    assert _pure.gfs_scan(parts) is None
+
+
+def traced_peak(fn, *args):
+    """The peak of memory that ``tracemalloc`` sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gfs_scan_holds_no_word_buffer(core):
+    # the 362,880 words of nine letters would take 3.3 MB in one buffer
+    assert traced_peak(core.gfs_scan, (1,) * 9) < 1 << 20
+
+
+def test_pure_gfs_scan_holds_no_word_set():
+    # 6,720 words, which take more than 1 MB as bytes objects in a list and a set
+    assert traced_peak(_pure.gfs_scan, (3, 1, 1, 1, 1, 1)) < 200 << 10
+
+
+def long_words():
+    """Long words: one letter's run, a single letter inside it, and
+    Stirling words of long contents made by random block insertion, with
+    letters that occur once, between and beside long runs."""
+    rng = random.Random(29)
+    out = [b"\x01" * 40000, b"\x01" * 20000 + b"\x02" + b"\x01" * 20000]
+    for parts in [(20000, 1), (1, 20000), (300, 1, 500, 1, 1, 200), (1,) * 200 + (5000,)]:
+        w = b""
+        for k, mk in enumerate(parts, start=1):
+            g = rng.randrange(len(w) + 1)
+            w = w[:g] + bytes([k]) * mk + w[g:]
+        out.append(w)
+    return out
+
+
+def test_profiles_agree_on_long_words(core):
+    for w in long_words():
+        assert core.profile12(w) == _pure.profile12(w)
 
 
 def public_names(mod):
