@@ -255,7 +255,9 @@ is_stirling(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return PyBool_FromLong(ok);
 }
 
-static int
+/* Step ``a`` to the next permutation in lexicographic order; returns the
+ * first index it changed, or -1 after the last permutation. */
+static Py_ssize_t
 next_permutation(unsigned char *a, Py_ssize_t m)
 {
     Py_ssize_t i = m - 2, j, lo, hi;
@@ -263,14 +265,14 @@ next_permutation(unsigned char *a, Py_ssize_t m)
     while (i >= 0 && a[i] >= a[i + 1])
         i--;
     if (i < 0)
-        return 0;
+        return -1;
     j = m - 1;
     while (a[j] <= a[i])
         j--;
     t = a[i], a[i] = a[j], a[j] = t;
     for (lo = i + 1, hi = m - 1; lo < hi; lo++, hi--)
         t = a[lo], a[lo] = a[hi], a[hi] = t;
-    return 1;
+    return i;
 }
 
 /* Count Stirling words by deciding every multiset permutation, in
@@ -282,28 +284,59 @@ next_permutation(unsigned char *a, Py_ssize_t m)
  * exact.  Every permutation visited is a word or a (valid prefix, next
  * letter) pair, so the visits number at most
  * ``words * (1 + (total + 1) * letters)``, and the word set is refused
- * where ``sorted_words`` refuses it. */
+ * where ``sorted_words`` refuses it.
+ *
+ * The scan is stirling_property's, resumed where the permutation changed:
+ * ``top[i]`` and ``rem[i]`` are the open letter on top of the stack
+ * before index ``i`` (0 when none is open) and its copies still to come.
+ * A letter is pushed only at its first occurrence, so the stack is linked
+ * through per-letter arrays: ``below[c]`` is the letter under ``c`` and
+ * ``under[c]`` its copies left when ``c`` was pushed, which stay put while
+ * ``c`` is open.  The state before index ``i`` depends only on
+ * ``arr[0..i-1]``, which next_permutation leaves alone before the index it
+ * returns, so each visit rescans only from that index.  That index is at
+ * most the last index scanned (a failure at ``i`` rewrites only
+ * ``arr[i+1..]``), so the state read there was written by an earlier scan
+ * of the same prefix, as were ``below`` and ``under`` of every letter
+ * then open.  The state costs one byte and one Py_ssize_t (9 bytes on
+ * 64-bit) per letter of the word, on top of the word itself. */
 static PyObject *
 brute_count(PyObject *Py_UNUSED(self), PyObject *arg)
 {
     Py_ssize_t parts[MAX_LETTERS], mult[MAX_LETTERS + 1] = {0}, left[MAX_LETTERS + 1] = {0};
-    Py_ssize_t m, n = fill_parts(arg, parts, &m), k, i, j;
+    Py_ssize_t under[MAX_LETTERS + 1], *rem;
+    Py_ssize_t m, n = fill_parts(arg, parts, &m), k, i, j, p = 0, r;
+    unsigned char below[MAX_LETTERS + 1], *arr, *top, c, t;
     unsigned long long count = 0;
-    unsigned char *arr;
 
     if (n < 0 || word_count(parts, n, m) < 0)
         return NULL;
     if (m == 0)
         return PyLong_FromLong(1);
-    if ((arr = PyMem_Malloc((size_t)m)) == NULL)
+    if (m >= PY_SSIZE_T_MAX / (Py_ssize_t)(2 + sizeof *rem)
+        || (rem = PyMem_Malloc((size_t)(m + 1) * (2 + sizeof *rem))) == NULL)
         return PyErr_NoMemory();
+    top = (unsigned char *)(rem + m + 1);
+    arr = top + m + 1;
+    top[0] = 0, rem[0] = 0;
     for (k = 0, i = 0; k < n; i += parts[k], k++) {
         mult[k + 1] = parts[k];
         memset(arr + i, (int)(k + 1), parts[k]);
     }
     Py_BEGIN_ALLOW_THREADS
     do {
-        if ((i = stirling_property(arr, m, mult)) < 0)
+        for (i = p, t = top[p], r = rem[p]; i < m; top[++i] = t, rem[i] = r) {
+            c = arr[i];
+            if (c == t) {
+                if (--r == 0)
+                    r = under[t], t = below[t];
+            }
+            else if (c < t)
+                break;
+            else if (mult[c] > 1)
+                below[c] = t, under[c] = r, t = c, r = mult[c] - 1;
+        }
+        if (i == m)
             count++;
         else {
             /* counting sort of arr[i+1..] into descending order, which
@@ -314,9 +347,9 @@ brute_count(PyObject *Py_UNUSED(self), PyObject *arg)
                 for (; left[k] > 0; left[k]--)
                     arr[j++] = (unsigned char)k;
         }
-    } while (next_permutation(arr, m));
+    } while ((p = next_permutation(arr, m)) >= 0);
     Py_END_ALLOW_THREADS
-    PyMem_Free(arr);
+    PyMem_Free(rem);
     return PyLong_FromUnsignedLongLong(count);
 }
 

@@ -144,7 +144,9 @@ def brute_count(parts):
     the block: the count stays exact.  Every permutation visited is a
     word or a (valid prefix, next letter) pair, so the visits number at
     most ``words * (1 + (total + 1) * letters)``, and the word set is
-    refused where :func:`words_of` refuses it.
+    refused where :func:`words_of` refuses it.  Every visit is scanned
+    from index 0: this stays the from-scratch scan that the compiled
+    kernel, which resumes at the first changed index, is checked against.
     """
     _check_parts(parts)
     _word_count(parts)

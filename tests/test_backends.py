@@ -135,6 +135,26 @@ def test_brute_count_matches_the_formula_on_the_counting_extras(backend):
             assert backend.brute_count(parts) == words.count_words(parts), parts
 
 
+def test_resumed_brute_count_agrees_with_the_scan_from_index_0(core):
+    # the C scan resumes at the first index each permutation changes;
+    # _pure.brute_count rescans every permutation from index 0
+    for parts in compositions_up_to(7):
+        assert core.brute_count(parts) == _pure.brute_count(parts), parts
+
+
+def test_resumed_brute_count_matches_the_formula_at_total_8(core):
+    for parts in compositions_up_to(8):
+        if sum(parts) == 8:
+            assert core.brute_count(parts) == words.count_words(parts), parts
+
+
+# deep stacks of open letters, and long runs that resume far from index 0
+@pytest.mark.parametrize("parts", [(2,) * 6, (1, 2) * 4, (40, 1, 1), (3, 40, 2), (1, 1, 200, 1),
+                                   (3000, 1), (1,) * 9])
+def test_resumed_brute_count_matches_the_formula_on_deep_and_long_words(core, parts):
+    assert core.brute_count(parts) == words.count_words(parts)
+
+
 def counted_visits(monkeypatch):
     """A list that grows by one per permutation the pure ``brute_count``
     visits: it calls ``_next_permutation`` once after each."""
