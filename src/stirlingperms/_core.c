@@ -680,7 +680,6 @@ typedef struct {
     Py_ssize_t n, m, cap;
     const Py_ssize_t *mult;
     Py_ssize_t bit[MAX_LETTERS + 1]; /* the bit of a letter in a member index, 0 if fixed */
-    long moving[MAX_LETTERS];
     unsigned char seen[MAX_LETTERS + 1]; /* stats12's scratch */
     unsigned char *member, *cls, *img;
     Py_ssize_t *pos;
@@ -716,42 +715,31 @@ orbit_reserve(orbit *o, Py_ssize_t rows)
 
 /* The checks of gfs_scan on the orbit of the representative in row 0 of
  * ``o``, with profile ``pr`` and class table in row 0 (see the pure
- * backend): its ``k`` moving letters are ``o->moving``, and ``o`` has
- * room for ``2^k`` rows.  Returns the name of the failed check, or NULL;
- * a failed check of one member names it in ``*at`` (left at the
- * representative for a check of the whole orbit), and the letter of a
- * failed hop in ``*letter``. */
+ * backend), and ``k`` moving letters with their bits in ``o->bit``; ``o``
+ * has room for ``2^k`` rows.  One pass over the members: member ``s``
+ * gets its own checks, then every letter hops it once.  A letter whose
+ * bit is above ``s`` builds the member it reaches, which is the first hop
+ * to reach it; every other hop lands on a member built before.  Returns
+ * the name of the failed check, or NULL; a failed check of one member
+ * names it in ``*at`` (left at the representative for a check of the
+ * whole orbit), and the letter of a failed hop in ``*letter``. */
 static const char *
 orbit_failure(orbit *o, Py_ssize_t k, const Py_ssize_t *pr, const unsigned char **at,
               long *letter)
 {
     Py_ssize_t size = (Py_ssize_t)1 << k, terms[64] = {0}, binom[64] = {1}, p[12];
-    Py_ssize_t s, i, j, t, top, reps = 0, m = o->m, w1 = o->n + 1;
-    const unsigned char *from, *image, *cls;
+    Py_ssize_t s, i, j, t, reps = 0, m = o->m, w1 = o->n + 1;
+    const unsigned char *cls;
     const Py_ssize_t *pos;
     const char *failure = NULL;
-    unsigned char *v;
+    unsigned char *v, *u;
     long x;
 
+    memcpy(p, pr, sizeof p);
     for (s = 0, v = o->member; s < size; s++, v += m) {
-        if (s == 0)
-            memcpy(p, pr, sizeof p);
-        else {
-            for (top = 0; s >> (top + 1); top++)
-                ;
-            t = s ^ ((Py_ssize_t)1 << top);
-            from = o->member + t * m, x = o->moving[top];
-            if (o->cls[t * w1 + x] == FIXED)
-                memcpy(v, from, (size_t)m);
-            else
-                hop(from, m, o->pos[t * w1 + x], x, o->cls[t * w1 + x], v);
-            if (stirling_property(v, m, o->mult) >= 0) {
-                *at = from, *letter = x;
-                return "closure";
-            }
+        cls = o->cls + s * w1, pos = o->pos + s * w1;
+        if (s > 0)
             stats12(v, m, o->mult, o->seen, p);
-            class_table(v, m, o->n, o->cls + s * w1, o->pos + s * w1);
-        }
         if (p[11] != pr[11]) {
             *at = v;
             return "mdup-invariance";
@@ -761,6 +749,34 @@ orbit_failure(orbit *o, Py_ssize_t k, const Py_ssize_t *pr, const unsigned char 
             return "orbit-sum";
         terms[i]++;
         reps += !(p[8] || p[9]);
+        for (x = 1; x <= o->n; x++) {
+            t = s ^ o->bit[x], u = o->member + t * m;
+            if (o->bit[x] > s) { /* the first hop to reach member t builds it */
+                if (cls[x] == FIXED)
+                    memcpy(u, v, (size_t)m);
+                else
+                    hop(v, m, pos[x], x, cls[x], u);
+                if (stirling_property(u, m, o->mult) >= 0)
+                    failure = "closure";
+                else
+                    class_table(u, m, o->n, o->cls + t * w1, o->pos + t * w1);
+            }
+            else if (cls[x] != FIXED) {
+                hop(v, m, pos[x], x, cls[x], o->img);
+                if (memcmp(o->img, u, (size_t)m) != 0)
+                    failure = stirling_property(o->img, m, o->mult) < 0 ? "hop" : "closure";
+            }
+            else if (t != s && memcmp(v, u, (size_t)m) != 0)
+                failure = "hop"; /* v stays put, and is a Stirling word */
+            if (failure == NULL
+                && (cls[x] == FREE_DESCENT_PLATEAU || cls[x] == SINGLE_DOUBLE_DESCENT)
+                       != (o->cls[t * w1 + x] == DOUBLE_ASCENT))
+                failure = "toggle";
+            if (failure != NULL) {
+                *at = v, *letter = x;
+                return failure;
+            }
+        }
     }
     /* row k of Pascal's triangle */
     for (i = 1; i <= k; i++)
@@ -769,45 +785,16 @@ orbit_failure(orbit *o, Py_ssize_t k, const Py_ssize_t *pr, const unsigned char 
     for (i = 0; i <= k; i++)
         if (terms[i] != binom[i])
             return "orbit-sum";
-    if (reps != 1)
-        return "unique-representative";
-    /* every hop of every member, from the classes of the member and of
-     * the member it must land on */
-    for (s = 0, v = o->member; s < size; s++, v += m) {
-        cls = o->cls + s * w1, pos = o->pos + s * w1;
-        for (x = 1; x <= o->n; x++) {
-            t = s ^ o->bit[x];
-            if (o->bit[x] > s)
-                image = NULL; /* member t was built as this very hop */
-            else if (cls[x] != FIXED) {
-                hop(v, m, pos[x], x, cls[x], o->img);
-                image = o->img;
-            }
-            else if (t != s)
-                image = v;
-            else
-                continue; /* the image is the member itself, at the same class */
-            if (image != NULL && memcmp(image, o->member + t * m, (size_t)m) != 0)
-                failure = stirling_property(image, m, o->mult) < 0 ? "hop" : "closure";
-            else if ((cls[x] == FREE_DESCENT_PLATEAU || cls[x] == SINGLE_DOUBLE_DESCENT)
-                     != (o->cls[t * w1 + x] == DOUBLE_ASCENT))
-                failure = "toggle";
-            if (failure != NULL) {
-                *at = v, *letter = x;
-                return failure;
-            }
-        }
-    }
-    return NULL;
+    return reps != 1 ? "unique-representative" : NULL;
 }
 
 /* The representatives come from the walk, and each leaf is checked
  * again before it is used, so a pass does not rest on the cut: the leaf
  * must be a Stirling word of the content, have sddes = fdesp = 0 in its
  * profile (else it is skipped), and come strictly after the
- * representative before it.  The orbit sizes are counted down from
- * word_count, so no word set is built, although the scan refuses the
- * word sets that sorted_words refuses. */
+ * representative before it, which row 0 of the orbit still holds.  The
+ * orbit sizes are counted down from word_count, so no word set is built,
+ * although the scan refuses the word sets that sorted_words refuses. */
 static PyObject *
 gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
 {
@@ -815,7 +802,6 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
     Py_ssize_t total, left, k, x, size;
     long letter = 0;
     int fresh, have_prev = 0;
-    unsigned char *prev = NULL;
     const unsigned char *r, *at = NULL;
     const char *failure = NULL;
     PyObject *out = NULL;
@@ -829,7 +815,6 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
     wk.n = wk.unseen = o.n, wk.m = o.m = total, wk.mult = o.mult = mult, wk.top = -1;
     if ((wk.w = PyMem_Malloc((size_t)total + 1)) == NULL
         || (wk.first = PyMem_Malloc((size_t)total + 1)) == NULL
-        || (prev = PyMem_Malloc((size_t)total + 1)) == NULL
         || (o.img = PyMem_Malloc((size_t)total + 1)) == NULL || !orbit_reserve(&o, 1))
         goto done;
     for (fresh = 1; walk_next(&wk, fresh); fresh = 0) {
@@ -841,15 +826,14 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
         stats12(r, total, mult, o.seen, pr);
         if (pr[8] || pr[9]) /* not a representative */
             continue;
-        if (have_prev && memcmp(prev, r, (size_t)total) >= 0) {
+        if (have_prev && memcmp(o.member, r, (size_t)total) >= 0) {
             failure = "cover";
             break;
         }
-        memcpy(prev, r, (size_t)total), have_prev = 1;
+        have_prev = 1;
         class_table(r, total, o.n, o.cls, o.pos);
         for (x = 1, k = 0; x <= o.n; x++)
-            if (o.cls[x] != FIXED)
-                o.moving[k++] = x;
+            k += o.cls[x] != FIXED;
         if (pr[0] - pr[7] != pr[5] + pr[3] || pr[5] + pr[3] != pr[10])
             failure = "identity-ascpp";
         else if (pr[7] != total + 1 - pr[11] - 2 * pr[10])
@@ -864,10 +848,8 @@ gfs_scan(PyObject *Py_UNUSED(self), PyObject *arg)
         if (!orbit_reserve(&o, size))
             goto done;
         memcpy(o.member, r, (size_t)total);
-        for (x = 1; x <= o.n; x++)
-            o.bit[x] = 0;
-        for (x = 0; x < k; x++)
-            o.bit[o.moving[x]] = (Py_ssize_t)1 << x;
+        for (x = 1, k = 0; x <= o.n; x++)
+            o.bit[x] = o.cls[x] != FIXED ? (Py_ssize_t)1 << k++ : 0;
         if ((failure = orbit_failure(&o, k, pr, &at, &letter)) != NULL)
             break;
         left -= size;
@@ -884,7 +866,6 @@ done:
         PyErr_NoMemory();
     PyMem_Free(wk.w);
     PyMem_Free(wk.first);
-    PyMem_Free(prev);
     PyMem_Free(o.img);
     PyMem_Free(o.member);
     PyMem_Free(o.cls);

@@ -378,8 +378,10 @@ def gfs_scan(parts):
     A representative ``r``'s ``k`` moving letters ``x_0 < ... < x_(k-1)``
     are those not FIXED at ``r``, and its orbit is the array ``member``
     over the subsets ``S`` of them: ``member[0] = r``, and ``member[S]``
-    hops the highest letter of ``S`` in ``member[S - top]``, so each
-    letter hops at most once, in letter order.  In checking order, with
+    hops the highest letter of ``S`` in ``member[S - top]``.  The scan
+    visits the members in index order and hops every letter in each, so
+    each member is built by the first hop that reaches it, and every
+    later hop that reaches it must land on it.  In checking order, with
     the word and letter each failure names:
 
     - ``identity-ascpp``, ``identity-dasc``: the two identities at ``r``
@@ -387,25 +389,32 @@ def gfs_scan(parts):
     - ``orbit-size``: ``k == dasc(r)`` (``r``);
     - ``cover``: the orbit sizes so far stay within the word count
       (``r``);
-    - ``closure``: every member is a Stirling word of content ``parts``
-      (the member hopped, and the letter);
-    - ``mdup-invariance``: every member has the ``mdup`` of ``r`` (the
-      member);
+    - then, for each member ``member[S]``:
+
+      - ``mdup-invariance``: it has the ``mdup`` of ``r`` (the member);
+      - ``orbit-sum``: its ``asc - ascpp(r)`` lies in ``0..dasc`` and its
+        ``asc + fplat + sdes`` is ``2 ascpp + dasc`` at ``r`` (``r``);
+      - for each letter ``x`` in turn, the hop ``phi_x(member[S])``: when
+        ``x`` is above every letter of ``S`` it builds ``member[S xor
+        x]`` and must be a Stirling word of content ``parts``
+        (``closure``); otherwise it must be ``member[S xor x]`` for a
+        moving ``x`` and ``member[S]`` for a fixed one (``hop``, or
+        ``closure`` when it is not a Stirling word).  Then ``toggle``:
+        ``x`` is movable-left at the member exactly when it is a
+        double-ascent value at the image.  Each names the member and
+        ``x``;
+
     - ``orbit-sum``: ``x^asc y^(fplat+sdes)`` summed over the members is
       ``(xy)^ascpp (x+y)^dasc`` at ``r``, read as counts ``C(dasc, i)``
       at ``asc = ascpp + i`` (``r``);
     - ``unique-representative``: ``r`` is the only representative among
       the members, counted by index (``r``);
-    - ``hop``: for every member ``member[S]`` and letter ``x``,
-      ``phi_x(member[S])`` is ``member[S xor x]`` for a moving ``x``
-      and ``member[S]`` for a fixed one, or ``closure`` when that image
-      is not a Stirling word (the member, and ``x``).  When ``x`` is
-      above every letter of ``S``, ``member[S xor x]`` was built as that
-      very hop, so only the toggle is read;
-    - ``toggle``: ``x`` is movable-left at the member exactly when it
-      is a double-ascent value at that image (the member, and ``x``);
     - ``cover``, once at the end: the orbit sizes sum to the word count
       ``count_words(parts)`` (no word).
+
+    The order matters only where several checks fail: a fault in an
+    early member's hop is reported before an ``mdup`` fault at a later
+    member, or a wrong orbit sum.
 
     A pass proves what whole-table checks of the action prove, on the
     set ``W`` of Stirling words of content ``parts``:
@@ -451,28 +460,20 @@ def gfs_scan(parts):
             return "identity-dasc", r, 0
         # the value classes of every letter at each member, row 0 at r
         classes = [[classify_letter(r, x) for x in range(1, n + 1)]]
-        moving = [x for x, cls in enumerate(classes[0], start=1) if cls != FIXED]
-        bit = [0] * (n + 1)  # letter -> its bit in S, 0 for a fixed letter
-        for j, x in enumerate(moving):
-            bit[x] = 1 << j
-        if len(moving) != dasc:
+        bit, k = [0] * (n + 1), 0  # letter -> its bit in S, 0 for a fixed letter
+        for x, cls in enumerate(classes[0], start=1):
+            if cls != FIXED:
+                bit[x], k = 1 << k, k + 1
+        if k != dasc:
             return "orbit-size", r, 0
-        if 1 << dasc > left:
+        size = 1 << dasc
+        if size > left:
             return "cover", r, 0
-        left -= 1 << dasc
-        member, terms, reps = [r], [0] * (dasc + 1), 0
-        for s in range(1 << dasc):
-            if s:
-                top = s.bit_length() - 1
-                src, x = s ^ 1 << top, moving[top]
-                v = _hop(member[src], x, classes[src][x - 1])
-                if not is_stirling(v, parts):
-                    return "closure", member[src], x
-                p = profile12(v)
-                member.append(v)
-                classes.append([classify_letter(v, x) for x in range(1, n + 1)])
-            else:
-                v, p = r, prof
+        left -= size
+        member, classes = [r] + [None] * (size - 1), classes + [None] * (size - 1)
+        terms, reps = [0] * (dasc + 1), 0
+        for s, v in enumerate(member):
+            p = profile12(v) if s else prof
             if p[11] != mdup:
                 return "mdup-invariance", v, 0
             i = p[0] - ascpp
@@ -480,19 +481,19 @@ def gfs_scan(parts):
                 return "orbit-sum", r, 0
             terms[i] += 1
             reps += not (p[8] or p[9])
+            for x, cls in enumerate(classes[s], start=1):
+                t, image = s ^ bit[x], _hop(v, x, cls)
+                if bit[x] > s:  # the first hop to reach member t builds it
+                    if not is_stirling(image, parts):
+                        return "closure", v, x
+                    member[t] = image
+                    classes[t] = [classify_letter(image, y) for y in range(1, n + 1)]
+                elif image != member[t]:
+                    return "hop" if is_stirling(image, parts) else "closure", v, x
+                if (cls in _MOVABLE_LEFT) != (classes[t][x - 1] == DOUBLE_ASCENT):
+                    return "toggle", v, x
         if terms != [comb(dasc, i) for i in range(dasc + 1)]:
             return "orbit-sum", r, 0
         if reps != 1:
             return "unique-representative", r, 0
-        for s, v in enumerate(member):
-            for x, cls in enumerate(classes[s], start=1):
-                t = s ^ bit[x]
-                # member t was built as this very hop when x's bit is above s
-                if bit[x] <= s:
-                    image = _hop(v, x, cls)
-                    if image != member[t]:
-                        return "hop" if is_stirling(image, parts) else "closure", v, x
-                # the class at an image that is a member is that member's
-                if (cls in _MOVABLE_LEFT) != (classes[t][x - 1] == DOUBLE_ASCENT):
-                    return "toggle", v, x
     return ("cover", None, 0) if left else None

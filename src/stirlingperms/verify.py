@@ -313,6 +313,8 @@ def verify_all(
     if isinstance(suites, str):
         raise TypeError(f"suites must be a collection of suite names, not the string {suites!r}")
     chosen = tuple(suites) if suites is not None else SUITE_NAMES
+    if not chosen:
+        raise ValueError(f"no suite chosen; choose from {', '.join(SUITE_NAMES)}")
     for s in chosen:
         if s not in _SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {', '.join(SUITE_NAMES)}")

@@ -84,6 +84,14 @@ def test_toggle_reports_the_first_failing_word(monkeypatch):
     assert failure((1, 1)) == '{"kind": "toggle", "letter": 1, "m": [1, 1], "word": "2,1"}'
 
 
+def test_toggle_at_the_hop_that_builds_a_member(monkeypatch):
+    # 12 -> 21 builds the member 21, and is the only hop that reads the
+    # toggle at 12: 1 is classed movable-left at 12 but FIXED at 21
+    corrupt(monkeypatch, classes={(W12, 1): kernel.FREE_DESCENT_PLATEAU, (W21, 1): kernel.FIXED})
+    assert not action_tables_pass((1, 1))
+    assert failure((1, 1)) == '{"kind": "toggle", "letter": 1, "m": [1, 1], "word": "1,2"}'
+
+
 def test_mdup_invariance(monkeypatch):
     corrupt(monkeypatch, profiles={W2211: {11: 1}})
     assert failure((2, 2)) == '{"kind": "mdup-invariance", "m": [2, 2], "word": "2,2,1,1"}'
@@ -93,6 +101,13 @@ def test_commutation_precedes_a_later_letter(monkeypatch):
     # phi_2(12) = 21 breaks the commutation of letters 1 and 2 at 12; the
     # scan sees the fixed letter 2 move 12
     corrupt(monkeypatch, phi={(W12, 2): W21})
+    assert failure((1, 1)) == '{"kind": "hop", "letter": 2, "m": [1, 1], "word": "1,2"}'
+
+
+def test_a_hop_fault_precedes_a_later_members_mdup(monkeypatch):
+    # the orbit is checked member by member: the hop of 2 at the member 12
+    # fails before the corrupted mdup of the member 21 is read
+    corrupt(monkeypatch, phi={(W12, 2): W21}, profiles={W21: {11: 1}})
     assert failure((1, 1)) == '{"kind": "hop", "letter": 2, "m": [1, 1], "word": "1,2"}'
 
 

@@ -67,6 +67,12 @@ def test_verify_all_rejects_an_unknown_suite():
         verify.verify_all(3, suites=["counting", "nope"])
 
 
+def test_verify_all_rejects_an_empty_suite_selection():
+    # no reports would render as a pass that checked nothing
+    with pytest.raises(ValueError, match="^no suite chosen; choose from counting, "):
+        verify.verify_all(7, suites=[])
+
+
 def test_verify_all_rejects_a_bare_suite_name():
     # a string is iterable, and would otherwise be read letter by letter
     with pytest.raises(TypeError, match="^suites must be a collection of suite names, not the string 'counting'$"):
