@@ -873,30 +873,98 @@ done:
     return out;
 }
 
-/* One distinct profile of joint_hist and the number of words with it. */
-typedef struct {
-    Py_ssize_t stats[12], count;
-} hist_entry;
+/* The value kept with each key of a key_table. */
+typedef union {
+    Py_ssize_t count; /* joint_hist: words with this profile */
+    PyObject *coef;   /* derive_chain: the coefficient of this term */
+} key_value;
 
-/* FNV-1a over the twelve values, high half folded into the low half. */
+/* An open-addressing index of keys of ``width`` Py_ssize_t values each,
+ * numbered 0, 1, ... in order of first insertion, with one value per key.
+ * The ``cap`` slots (a power of two) are kept at most half full, so the
+ * keys and values have room for ``cap / 2`` entries. */
+typedef struct {
+    Py_ssize_t width, used, cap;
+    Py_ssize_t *keys;
+    key_value *value;
+    Py_ssize_t *slot; /* key number + 1, or 0 for an empty slot */
+} key_table;
+
+/* FNV-1a over the ``n`` values at ``v``, high half folded into the low
+ * half. */
 static size_t
-stats_hash(const Py_ssize_t *v)
+key_hash(const Py_ssize_t *v, Py_ssize_t n)
 {
     unsigned long long h = 14695981039346656037ULL;
-    int k;
-    for (k = 0; k < 12; k++)
+    Py_ssize_t k;
+    for (k = 0; k < n; k++)
         h = (h ^ (unsigned long long)v[k]) * 1099511628211ULL;
     return (size_t)(h ^ (h >> 32));
+}
+
+/* Size ``t`` for ``cap`` slots, keeping its keys and values; returns 0
+ * with an exception set when that fails, leaving them as they were. */
+static int
+key_table_resize(key_table *t, Py_ssize_t cap)
+{
+    Py_ssize_t *slot, *keys, k;
+    key_value *value;
+    size_t mask = (size_t)cap - 1, h;
+
+    if (cap / 2 > PY_SSIZE_T_MAX / (Py_ssize_t)(t->width * sizeof *keys + sizeof *value))
+        return PyErr_NoMemory(), 0;
+    if ((slot = PyMem_Calloc((size_t)cap, sizeof *slot)) == NULL)
+        return PyErr_NoMemory(), 0;
+    if ((keys = PyMem_Realloc(t->keys, (size_t)(cap / 2 * t->width) * sizeof *keys)) != NULL)
+        t->keys = keys;
+    if (keys == NULL || (value = PyMem_Realloc(t->value, (size_t)cap / 2 * sizeof *value)) == NULL) {
+        PyMem_Free(slot);
+        return PyErr_NoMemory(), 0;
+    }
+    PyMem_Free(t->slot);
+    t->value = value, t->slot = slot, t->cap = cap;
+    for (k = 0; k < t->used; k++) {
+        for (h = key_hash(t->keys + k * t->width, t->width) & mask; slot[h]; h = (h + 1) & mask)
+            ;
+        slot[h] = k + 1;
+    }
+    return 1;
+}
+
+/* The number of ``key`` in ``t``; a new key gets the next number and a
+ * zeroed value.  Returns -1 with an exception set when the table fails
+ * to grow (the new key is kept). */
+static Py_ssize_t
+key_table_find(key_table *t, const Py_ssize_t *key)
+{
+    size_t mask = (size_t)t->cap - 1, h;
+    size_t size = (size_t)t->width * sizeof *key;
+    Py_ssize_t k;
+
+    for (h = key_hash(key, t->width) & mask; t->slot[h]; h = (h + 1) & mask)
+        if (memcmp(t->keys + (t->slot[h] - 1) * t->width, key, size) == 0)
+            return t->slot[h] - 1;
+    k = t->used++;
+    memcpy(t->keys + k * t->width, key, size);
+    memset(&t->value[k], 0, sizeof t->value[k]);
+    t->slot[h] = k + 1;
+    return 2 * t->used == t->cap && !key_table_resize(t, 2 * t->cap) ? -1 : k;
+}
+
+static void
+key_table_free(key_table *t)
+{
+    PyMem_Free(t->keys);
+    PyMem_Free(t->value);
+    PyMem_Free(t->slot);
 }
 
 static PyObject *
 joint_hist(PyObject *Py_UNUSED(self), PyObject *arg)
 {
     Py_ssize_t n, count, m, i, k, mult[MAX_LETTERS + 1] = {0}, prof[12];
-    Py_ssize_t used = 0, cap = 16, *slot = NULL, *grown; /* slot: entry index + 1, or 0 */
-    size_t mask, h;
     unsigned char seen[MAX_LETTERS + 1] = {0}, *buf = sorted_words(arg, &n, &count, &m);
-    hist_entry *entry = NULL, *e;
+    key_table t = {.width = 12};
     PyObject *out = NULL, *item;
 
     if (buf == NULL)
@@ -904,54 +972,203 @@ joint_hist(PyObject *Py_UNUSED(self), PyObject *arg)
     /* every word has the content of the composition */
     for (i = 0; i < m; i++)
         mult[buf[i]]++;
-    /* entries in order of first occurrence, indexed by an open-addressing
-     * table of ``cap`` slots that is kept at most half full */
-    if ((entry = PyMem_Malloc((size_t)cap / 2 * sizeof *entry)) == NULL
-        || (slot = PyMem_Calloc((size_t)cap, sizeof *slot)) == NULL)
+    /* the profiles in order of first occurrence */
+    if (!key_table_resize(&t, 16))
         goto done;
-    for (i = 0, mask = (size_t)cap - 1; i < count; i++) {
+    for (i = 0; i < count; i++) {
         stats12(buf + i * m, m, mult, seen, prof);
-        for (h = stats_hash(prof) & mask; slot[h]; h = (h + 1) & mask)
-            if (memcmp(entry[slot[h] - 1].stats, prof, sizeof prof) == 0)
-                break;
-        if (slot[h]) {
-            entry[slot[h] - 1].count++;
-            continue;
-        }
-        e = &entry[used];
-        memcpy(e->stats, prof, sizeof prof);
-        e->count = 1;
-        slot[h] = ++used;
-        if (2 * used == cap) { /* double the table and rehash */
-            if ((grown = PyMem_Calloc((size_t)cap * 2, sizeof *slot)) == NULL
-                || (e = PyMem_Realloc(entry, (size_t)cap * sizeof *entry)) == NULL) {
-                PyMem_Free(grown);
-                goto done;
-            }
-            PyMem_Free(slot);
-            slot = grown, entry = e, cap *= 2, mask = (size_t)cap - 1;
-            for (k = 0; k < used; k++) {
-                for (h = stats_hash(entry[k].stats) & mask; slot[h]; h = (h + 1) & mask)
-                    ;
-                slot[h] = k + 1;
-            }
-        }
+        if ((k = key_table_find(&t, prof)) < 0)
+            goto done;
+        t.value[k].count++;
     }
-    if ((out = PyTuple_New(used)) == NULL)
+    if ((out = PyTuple_New(t.used)) == NULL)
         goto done;
-    for (k = 0; k < used; k++) {
-        if ((item = Py_BuildValue("(Nn)", stats_tuple(entry[k].stats), entry[k].count)) == NULL) {
+    for (k = 0; k < t.used; k++) {
+        item = Py_BuildValue("(Nn)", stats_tuple(t.keys + 12 * k), t.value[k].count);
+        if (item == NULL) {
             Py_CLEAR(out);
             break;
         }
         PyTuple_SET_ITEM(out, k, item);
     }
 done:
-    if (out == NULL && !PyErr_Occurred())
-        PyErr_NoMemory();
     PyMem_Free(buf);
-    PyMem_Free(entry);
-    PyMem_Free(slot);
+    key_table_free(&t);
+    return out;
+}
+
+/* Read the exponent vector ``obj`` into ``*out`` and add its sum to
+ * ``*bound``.  ``len`` is the length it must have, with room for it at
+ * ``*out``; or -1 for any length, in a block this allocates at ``*out``
+ * (release it with PyMem_Free).  Returns the length, or -1 with the
+ * exception of derive_chain's refusals set. */
+static Py_ssize_t
+read_exponents(PyObject *obj, Py_ssize_t len, Py_ssize_t **out, Py_ssize_t *bound)
+{
+    PyObject *seq = PySequence_Fast(obj, "an exponent vector must be a sequence");
+    Py_ssize_t n, k;
+    long long e;
+    int overflow;
+
+    if (seq == NULL)
+        return -1;
+    n = PySequence_Fast_GET_SIZE(seq);
+    if (len >= 0 && n != len) {
+        PyErr_SetString(PyExc_ValueError, "every rule must have one exponent per variable of start");
+        n = -1;
+    }
+    else if (*out == NULL && (*out = PyMem_Malloc((size_t)n * sizeof **out + 1)) == NULL) {
+        PyErr_NoMemory();
+        n = -1;
+    }
+    for (k = 0; k < n; k++) {
+        e = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(seq, k), &overflow);
+        if (e == -1 && PyErr_Occurred())
+            n = -1;
+        else if (overflow < 0 || (overflow == 0 && e < 0))
+            n = -1, PyErr_SetString(PyExc_ValueError, "exponents must be nonnegative");
+        else if (overflow > 0 || e > PY_SSIZE_T_MAX - *bound)
+            n = -1, PyErr_SetString(PyExc_OverflowError, "the degree bound is too large");
+        else
+            (*out)[k] = (Py_ssize_t)e, *bound += (Py_ssize_t)e;
+    }
+    Py_DECREF(seq);
+    return n;
+}
+
+/* Add ``term`` (a new reference, or NULL after a failed operation) at
+ * ``key`` in ``t``; returns 0 with an exception set on failure. */
+static int
+add_term(key_table *t, const Py_ssize_t *key, PyObject *term)
+{
+    Py_ssize_t k;
+    PyObject *sum;
+    if (term == NULL || (k = key_table_find(t, key)) < 0) {
+        Py_XDECREF(term);
+        return 0;
+    }
+    if (t->value[k].coef == NULL) {
+        t->value[k].coef = term;
+        return 1;
+    }
+    sum = PyNumber_Add(t->value[k].coef, term);
+    Py_DECREF(term);
+    if (sum == NULL)
+        return 0;
+    Py_SETREF(t->value[k].coef, sum);
+    return 1;
+}
+
+/* Drop every term of ``t``, keeping its room. */
+static void
+clear_terms(key_table *t)
+{
+    Py_ssize_t k;
+    for (k = 0; k < t->used; k++)
+        Py_XDECREF(t->value[k].coef);
+    memset(t->slot, 0, (size_t)t->cap * sizeof *t->slot);
+    t->used = 0;
+}
+
+/* The ``c * e``, for a coefficient ``c`` and exponent ``e >= 1``, as a
+ * new reference; or NULL with an exception set. */
+static PyObject *
+times(PyObject *c, Py_ssize_t e)
+{
+    PyObject *f, *out;
+    if (e == 1)
+        return Py_NewRef(c);
+    if ((f = PyLong_FromSsize_t(e)) == NULL)
+        return NULL;
+    out = PyNumber_Multiply(c, f);
+    Py_DECREF(f);
+    return out;
+}
+
+/* Terms are keys of ``nv`` exponents with Python int coefficients, in two
+ * tables that serve as source and destination of each step in turn.  The
+ * degree bound (the exponents of ``start`` and of every rule, summed) is
+ * checked before any step: a rule of another length or a negative
+ * exponent raise ValueError, a non-integer exponent TypeError, and a
+ * bound past PY_SSIZE_T_MAX OverflowError.  The bound caps every exponent
+ * of every step, so no key overflows. */
+static PyObject *
+derive_chain(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t nv, nr, i, j, u, v, bound = 0, *start = NULL, *rules = NULL, *base = NULL;
+    PyObject *seq = NULL, *out = NULL, *key, *ev;
+    key_table a = {0}, b = {0}, *cur = &a, *nxt = &b, *tmp;
+
+    if (!two_args("derive_chain", nargs) || (nv = read_exponents(args[0], -1, &start, &bound)) < 0
+        || (seq = PySequence_Fast(args[1], "rules must be a sequence")) == NULL)
+        goto done;
+    nr = PySequence_Fast_GET_SIZE(seq);
+    if (nv > 0 && nr > PY_SSIZE_T_MAX / nv / (Py_ssize_t)sizeof *rules) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((rules = PyMem_Malloc((size_t)(nr * nv) * sizeof *rules + 1)) == NULL
+        || (base = PyMem_Malloc((size_t)nv * sizeof *base + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < nr; i++) {
+        Py_ssize_t *row = rules + i * nv;
+        if (read_exponents(PySequence_Fast_GET_ITEM(seq, i), nv, &row, &bound) < 0)
+            goto done;
+    }
+    a.width = b.width = nv;
+    if (!key_table_resize(&a, 16) || !key_table_resize(&b, 16)
+        || !add_term(cur, start, PyLong_FromLong(1)))
+        goto done;
+    /* D_r on a term c * x^key: for each v with key[v] > 0, the term
+     * c * key[v] * x^(key + r - e_v), in order of v */
+    for (i = 0; i < nr; i++) {
+        const Py_ssize_t *r = rules + i * nv;
+        for (j = 0; j < cur->used; j++) {
+            const Py_ssize_t *k = cur->keys + j * nv;
+            for (u = 0; u < nv; u++)
+                base[u] = k[u] + r[u];
+            for (v = 0; v < nv; v++) {
+                if (k[v] == 0)
+                    continue;
+                base[v]--;
+                if (!add_term(nxt, base, times(cur->value[j].coef, k[v])))
+                    goto done;
+                base[v]++;
+            }
+        }
+        clear_terms(cur);
+        tmp = cur, cur = nxt, nxt = tmp;
+    }
+    if ((out = PyDict_New()) == NULL)
+        goto done;
+    for (j = 0; j < cur->used; j++) {
+        key = PyTuple_New(nv);
+        for (u = 0; key != NULL && u < nv; u++) {
+            if ((ev = PyLong_FromSsize_t(cur->keys[j * nv + u])) == NULL)
+                Py_CLEAR(key);
+            else
+                PyTuple_SET_ITEM(key, u, ev);
+        }
+        if (key == NULL || PyDict_SetItem(out, key, cur->value[j].coef) < 0) {
+            Py_XDECREF(key);
+            Py_CLEAR(out);
+            break;
+        }
+        Py_DECREF(key);
+    }
+done:
+    if (a.slot != NULL)
+        clear_terms(&a);
+    if (b.slot != NULL)
+        clear_terms(&b);
+    key_table_free(&a);
+    key_table_free(&b);
+    Py_XDECREF(seq);
+    PyMem_Free(start);
+    PyMem_Free(rules);
+    PyMem_Free(base);
     return out;
 }
 
@@ -983,6 +1200,10 @@ static PyMethodDef core_methods[] = {
      "joint_hist(parts)\n--\n\n"
      "``(profile12 tuple, word count)`` pairs over ``words_of(parts)``, in\n"
      "order of first occurrence."},
+    {"derive_chain", (PyCFunction)(void (*)(void))derive_chain, METH_FASTCALL,
+     "derive_chain(start, rules)\n--\n\n"
+     "The terms of D_{r_n} ... D_{r_1}(x^start), with D_r = x^r * (sum of\n"
+     "all partials); see the pure backend docstring."},
     {"gfs_scan", gfs_scan, METH_O,
      "gfs_scan(parts)\n--\n\n"
      "Check the hopping action orbit by orbit: ``None`` on a pass, or\n"

@@ -18,6 +18,8 @@ import operator
 import sys
 from math import comb
 
+from .poly import packed_width, unpack_terms
+
 BACKEND_NAME = "pure"
 
 # value classes for the hopping action
@@ -105,10 +107,19 @@ def _stirling_property(word, mult):
 def is_stirling(word, parts):
     """Content check against ``parts`` plus the nesting property."""
     _check_parts(parts)
+    parts = tuple(parts)
+    return _is_word_of(word, parts, (0, *parts), sum(parts))
+
+
+def _is_word_of(word, parts, mult, total):
+    """``is_stirling(word, parts)`` for a checked tuple ``parts``, with
+    ``mult = (0, *parts)`` and ``total = sum(parts)``."""
     # with the length right, the counts of 1..n leave room for no other letter
-    if len(word) != sum(parts) or any(word.count(k) != mk for k, mk in enumerate(parts, start=1)):
-        return False
-    return _stirling_property(word, (0, *parts)) < 0
+    return (
+        len(word) == total
+        and tuple(map(word.count, range(1, len(mult)))) == parts
+        and _stirling_property(word, mult) < 0
+    )
 
 
 def _sorted_letters(parts):
@@ -231,6 +242,58 @@ def joint_hist(parts):
         p = profile12(w)
         hist[p] = hist.get(p, 0) + 1
     return tuple(hist.items())
+
+
+def _exponents(vector, length):
+    """``vector`` as a tuple of exponents, checked as the compiled kernel
+    checks it; ``length`` is the length it must have, or None."""
+    vector = tuple(vector)
+    if length is not None and len(vector) != length:
+        raise ValueError("every rule must have one exponent per variable of start")
+    vector = tuple(map(operator.index, vector))
+    if vector and min(vector) < 0:
+        raise ValueError("exponents must be nonnegative")
+    return vector
+
+
+def derive_chain(start, rules):
+    """The terms of ``D_{r_n} ... D_{r_1}(x^start)`` as a ``{exponent
+    tuple: coefficient}`` dict, where ``D_r = x^r * (sum of all partials)``
+    is the grammar derivative in which every variable rewrites to the
+    monomial ``x^r``.  Every rule has one exponent per variable of
+    ``start``.
+
+    An occurrence of variable ``v`` moves a term's exponent vector by
+    ``r - e_v``.  The terms are kept on packed keys, one int with a field
+    of ``bound.bit_length()`` bits per variable, where ``bound``, the sum
+    of the exponents of ``start`` and of every rule, caps every exponent
+    of every step: so ``e_v`` is read as ``key >> s & mask`` and the move
+    is one addition.  Positive terms in give positive terms out, so
+    nothing cancels; the terms come in order of first occurrence, each
+    step reading the terms in order and the variables in order.  A bound
+    past ``sys.maxsize`` raises ``OverflowError`` before any step.
+    """
+    start = _exponents(start, None)
+    rules = [_exponents(r, len(start)) for r in rules]
+    bound = sum(start) + sum(map(sum, rules))
+    if bound > sys.maxsize:
+        raise OverflowError("the degree bound is too large")
+    width = packed_width(bound)
+    mask, fields = (1 << width) - 1, [width * v for v in range(len(start))]
+    terms = {sum(e << s for s, e in zip(fields, start)): 1}
+    # per distinct rule r, (offset, packed r - e_v) for each variable v
+    packed = {r: sum(e << s for s, e in zip(fields, r)) for r in dict.fromkeys(rules)}
+    steps = {r: [(s, pr - (1 << s)) for s in fields] for r, pr in packed.items()}
+    for r in rules:
+        acc, step = {}, steps[r]
+        for key, c in terms.items():
+            for s, delta in step:
+                e = key >> s & mask
+                if e:
+                    out = key + delta
+                    acc[out] = acc.get(out, 0) + c * e
+        terms = acc
+    return unpack_terms(terms, len(start), width)
 
 
 def classify_letter(word, x):
@@ -443,9 +506,10 @@ def gfs_scan(parts):
     """
     _check_parts(parts)
     left = _word_count(parts)  # words not yet covered by an orbit
-    n, prev = len(parts), None
+    parts = tuple(parts)
+    n, mult, total, prev = len(parts), (0, *parts), sum(parts), None
     for r in _representatives(parts):
-        if not is_stirling(r, parts):
+        if not _is_word_of(r, parts, mult, total):
             return "closure", r, 0
         prof = profile12(r)
         if prof[8] or prof[9]:
@@ -484,12 +548,12 @@ def gfs_scan(parts):
             for x, cls in enumerate(classes[s], start=1):
                 t, image = s ^ bit[x], _hop(v, x, cls)
                 if bit[x] > s:  # the first hop to reach member t builds it
-                    if not is_stirling(image, parts):
+                    if not _is_word_of(image, parts, mult, total):
                         return "closure", v, x
                     member[t] = image
                     classes[t] = [classify_letter(image, y) for y in range(1, n + 1)]
                 elif image != member[t]:
-                    return "hop" if is_stirling(image, parts) else "closure", v, x
+                    return "hop" if _is_word_of(image, parts, mult, total) else "closure", v, x
                 if (cls in _MOVABLE_LEFT) != (classes[t][x - 1] == DOUBLE_ASCENT):
                     return "toggle", v, x
         if terms != [comb(dasc, i) for i in range(dasc + 1)]:

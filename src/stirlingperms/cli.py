@@ -320,7 +320,11 @@ def _cmd_grammar(args) -> int:
                 f"--m: deriving {format_composition(parts)} step by step may build {terms} terms, "
                 f"more than the {MAX_GRAMMAR_TERMS} this command builds"
             )
-        return _poly_answer(args, quintuple_poly(parts))
+        try:  # exponents past sys.maxsize
+            p = quintuple_poly(parts)
+        except OverflowError as exc:
+            raise _UsageError(f"--m: {exc}") from None
+        return _poly_answer(args, p)
     if args.dumont < 0:
         raise _UsageError("--dumont: the derivative order must be nonnegative")
     if args.dumont > MAX_DUMONT:

@@ -13,15 +13,24 @@ a multiplicity vector, starting from ``z``, produces the joint
 generating polynomial of (sdes, mdes, fplat, uplat, asc) over the word
 set.  The classical two-variable grammar ``{x -> xy, y -> xy}``
 generates the bivariate ascent/descent polynomials.
+
+Both families are uniform: every variable rewrites to the same monomial
+``r``, so the derivative is ``D_r = r * (sum of all partials)``.
+``quintuple_poly`` and ``dumont_poly`` hand their chain of monomials to
+the kernel's ``derive_chain``, which returns the exact terms of
+``D_{r_n} ... D_{r_1}`` applied to the start monomial.  ``derive`` is the
+generic Leibniz sum in ``MultiPoly`` arithmetic, for any grammar.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .poly import MultiPoly, packed_width, unpack_terms
+from ._backend import kernel
+from .poly import MultiPoly
 from .words import check_composition
 
 QUINTUPLE_VARS = ("x", "xt", "y", "yt", "z")
@@ -106,42 +115,12 @@ def dumont_poly(n: int) -> MultiPoly:
     bivariate ascent/descent polynomial of plain permutations.  Both
     variables rewrite to ``xy``, so each step is the uniform derivative
     ``xy*(d/dx + d/dy)``."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("derivative count must be nonnegative")
     if not n:
         return MultiPoly.var("x")
-    width = packed_width(n + 1)  # each step raises the degree by one
-    steps, mask = _steps((1, 1), width), (1 << width) - 1
-    terms = {1: 1}  # x
-    for _ in range(n):
-        terms = _derive_uniform(terms, steps, mask)
-    return MultiPoly._canonical(("x", "y"), unpack_terms(terms, 2, width))
-
-
-@lru_cache(maxsize=1024)
-def _steps(monomial: tuple[int, ...], width: int) -> tuple[tuple[int, int], ...]:
-    """``(offset, delta)`` per variable ``v``: where ``v``'s field starts
-    in a key of ``width``-bit fields, and the packed ``monomial - e_v``."""
-    r = sum(e << width * v for v, e in enumerate(monomial))
-    return tuple((width * v, r - (1 << width * v)) for v in range(len(monomial)))
-
-
-def _derive_uniform(
-    terms: Mapping[int, int], steps: tuple[tuple[int, int], ...], mask: int
-) -> dict[int, int]:
-    """Grammar derivative on packed terms, whose ``mask``-wide fields hold
-    every exponent of the result, when every variable rewrites to the same
-    monomial: ``D = monomial * (sum of all partials)``, so an occurrence of
-    ``v`` moves a term's key by ``v``'s ``delta`` in ``steps``.  Positive
-    terms in give positive terms out, so nothing cancels."""
-    acc: dict[int, int] = {}
-    for key, c in terms.items():
-        for s, delta in steps:
-            e = key >> s & mask
-            if e:
-                out = key + delta
-                acc[out] = acc.get(out, 0) + c * e
-    return acc
+    return MultiPoly._canonical(("x", "y"), kernel.derive_chain((1, 0), ((1, 1),) * n))
 
 
 def quintuple_poly(parts: Iterable[int]) -> MultiPoly:
@@ -155,11 +134,7 @@ def quintuple_poly(parts: Iterable[int]) -> MultiPoly:
     parts = check_composition(parts)
     if not parts:
         return MultiPoly.var("z")
-    # the result has degree total + 1 and every step raises the degree
-    width = packed_width(sum(parts) + 1)
-    mask = (1 << width) - 1
-    terms = {1 << 4 * width: 1}  # z
-    for mk in parts:
-        terms = _derive_uniform(terms, _steps(_label_monomial(mk), width), mask)
-    return MultiPoly._canonical(QUINTUPLE_VARS, unpack_terms(terms, 5, width))
-
+    if sum(parts) > sys.maxsize:
+        raise OverflowError("total multiplicity is too large")
+    rules = [_label_monomial(mk) for mk in parts]
+    return MultiPoly._canonical(QUINTUPLE_VARS, kernel.derive_chain((0, 0, 0, 0, 1), rules))

@@ -21,11 +21,19 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import _pure, verify, words
-from conftest import action_tables_pass, compositions_up_to, oracle_words, per_word_hop_tables
+from stirlingperms import _pure, grammar, verify, words
+from stirlingperms.grammar import Grammar
+from stirlingperms.poly import MultiPoly
+from conftest import (
+    action_tables_pass,
+    compositions_up_to,
+    naive_derive,
+    oracle_words,
+    per_word_hop_tables,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE_SHA256 = hashlib.sha256((ROOT / "src/stirlingperms/_core.c").read_bytes()).hexdigest()
@@ -495,6 +503,113 @@ def test_non_integer_part_raises(backend):
     for fn in (backend.words_of, backend.enum_counts, backend.brute_count):
         with pytest.raises(TypeError):
             fn((1, 1.5))
+
+
+Z = (0, 0, 0, 0, 1)  # the start z of quintuple_poly over (x, xt, y, yt, z)
+
+
+def label_rules(parts):
+    """The monomials that quintuple_poly(parts) derives by, in order."""
+    return [grammar._label_monomial(mk) for mk in parts]
+
+
+@pytest.mark.parametrize("total", range(9))
+def test_derive_chain_agrees_on_every_composition(core, total):
+    # the same terms in the same order, so the same dict item by item
+    for parts in words.compositions_of(total):
+        expected = _pure.derive_chain(Z, label_rules(parts))
+        assert list(core.derive_chain(Z, label_rules(parts)).items()) == list(expected.items()), parts
+
+
+# exponent bounds up to 605, past the 8 and 9 bit fields of the pure
+# backend's packed keys, and, for (1,)*60, coefficients far past 64 bits
+@pytest.mark.parametrize("parts", [(254,), (255,), (256,), (300,), (3, 1, 300), (1,) * 60],
+                         ids=lambda m: f"{len(m)}-parts-total-{sum(m)}")
+def test_derive_chain_agrees_across_field_widths(core, parts):
+    expected = _pure.derive_chain(Z, label_rules(parts))
+    assert list(core.derive_chain(Z, label_rules(parts)).items()) == list(expected.items())
+
+
+def test_derive_chain_agrees_at_dumont_orders_to_300(core):
+    # the pure chain one step at a time: each term of order n - 1 derived
+    # once and scaled, which keeps the order of first occurrence.  Every
+    # order to 64 takes the tables from 16 slots to 64 and the
+    # coefficients past 64 bits; every order to 300 would cost the
+    # sanitizer run about 9 s more
+    chain = {(1, 0): 1}
+    for n in range(301):
+        if n <= 64 or n in (100, 200, 254, 255, 256, 300):
+            assert list(core.derive_chain((1, 0), [(1, 1)] * n).items()) == list(chain.items()), n
+        step = {}
+        for key, c in chain.items():
+            for out, d in _pure.derive_chain(key, [(1, 1)]).items():
+                step[out] = step.get(out, 0) + c * d
+        chain = step
+    assert max(chain.values()).bit_length() > 1000
+
+
+@st.composite
+def uniform_chains(draw):
+    """A start monomial and rules over 1 to 5 variables."""
+    nvars = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return draw(exponents), draw(st.lists(exponents, max_size=4))
+
+
+@given(uniform_chains())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_derive_chain_matches_the_naive_derivative(backend, chain):
+    start, rules = chain
+    names = tuple("abcde"[: len(start)])
+    p = MultiPoly(names, {start: 1})
+    for r in rules:
+        p = naive_derive(Grammar({v: MultiPoly(names, {r: 1}) for v in names}), p)
+    assert backend.derive_chain(start, rules) == p.terms
+
+
+@pytest.mark.parametrize(
+    "start, rules, error",
+    [((1, 0), [(1, 1, 1)], ValueError), ((1, 0), [(1,)], ValueError),
+     ((-1, 0), [], ValueError), ((1, 0), [(1, -2)], ValueError), ((-(2**70),), [], ValueError),
+     ((1.0, 0), [], TypeError), ((1, 0), [(1, 0.5)], TypeError),
+     ((2**63, 0), [], OverflowError), ((1, 0), [(sys.maxsize, 0)], OverflowError),
+     ((1,), [(2**62,), (2**62,)], OverflowError),
+     ((1, 0), [(1, 1)] * 10**4 + [(1, 1, 1)], ValueError),
+     ((1, 0), [(1, 1)] * 10**4 + [(sys.maxsize, 0)], OverflowError),
+     (5, [], TypeError), ((1,), 5, TypeError), ((1,), [3], TypeError)],
+    ids=["long-rule", "short-rule", "negative-start", "negative-rule", "huge-negative",
+         "float-start", "float-rule", "huge-start", "huge-rule", "bound-past-maxsize",
+         "bad-rule-after-many", "bound-past-maxsize-after-many", "start-not-a-vector",
+         "rules-not-a-list", "rule-not-a-vector"],
+)
+def test_derive_chain_refuses_before_any_step(backend, start, rules, error):
+    # 10^4 Dumont steps would not finish, so a refusal comes before them
+    with pytest.raises(error) as got:
+        backend.derive_chain(start, rules)
+    if error is not TypeError:  # the message of a non-sequence is Python's own
+        with pytest.raises(error) as expected:
+            _pure.derive_chain(start, rules)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("parts", [(1, 2, 3), (1,) * 8])
+def test_derive_chain_memory_is_flat_over_1000_calls(core, parts):
+    # the first 1,000 calls fill the interpreter's free lists, which
+    # tracemalloc counts as held; the next 1,000 must hold no more.  The
+    # coefficients of (1,)*8 pass 256, so each is an int object of its
+    # own, and a leaked one shows
+    rules = label_rules(parts)
+    tracemalloc.start()
+    try:
+        for _ in range(1000):
+            core.derive_chain(Z, rules)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            core.derive_chain(Z, rules)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096
 
 
 def test_verify_text_agrees_across_backends():

@@ -18,7 +18,7 @@ from stirlingperms.cli import (
     _level_word_count,
     main,
 )
-from stirlingperms.poly import MultiPoly, packed_width
+from stirlingperms.poly import MultiPoly
 from stirlingperms.words import compositions_up_to, count_words
 
 
@@ -248,13 +248,10 @@ def test_letter_budget_admits_every_vector_of_total_10():
 
 def test_grammar_term_bound_bounds_the_derivative():
     for parts in compositions_up_to(9):
-        # the terms quintuple_poly feeds to each derivative, summed over the steps
-        width = packed_width(sum(parts) + 1)
-        terms, fed = {1 << 4 * width: 1}, 0  # z
-        for mk in parts:
-            fed += len(terms)
-            steps = grammar._steps(grammar._label_monomial(mk), width)
-            terms = grammar._derive_uniform(terms, steps, (1 << width) - 1)
+        # the terms quintuple_poly feeds to each derivative, summed over the
+        # steps: step j + 1 takes in the terms of the first j steps from z
+        rules = [grammar._label_monomial(mk) for mk in parts]
+        fed = sum(len(_backend.kernel.derive_chain((0, 0, 0, 0, 1), rules[:j])) for j in range(len(rules)))
         assert fed <= _grammar_term_bound(parts), parts
     assert _grammar_term_bound((1, 2, 3) * 10) <= MAX_GRAMMAR_TERMS < _grammar_term_bound((1, 2, 3) * 11)
 

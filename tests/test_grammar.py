@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,24 @@ def test_dumont_poly_across_the_field_width_boundary():
 def test_dumont_poly_rejects_a_negative_order():
     with pytest.raises(ValueError, match="nonnegative"):
         grammar.dumont_poly(-1)
+
+
+@pytest.mark.parametrize("n", [2.0, "2", None])
+def test_dumont_poly_rejects_a_non_integer_order(n):
+    # as s_mi rejects a float level: through operator.index
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        grammar.dumont_poly(n)
+
+
+@pytest.mark.parametrize("parts", [(10**20,), (sys.maxsize, 1), (2**62, 2**62)])
+def test_quintuple_poly_refuses_a_total_past_maxsize(monkeypatch, parts):
+    # refused before the kernel runs, on either backend
+    def refuse(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(grammar.kernel, "derive_chain", refuse)
+    with pytest.raises(OverflowError, match="^total multiplicity is too large$"):
+        grammar.quintuple_poly(parts)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
