@@ -320,7 +320,7 @@ def _cmd_grammar(args) -> int:
                 f"--m: deriving {format_composition(parts)} step by step may build {terms} terms, "
                 f"more than the {MAX_GRAMMAR_TERMS} this command builds"
             )
-        try:  # exponents past sys.maxsize
+        try:  # a degree bound past sys.maxsize
             p = quintuple_poly(parts)
         except OverflowError as exc:
             raise _UsageError(f"--m: {exc}") from None

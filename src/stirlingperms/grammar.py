@@ -25,7 +25,6 @@ generic Leibniz sum in ``MultiPoly`` arithmetic, for any grammar.
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -134,7 +133,5 @@ def quintuple_poly(parts: Iterable[int]) -> MultiPoly:
     parts = check_composition(parts)
     if not parts:
         return MultiPoly.var("z")
-    if sum(parts) > sys.maxsize:
-        raise OverflowError("total multiplicity is too large")
     rules = [_label_monomial(mk) for mk in parts]
     return MultiPoly._canonical(QUINTUPLE_VARS, kernel.derive_chain((0, 0, 0, 0, 1), rules))

@@ -149,21 +149,6 @@ class MultiPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other) -> "MultiPoly":
         o = self._coerce(other)
         if o is None:
@@ -179,18 +164,6 @@ class MultiPoly:
         return MultiPoly._canonical(a.vars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = MultiPoly.const(1).with_vars(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

@@ -45,10 +45,6 @@ class UniPoly:
             cs.pop()
         return cls(tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -173,11 +169,14 @@ def is_palindromic(p: UniPoly) -> bool:
 def _plateau_rows(parts: Composition) -> list[list[int]]:
     """Descent-coefficient rows of every plateau level ``0..max(total-1, 0)``,
     from one projection of the joint histogram: ``rows[level][des]``
-    counts the words with that many plateaux and descents."""
-    total = sum(parts)
-    rows = [[0] * (total + 2) for _ in range(max(total, 1))]
+    counts the words with that many plateaux and descents.  A row runs
+    only to the highest descent count of its level, so a level that no
+    word reaches is empty."""
+    rows: list[list[int]] = [[] for _ in range(max(sum(parts), 1))]
     for (plat, des), c in project_counts(parts, ("plat", "des")).items():
-        rows[plat][des] += c
+        row = rows[plat]
+        row += [0] * (des + 1 - len(row))
+        row[des] += c
     return rows
 
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._backend import kernel
-from .words import Composition, check_composition, pack_word
+from .words import Composition, pack_word
 
 #: Labeling symbols in the order (single descent, multiple descent,
 #: first plateau, unmovable plateau, ascent), each with its statistic.
@@ -95,23 +95,11 @@ def profile(word: Sequence[int]) -> StatProfile:
 _FIELD_INDEX = {f.name: i for i, f in enumerate(fields(StatProfile))}
 
 
-def joint_counts(parts: Iterable[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Joint histogram of all twelve statistics over the word set, as
-    ``(profile12 tuple, word count)`` pairs in order of first occurrence.
-
-    Every word-set histogram (triples, gamma counts, plateau slices, the
-    lemma and grammar suites) is a :func:`project_counts` of this table,
-    so each composition is enumerated and profiled once per process, by
-    the one kernel call ``joint_hist``.  The result is cached and immutable.
-
-    >>> joint_counts((2,))
-    (((1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1), 1),)
-    """
-    return _joint_counts(check_composition(parts))
-
-
 @lru_cache(maxsize=None)
 def _joint_counts(parts: Composition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Joint histogram of all twelve statistics over the word set, as
+    ``(profile12 tuple, word count)`` pairs, from the one kernel call
+    ``joint_hist``, cached so each composition is enumerated once."""
     return kernel.joint_hist(parts)
 
 

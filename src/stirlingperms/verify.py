@@ -13,7 +13,7 @@ independent of the worker count, so runs with different ``--jobs``
 values are byte-identical.
 
 The word-set suites read one cached joint statistic histogram per
-composition (``stats.joint_counts``), so each composition is enumerated
+composition (``stats._joint_counts``), so each composition is enumerated
 and profiled once per process rather than once per suite.
 """
 

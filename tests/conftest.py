@@ -62,6 +62,14 @@ def coeff_of(p: MultiPoly, **exps: int) -> int:
     return p.terms.get(tuple(exps.get(v, 0) for v in p.vars), 0)
 
 
+def power(p: MultiPoly, n: int) -> MultiPoly:
+    """``p`` multiplied by itself ``n`` times (the constant 1 when ``n`` is 0)."""
+    out = MultiPoly.const(1)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
 def naive_derive(g, p: MultiPoly) -> MultiPoly:
     """Grammar derivative term by term through ``MultiPoly`` arithmetic:
     each occurrence of a variable is replaced by its rule and the
@@ -103,7 +111,7 @@ def naive_gamma_expand(h: MultiPoly) -> list[int]:
         g = coeff_of(residue, x=j, y=d - j)
         gammas.append(g)
         if g:
-            residue = residue - g * (x * y) ** j * (x + y) ** (d - 2 * j)
+            residue = residue + (-g) * power(x * y, j) * power(x + y, d - 2 * j)
     if residue.terms:
         raise InternalResidueError(f"nonzero residue {residue}")
     return gammas

@@ -5,7 +5,7 @@ import pytest
 from stirlingperms import gfs, stats, words
 from stirlingperms.gfs import ValueClass
 from stirlingperms.poly import MultiPoly
-from conftest import compositions_up_to, orbit_labels, per_word_hop_tables
+from conftest import compositions_up_to, orbit_labels, per_word_hop_tables, power
 
 PAPER_WORD = (1, 5, 5, 6, 5, 3, 3, 3, 1, 2, 4, 4, 1, 1)
 
@@ -132,7 +132,7 @@ def test_orbit_structure_and_identities(parts):
         for w in orb:
             q = stats.profile(w)
             lhs = lhs + MultiPoly(("x", "y"), {(q.asc, q.fplat + q.sdes): 1})
-        rhs = (X * Y) ** p.ascpp * (X + Y) ** (total + 1 - p.mdup - 2 * p.ascpp)
+        rhs = power(X * Y, p.ascpp) * power(X + Y, total + 1 - p.mdup - 2 * p.ascpp)
         assert lhs == rhs
     assert covered == words.count_words(parts)
 

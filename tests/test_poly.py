@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stirlingperms.gamma import s_poly
 from stirlingperms.grammar import Grammar, derive, quintuple_poly
 from stirlingperms.poly import MultiPoly, series_divide
-from conftest import assert_canonical, coeff_of, unipoly_mul
+from conftest import assert_canonical, coeff_of, power, unipoly_mul
 
 X, Y, Z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
 
@@ -27,12 +27,12 @@ def rand_poly(draw_vars=("x", "y")):
 
 
 def test_basic_arithmetic():
-    assert (X + Y) * (X + Y) == X**2 + 2 * X * Y + Y**2
-    p = 3 * X * Y + X**2
+    assert (X + Y) * (X + Y) == X * X + 2 * X * Y + Y * Y
+    p = 3 * X * Y + X * X
     assert p + 0 == p
-    assert X * Y * (X + Y) == X**2 * Y + X * Y**2
-    assert not (X - X).terms
-    assert p - p == MultiPoly.zero(("x", "y"))
+    assert X * Y * (X + Y) == X * X * Y + X * Y * Y
+    assert not (X + (-1) * X).terms
+    assert p + (-1) * p == MultiPoly.zero(("x", "y"))
 
 
 def test_alignment_across_variable_sets():
@@ -54,14 +54,14 @@ def test_ring_axioms(p, q, r):
 
 
 def test_coeff():
-    p = X**2 * Y + 4 * X * Y
+    p = X * X * Y + 4 * X * Y
     assert coeff_of(p, x=1, y=1) == 4
     assert coeff_of(p, x=1, y=1, z=0) == 4
 
 
 def test_z_slices_examples():
-    p = X**2 * Y**2 * Z + (X**2 * Y + X * Y**2) * Z**2
-    assert p.z_slices() == [(1, X**2 * Y**2), (2, X**2 * Y + X * Y**2)]
+    p = X * X * Y * Y * Z + (X * X * Y + X * Y * Y) * Z * Z
+    assert p.z_slices() == [(1, X * X * Y * Y), (2, X * X * Y + X * Y * Y)]
     assert (X * Y).z_slices() == [(0, X * Y)]
     assert MultiPoly.zero(("x", "y", "z")).z_slices() == []
     with pytest.raises(ValueError, match=r"^z_slices needs variables within x,y,z, got \['w'\]$"):
@@ -73,14 +73,14 @@ def test_z_slices_examples():
 def test_z_slices_reassembly(p):
     rebuilt = MultiPoly.zero(("x", "y", "z"))
     for i, s in p.z_slices():
-        rebuilt = rebuilt + s * Z**i
+        rebuilt = rebuilt + s * power(Z, i)
     assert rebuilt == p
 
 
 def test_homogeneity_and_symmetry():
-    assert {sum(e) for e in (X**2 * Y + X * Y**2).terms} == {3}
-    assert {sum(e) for e in (X**2 * Y).terms} == {3}
-    assert {sum(e) for e in (X + X**2).terms} == {1, 2}
+    assert {sum(e) for e in (X * X * Y + X * Y * Y).terms} == {3}
+    assert {sum(e) for e in (X * X * Y).terms} == {3}
+    assert {sum(e) for e in (X + X * X).terms} == {1, 2}
     # x, y symmetry through swap_vars, with z present and with y absent
     p = X * Y * Z + Z
     assert p.swap_vars("x", "y") == p
@@ -94,20 +94,20 @@ def test_swap_vars():
 
 
 def test_str_graded_lex():
-    p = X**3 * Y + 4 * X**2 * Y**2 + X * Y**3
+    p = X * X * X * Y + 4 * X * X * Y * Y + X * Y * Y * Y
     assert str(p) == "x^3*y + 4*x^2*y^2 + x*y^3"
     assert str(MultiPoly.zero()) == "0"
-    assert str(X - Y) == "x - y"
+    assert str(X + (-1) * Y) == "x - y"
 
 
 def test_json_round_trip_bit_exact():
-    p = 12345678901234567890 * X**2 * Y - Z
+    p = 12345678901234567890 * X * X * Y + (-1) * Z
     data = json.loads(json.dumps(p.to_json_dict()))
     assert data["vars"] == ["x", "y", "z"]
     assert data["terms"][0]["c"] == "12345678901234567890"
     assert from_json_dict(data) == p
     # canonical term order: descending graded-lex
-    q = X + Y**2 + X * Y
+    q = X + Y * Y + X * Y
     assert [t["e"] for t in q.to_json_dict()["terms"]] == [[1, 1], [0, 2], [1, 0]]
 
 
@@ -139,7 +139,7 @@ def naive_evaluate(p, assignment):
         term = c
         for v, e in zip(p.vars, evec):
             if e:
-                term = term * assignment[v] ** e
+                term = term * power(assignment[v], e)
         total = total + term
     return total
 
@@ -147,9 +147,9 @@ def naive_evaluate(p, assignment):
 def test_evaluate_numeric_values():
     # a number enters as a constant one-term polynomial
     c = MultiPoly.const
-    p = 3 * X**2 * Z - X * Y + 7
+    p = 3 * X * X * Z + (-1) * X * Y + 7
     assert p.evaluate({"x": c(2), "y": c(-5), "z": c(4)}) == 3 * 4 * 4 + 10 + 7
-    assert p.evaluate({"x": c(2), "y": Y, "z": c(1)}) == 19 - 2 * Y
+    assert p.evaluate({"x": c(2), "y": Y, "z": c(1)}) == 19 + (-2) * Y
 
 
 def one_term(draw_vars):
@@ -169,7 +169,7 @@ def one_term(draw_vars):
             one_term(("x", "y")),
             one_term(("y", "z")),
             st.integers(-3, 3).filter(bool).map(MultiPoly.const),
-            st.just(-X),
+            st.just((-1) * X),
         ),
         min_size=3,
         max_size=3,
@@ -198,7 +198,7 @@ def test_evaluate_with_polynomial_values_edge_cases():
     # the result spans the values of the occurring variables only
     assert MultiPoly(("x", "y", "z"), {(2, 0, 0): 3}).evaluate(values).vars == ("y",)
     # a coefficient scales by its power
-    assert (Z**2 * X).evaluate(values) == 4 * X**2 * Y
+    assert (Z * Z * X).evaluate(values) == 4 * X * X * Y
 
 
 @pytest.mark.parametrize("parts", [(1,), (2, 1), (1, 3, 2), (2, 2, 2)])
@@ -215,7 +215,7 @@ def test_one_term_substitution_at_the_exponent_cap(cap, top):
     # the degree bound is ``cap`` and one output exponent reaches it, in
     # the lowest or the highest field of the packed keys
     p = MultiPoly(("a", "b"), {(cap, 0): 1, (cap - 1, 3): -4, (0, 1): 3, (0, 0): 2})
-    values = {"a": -MultiPoly.var(top), "b": MultiPoly(("x", "y", "z"), {(0, 0, 0): 5})}
+    values = {"a": (-1) * MultiPoly.var(top), "b": MultiPoly(("x", "y", "z"), {(0, 0, 0): 5})}
     got, want = p.evaluate(values), naive_evaluate(p, values)
     assert_canonical(got)
     assert got.vars == want.vars == ("x", "y", "z")
@@ -228,13 +228,13 @@ def test_one_term_substitution_at_the_exponent_cap(cap, top):
         {"x": 2, "y": Y, "z": Z},
         {"x": X + 1, "y": Y, "z": Z},
         {"x": MultiPoly.zero(("x", "y")), "y": Y, "z": Z},
-        {"x": 3 * X, "y": -Y + Z, "z": MultiPoly.const(2)},
+        {"x": 3 * X, "y": (-1) * Y + Z, "z": MultiPoly.const(2)},
         {"x": 1, "y": 0, "z": -1},
     ],
     ids=["int", "several-terms", "zero", "mixed", "all-ints"],
 )
 def test_evaluate_refuses_values_that_are_not_one_term(values):
-    p = 3 * X**2 * Z - X * Y * Z + 2 * Y**3 - 7
+    p = 3 * X * X * Z + (-1) * X * Y * Z + 2 * Y * Y * Y + (-7)
     with pytest.raises(ValueError, match="must be a one-term MultiPoly, got"):
         p.evaluate(values)
 
@@ -264,17 +264,12 @@ def test_with_vars_refuses_to_drop_a_variable():
         (X * Y).with_vars(("x", "z"))
 
 
-def test_negative_power_rejected():
-    with pytest.raises(ValueError, match="^negative powers are not supported$"):
-        X**-1
-
-
 def test_repr():
-    assert repr(X**2 - 3 * Y) == "MultiPoly(x^2 - 3*y)"
+    assert repr(X * X + (-3) * Y) == "MultiPoly(x^2 - 3*y)"
     assert repr(MultiPoly.zero()) == "MultiPoly(0)"
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+@pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
 def test_operators_refuse_a_float(op):
     # each side returns NotImplemented, so Python raises TypeError
     with pytest.raises(TypeError):
@@ -319,23 +314,22 @@ SMALL = small_poly(("x", "y")) | small_poly(("y", "z")) | small_poly(("x", "y", 
 @given(
     SMALL,
     SMALL,
-    st.integers(0, 3),
     st.lists(small_poly(("x", "y"), top=1), min_size=3, max_size=3),
     small_poly(("a", "b", "c"), top=1),
     st.lists(one_term(("x", "y")) | one_term(("y", "z")), min_size=3, max_size=3),
 )
 @settings(max_examples=100, deadline=None)
-def test_results_are_canonical(p, q, n, xy_polys, r, values):
+def test_results_are_canonical(p, q, xy_polys, r, values):
     d, rule_x, rule_y = xy_polys
     results = [
-        p + q, p - q, p * q, p**n, -p, p + 1, 1 - p, 2 * p,
+        p + q, p + (-1) * q, p * q, p + 1, 2 * p, (-1) * p,
         p.with_vars(("w", "x", "y", "z")),
         p.swap_vars("x", "y"), p.swap_vars("y", "w"),
         derive(Grammar({"x": rule_x, "y": rule_y}), d),
     ]
     results += [s for _, s in (p * q).z_slices()]
     # with a = b, r - r(b, a, c) substitutes to zero, term by term
-    twisted = (r - r.swap_vars("a", "b")).evaluate(
+    twisted = (r + (-1) * r.swap_vars("a", "b")).evaluate(
         {"a": values[0], "b": values[0], "c": values[2]}
     )
     assert twisted == 0
@@ -382,7 +376,7 @@ def test_series_divide_round_trip(coeffs, r):
 @pytest.mark.parametrize("value", [0, 3, -7, 2**70])
 def test_constants_hash_as_the_int_they_equal(value):
     over_xy = MultiPoly(("x", "y"), {(0, 0): value} if value else {})
-    for c in (MultiPoly.const(value), over_xy, X - X + value):
+    for c in (MultiPoly.const(value), over_xy, X + (-1) * X + value):
         assert c == value and hash(c) == hash(value)
         assert len({value, c}) == 1
     assert MultiPoly.zero(("x",)) == 0 and hash(MultiPoly.zero(("x",))) == hash(0)

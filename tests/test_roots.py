@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,19 @@ def test_plateau_rows_equal_s_mi_at_every_level(parts):
     assert len(rows) == max(sum(parts), 1)
     for level, row in enumerate(rows):
         assert UniPoly.of(row) == roots.s_mi(parts, level)
+
+
+def test_plateau_rows_grow_only_to_the_descents_that_occur():
+    # (8000,) has one word, with 7999 plateaux and one descent; a dense
+    # table of every level by every descent count would take about 500 MB
+    tracemalloc.start()
+    try:
+        p = roots.s_mi((8000,), 7999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == UniPoly.of([0, 1])
+    assert peak < 5 * 2**20
 
 
 def test_realroot_failure_names_the_first_failing_level(monkeypatch):
@@ -128,7 +142,7 @@ def test_sturm_on_constructed_products(linear, quad_constants):
     p = UniPoly.of(coeffs)
     expected = len({Fraction(b, a) for a, b in linear})
     assert distinct_real_roots(p) == expected
-    assert roots.is_real_rooted(p) == (len(quad_constants) == 0 or p.degree == 0)
+    assert roots.is_real_rooted(p) == (len(quad_constants) == 0 or len(p.coeffs) == 1)
 
 
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6))
@@ -136,7 +150,7 @@ def test_sturm_on_constructed_products(linear, quad_constants):
 def test_sturm_against_sympy(coeffs):
     # count_roots counts distinct real roots, so p need not be squarefree
     p = UniPoly.of(coeffs)
-    if p.is_zero() or p.degree == 0:
+    if p.is_zero() or len(p.coeffs) == 1:
         return
     x = sympy.Symbol("x")
     expr = sum(c * x**i for i, c in enumerate(p.coeffs))
@@ -184,7 +198,7 @@ def test_is_real_rooted_against_sympy_with_multiplicity(factors, k):
     p = UniPoly.of(coeffs)
     x = sympy.Symbol("x")
     expr = sum(c * x**i for i, c in enumerate(p.coeffs))
-    assert roots.is_real_rooted(p) == (len(sympy.Poly(expr, x).real_roots()) == p.degree)
+    assert roots.is_real_rooted(p) == (len(sympy.Poly(expr, x).real_roots()) == len(p.coeffs) - 1)
 
 
 @pytest.mark.parametrize("parts", [p for p in compositions_up_to(6) if p])
