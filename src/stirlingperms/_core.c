@@ -1070,8 +1070,8 @@ clear_terms(key_table *t)
     t->used = 0;
 }
 
-/* The ``c * e``, for a coefficient ``c`` and exponent ``e >= 1``, as a
- * new reference; or NULL with an exception set. */
+/* ``c * e``, for a Python int ``c`` and ``e >= 1``, as a new reference;
+ * or NULL with an exception set. */
 static PyObject *
 times(PyObject *c, Py_ssize_t e)
 {
@@ -1172,6 +1172,431 @@ done:
     return out;
 }
 
+/* One term of gamma_table's input: its key and coefficient (new
+ * references), its power of z (borrowed from the key, or the caller's
+ * zero), its x exponent, its row length x + y + 1 (-1 when that is past
+ * PY_SSIZE_T_MAX) and the number of its slice. */
+typedef struct {
+    PyObject *key, *c, *z;
+    Py_ssize_t ex, len, slice;
+} gamma_term;
+
+/* Read the x, y and z exponents of ``t->key`` at the positions ``at``,
+ * where one past the end of the key reads ``zero``; returns 0 with an
+ * exception set on failure. */
+static int
+read_term(gamma_term *t, const Py_ssize_t *at, PyObject *zero)
+{
+    PyObject *e[3];
+    long long x, y;
+    int k, ox, oy;
+
+    if (!PyTuple_Check(t->key)) {
+        PyErr_SetString(PyExc_TypeError, "every key must be a tuple of exponents");
+        return 0;
+    }
+    for (k = 0; k < 3; k++) {
+        if (at[k] > PyTuple_GET_SIZE(t->key)) {
+            PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+            return 0;
+        }
+        e[k] = at[k] < PyTuple_GET_SIZE(t->key) ? PyTuple_GET_ITEM(t->key, at[k]) : zero;
+    }
+    t->z = e[2];
+    x = PyLong_AsLongLongAndOverflow(e[0], &ox);
+    if (x == -1 && PyErr_Occurred())
+        return 0;
+    y = PyLong_AsLongLongAndOverflow(e[1], &oy);
+    if (y == -1 && PyErr_Occurred())
+        return 0;
+    if (ox < 0 || oy < 0 || (!ox && x < 0) || (!oy && y < 0)) {
+        PyErr_SetString(PyExc_ValueError, "exponents must be nonnegative");
+        return 0;
+    }
+    t->ex = (Py_ssize_t)x;
+    t->len = ox || oy || x > PY_SSIZE_T_MAX - 1 - y ? -1 : (Py_ssize_t)(x + y + 1);
+    return 1;
+}
+
+/* C(n, k + 1) = C(n, k) (n - k) / (k + 1) from ``b`` = C(n, k), for
+ * k < n, as a new reference; or NULL with an exception set. */
+static PyObject *
+next_binomial(PyObject *b, Py_ssize_t n, Py_ssize_t k)
+{
+    PyObject *t = times(b, n - k), *f, *out;
+
+    if (t == NULL || (f = PyLong_FromSsize_t(k + 1)) == NULL) {
+        Py_XDECREF(t);
+        return NULL;
+    }
+    out = PyNumber_FloorDivide(t, f);
+    Py_DECREF(t);
+    Py_DECREF(f);
+    return out;
+}
+
+/* Eliminate the coefficient row ``row`` of a slice of degree ``d`` in
+ * place, peeling g_j = row[j] and subtracting g_j C(d - 2j, k) from
+ * row[j + k], and add {(z, j): g_j} to ``entries`` for every nonzero
+ * g_j; returns 0 with an exception set on failure. */
+static int
+eliminate(PyObject **row, Py_ssize_t d, PyObject *z, PyObject *entries)
+{
+    Py_ssize_t j, k, n;
+    PyObject *g, *b, *key, *t;
+    int nonzero, ok;
+
+    for (j = 0; 2 * j <= d; j++) {
+        if ((nonzero = PyObject_IsTrue(row[j])) <= 0) {
+            if (nonzero < 0)
+                return 0;
+            continue;
+        }
+        g = Py_NewRef(row[j]);
+        key = Py_BuildValue("(On)", z, j);
+        ok = key != NULL && PyDict_SetItem(entries, key, g) == 0;
+        Py_XDECREF(key);
+        n = d - 2 * j;
+        b = ok ? PyLong_FromLong(1) : NULL;
+        for (k = 0; b != NULL && k <= n; k++) {
+            if ((t = PyNumber_Multiply(g, b)) == NULL)
+                break;
+            Py_SETREF(t, PyNumber_Subtract(row[j + k], t));
+            if (t == NULL)
+                break;
+            Py_SETREF(row[j + k], t);
+            if (k < n)
+                Py_SETREF(b, next_binomial(b, n, k));
+        }
+        ok = b != NULL && k > n;
+        Py_XDECREF(b);
+        Py_DECREF(g);
+        if (!ok)
+            return 0;
+    }
+    return 1;
+}
+
+/* The check that slice ``z`` fails, filling in and eliminating its row
+ * of the ``len`` coefficients of its ``cnt`` terms ``ts``: NULL when it
+ * passes, with the largest i + d so far in ``*degree`` and its entries
+ * added to ``entries``; or "homogeneous", "symmetric" or "residue" (the
+ * row left in ``row``).  Sets ``*failed`` with an exception on error. */
+static const char *
+gamma_slice(gamma_term *term, const Py_ssize_t *ts, Py_ssize_t cnt, PyObject **row,
+            Py_ssize_t len, PyObject *zero, PyObject *entries, PyObject **degree, int *failed)
+{
+    Py_ssize_t k;
+    PyObject *d, *top;
+    int r;
+
+    for (k = 0; k < cnt; k++) {
+        if (term[ts[k]].len != len)
+            return "homogeneous";
+        Py_XSETREF(row[term[ts[k]].ex], Py_NewRef(term[ts[k]].c));
+    }
+    for (k = 0; k < len; k++)
+        if (row[k] == NULL)
+            row[k] = Py_NewRef(zero);
+    for (k = 0; 2 * k < len; k++) {
+        if ((r = PyObject_RichCompareBool(row[k], row[len - 1 - k], Py_EQ)) <= 0) {
+            *failed = r < 0;
+            return r < 0 ? NULL : "symmetric";
+        }
+    }
+    if (!eliminate(row, len - 1, term[ts[0]].z, entries)) {
+        *failed = 1;
+        return NULL;
+    }
+    for (k = 0; k < len; k++) {
+        if ((r = PyObject_IsTrue(row[k])) != 0) {
+            *failed = r < 0;
+            return r < 0 ? NULL : "residue";
+        }
+    }
+    d = PyLong_FromSsize_t(len - 1);
+    top = d == NULL ? NULL : PyNumber_Add(term[ts[0]].z, d);
+    Py_XDECREF(d);
+    if (top == NULL || (r = PyObject_RichCompareBool(top, *degree, Py_GT)) < 0) {
+        Py_XDECREF(top);
+        *failed = 1;
+        return NULL;
+    }
+    if (r)
+        Py_SETREF(*degree, top);
+    else
+        Py_DECREF(top);
+    return NULL;
+}
+
+/* The terms are read into ``term`` in dict order, then put in slice
+ * order by a counting sort that keeps that order within each slice; the
+ * distinct powers of z are numbered in a dict and sorted as Python ints,
+ * so a power past PY_SSIZE_T_MAX is a slice like any other. */
+static PyObject *
+gamma_table(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t at[3], n, nt = 0, ns, i, s, k, len, pos = 0, *first = NULL, *order = NULL;
+    gamma_term *term = NULL;
+    PyObject *key, *c, *num, *zero = NULL, *slices = NULL, *zs = NULL, *entries = NULL;
+    PyObject *degree = NULL, *out = NULL, **row = NULL, *list;
+    const char *check = NULL;
+    int failed = 0;
+
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "gamma_table() takes exactly 4 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (!PyDict_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "terms must be a dict");
+        return NULL;
+    }
+    for (k = 0; k < 3; k++) {
+        if ((at[k] = PyNumber_AsSsize_t(args[k + 1], PyExc_IndexError)) == -1 && PyErr_Occurred())
+            return NULL;
+        if (at[k] < 0) {
+            PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+            return NULL;
+        }
+    }
+    n = PyDict_GET_SIZE(args[0]);
+    if ((term = PyMem_Malloc((size_t)n * sizeof *term + 1)) == NULL
+        || (order = PyMem_Malloc((size_t)n * sizeof *order + 1)) == NULL
+        || (first = PyMem_Calloc((size_t)n + 2, sizeof *first)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* own every key and coefficient before any Python code can run */
+    while (nt < n && PyDict_Next(args[0], &pos, &key, &c)) {
+        term[nt].key = Py_NewRef(key);
+        term[nt++].c = Py_NewRef(c);
+    }
+    if ((zero = PyLong_FromLong(0)) == NULL || (slices = PyDict_New()) == NULL
+        || (entries = PyDict_New()) == NULL || (degree = Py_NewRef(zero)) == NULL)
+        goto done;
+    for (i = 0; i < nt; i++) {
+        if (!read_term(&term[i], at, zero))
+            goto done;
+        if ((num = PyDict_GetItemWithError(slices, term[i].z)) != NULL)
+            term[i].slice = PyLong_AsSsize_t(num);
+        else if (PyErr_Occurred())
+            goto done;
+        else {
+            term[i].slice = PyDict_GET_SIZE(slices);
+            num = PyLong_FromSsize_t(term[i].slice);
+            if (num == NULL || PyDict_SetItem(slices, term[i].z, num) < 0) {
+                Py_XDECREF(num);
+                goto done;
+            }
+            Py_DECREF(num);
+        }
+        first[term[i].slice + 2]++;
+    }
+    ns = PyDict_GET_SIZE(slices);
+    /* first[s + 1] counts the terms before slice s, then is moved past
+     * them as they are placed, so that first[s] opens slice s */
+    for (s = 2; s <= ns; s++)
+        first[s] += first[s - 1];
+    for (i = 0; i < nt; i++)
+        order[first[term[i].slice + 1]++] = i;
+    if ((zs = PyDict_Keys(slices)) == NULL || PyList_Sort(zs) < 0)
+        goto done;
+    for (k = 0; k < ns && check == NULL; k++) {
+        if ((num = PyDict_GetItemWithError(slices, PyList_GET_ITEM(zs, k))) == NULL)
+            goto done;
+        s = PyLong_AsSsize_t(num);
+        /* the first term of the slice sets its row length */
+        if ((len = term[order[first[s]]].len) < 0) {
+            PyErr_SetString(PyExc_OverflowError, "cannot fit 'int' into an index-sized integer");
+            goto done;
+        }
+        if ((row = PyMem_Calloc((size_t)len, sizeof *row)) == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        check = gamma_slice(term, order + first[s], first[s + 1] - first[s], row, len, zero,
+                            entries, &degree, &failed);
+        if (failed)
+            goto done;
+        if (check == NULL) {
+            for (i = 0; i < len; i++)
+                Py_XDECREF(row[i]);
+            PyMem_Free(row);
+            row = NULL;
+        }
+    }
+    if (check == NULL)
+        out = PyTuple_Pack(2, degree, entries);
+    else if (strcmp(check, "residue") != 0)
+        out = Py_BuildValue("(sO)", check, PyList_GET_ITEM(zs, k - 1));
+    else if ((list = PyList_New(len)) != NULL) {
+        for (i = 0; i < len; i++)
+            PyList_SET_ITEM(list, i, Py_NewRef(row[i]));
+        out = Py_BuildValue("(sON)", check, PyList_GET_ITEM(zs, k - 1), list);
+    }
+done:
+    if (row != NULL) {
+        for (i = 0; i < len; i++)
+            Py_XDECREF(row[i]);
+        PyMem_Free(row);
+    }
+    for (i = 0; i < nt; i++) {
+        Py_DECREF(term[i].key);
+        Py_DECREF(term[i].c);
+    }
+    PyMem_Free(term);
+    PyMem_Free(order);
+    PyMem_Free(first);
+    Py_XDECREF(zero);
+    Py_XDECREF(slices);
+    Py_XDECREF(zs);
+    Py_XDECREF(entries);
+    Py_XDECREF(degree);
+    return out;
+}
+
+/* math.gcd, looked up when the module is created */
+static PyObject *gcd;
+
+/* The pseudo-remainder of ``f`` (``nf`` coefficients) by ``g`` (``ng``
+ * >= 2 of them) into ``r``, step by step as the pure kernel's
+ * _pseudo_rem builds it; returns its length once trailing zeros are
+ * stripped, or -1 with an exception set and no reference left in ``r``. */
+static Py_ssize_t
+pseudo_rem(PyObject **r, PyObject *const *f, Py_ssize_t nf, PyObject *const *g, Py_ssize_t ng)
+{
+    Py_ssize_t d = ng - 1, top, off, i, nr;
+    PyObject *lg = g[d], *q = NULL, *a, *b, *t;
+    int nz;
+
+    for (nr = 0; nr < nf; nr++)
+        r[nr] = Py_NewRef(f[nr]);
+    /* r <- lg * r - r[top] * x^(top - d) * g, which cancels r[top] */
+    for (top = nf - 1; top >= d; top--) {
+        q = r[top], nr = top, off = top - d;
+        if ((nz = PyObject_IsTrue(q)) < 0)
+            goto fail;
+        for (i = 0; i < top; i++) {
+            if ((a = PyNumber_Multiply(r[i], lg)) != NULL && nz && i >= off) {
+                b = PyNumber_Multiply(q, g[i - off]);
+                t = b == NULL ? NULL : PyNumber_Subtract(a, b);
+                Py_XDECREF(b);
+                Py_SETREF(a, t);
+            }
+            if (a == NULL)
+                goto fail;
+            Py_SETREF(r[i], a);
+        }
+        Py_CLEAR(q);
+    }
+    while (nr > 0 && (nz = PyObject_IsTrue(r[nr - 1])) == 0)
+        Py_DECREF(r[--nr]);
+    if (nr > 0 && nz < 0)
+        goto fail;
+    return nr;
+fail:
+    Py_XDECREF(q);
+    while (nr > 0)
+        Py_DECREF(r[--nr]);
+    return -1;
+}
+
+/* The members of the chain live in three arrays of as many slots as p
+ * has coefficients: f and g, the last two members, and r, the room for
+ * the next; each step rotates them, so nothing is allocated per member
+ * but its Python int coefficients. */
+static PyObject *
+sturm_walk(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    PyObject *seq = PySequence_Fast(arg, "the coefficients must be a sequence");
+    PyObject **buf = NULL, **f, **g, **r, **tmp, *lengths = NULL, *zero = NULL, *d = NULL;
+    PyObject *out = NULL, *num, *t;
+    Py_ssize_t n, nf = 0, ng = 0, nr = 0, i, changes = 0;
+    int at_pos, at_neg, pos, neg;
+
+    if (seq == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(seq);
+    if (n > PY_SSIZE_T_MAX / 3 / (Py_ssize_t)sizeof *buf
+        || (buf = PyMem_Malloc((size_t)(3 * n) * sizeof *buf + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    f = buf, g = buf + n, r = buf + 2 * n;
+    for (; nf < n; nf++)
+        if ((f[nf] = PyNumber_Index(PySequence_Fast_GET_ITEM(seq, nf))) == NULL)
+            goto done;
+    if ((lengths = Py_BuildValue("[n]", nf)) == NULL || (zero = PyLong_FromLong(0)) == NULL)
+        goto done;
+    if (nf < 2) {
+        out = Py_BuildValue("(nO)", changes, lengths);
+        goto done;
+    }
+    /* g = p' */
+    for (; ng < nf - 1; ng++)
+        if ((g[ng] = times(f[ng + 1], ng + 1)) == NULL)
+            goto done;
+    /* the sign of each member at plus infinity, and at minus infinity,
+     * where a member of odd degree (even length) flips it */
+    if ((at_pos = PyObject_RichCompareBool(f[nf - 1], zero, Py_GT)) < 0)
+        goto done;
+    at_neg = at_pos == nf % 2;
+    for (;;) {
+        if ((num = PyLong_FromSsize_t(ng)) == NULL || PyList_Append(lengths, num) < 0) {
+            Py_XDECREF(num);
+            goto done;
+        }
+        Py_DECREF(num);
+        if ((pos = PyObject_RichCompareBool(g[ng - 1], zero, Py_GT)) < 0)
+            goto done;
+        neg = pos == ng % 2;
+        changes += (at_neg != neg) - (at_pos != pos);
+        at_pos = pos, at_neg = neg;
+        if (ng < 2)
+            break;
+        if ((nr = pseudo_rem(r, f, nf, g, ng)) <= 0) {
+            nr = 0;
+            if (PyErr_Occurred())
+                goto done;
+            break;
+        }
+        /* divide by the content, negated when the scale factor of the
+         * pseudo-remainder, lc(g)^(nf - ng + 1), is positive */
+        if ((d = PyObject_Vectorcall(gcd, r, (size_t)nr, NULL)) == NULL)
+            goto done;
+        if (pos || (nf - ng) % 2) {
+            Py_SETREF(d, PyNumber_Negative(d));
+            if (d == NULL)
+                goto done;
+        }
+        for (i = 0; i < nr; i++) {
+            if ((t = PyNumber_FloorDivide(r[i], d)) == NULL)
+                goto done;
+            Py_SETREF(r[i], t);
+        }
+        Py_CLEAR(d);
+        while (nf > 0)
+            Py_DECREF(f[--nf]);
+        tmp = f, f = g, nf = ng, g = r, ng = nr, r = tmp, nr = 0;
+    }
+    out = Py_BuildValue("(nO)", changes, lengths);
+done:
+    if (buf != NULL) {
+        while (nf > 0)
+            Py_DECREF(f[--nf]);
+        while (ng > 0)
+            Py_DECREF(g[--ng]);
+        while (nr > 0)
+            Py_DECREF(r[--nr]);
+    }
+    PyMem_Free(buf);
+    Py_XDECREF(d);
+    Py_XDECREF(zero);
+    Py_XDECREF(lengths);
+    Py_DECREF(seq);
+    return out;
+}
+
 static PyMethodDef core_methods[] = {
     {"words_of", words_of, METH_O,
      "words_of(parts)\n--\n\n"
@@ -1204,6 +1629,15 @@ static PyMethodDef core_methods[] = {
      "derive_chain(start, rules)\n--\n\n"
      "The terms of D_{r_n} ... D_{r_1}(x^start), with D_r = x^r * (sum of\n"
      "all partials); see the pure backend docstring."},
+    {"gamma_table", (PyCFunction)(void (*)(void))gamma_table, METH_FASTCALL,
+     "gamma_table(terms, ix, iy, iz)\n--\n\n"
+     "``(degree, entries)`` of the gamma expansion of every z-slice, or\n"
+     "the check and slice of the first failure; see the pure backend\n"
+     "docstring."},
+    {"sturm_walk", sturm_walk, METH_O,
+     "sturm_walk(coeffs)\n--\n\n"
+     "``(distinct real roots, chain member lengths)`` of an integer\n"
+     "polynomial; see the pure backend docstring."},
     {"gfs_scan", gfs_scan, METH_O,
      "gfs_scan(parts)\n--\n\n"
      "Check the hopping action orbit by orbit: ``None`` on a pass, or\n"
@@ -1223,7 +1657,15 @@ static struct PyModuleDef core_module = {
 PyMODINIT_FUNC
 PyInit__core(void)
 {
-    PyObject *mod = PyModule_Create(&core_module);
+    PyObject *mod, *math = PyImport_ImportModule("math");
+
+    if (math == NULL)
+        return NULL;
+    gcd = PyObject_GetAttrString(math, "gcd");
+    Py_DECREF(math);
+    if (gcd == NULL)
+        return NULL;
+    mod = PyModule_Create(&core_module);
     if (mod == NULL
         || PyModule_AddStringConstant(mod, "BACKEND_NAME", "c") < 0
         || PyModule_AddStringConstant(mod, "SOURCE_SHA256", SOURCE_SHA256) < 0

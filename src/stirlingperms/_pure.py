@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from math import comb
+from math import comb, gcd
 
 from .poly import packed_width, unpack_terms
 
@@ -294,6 +294,122 @@ def derive_chain(start, rules):
                     acc[out] = acc.get(out, 0) + c * e
         terms = acc
     return unpack_terms(terms, len(start), width)
+
+
+def gamma_table(terms, ix, iy, iz):
+    """The gamma table of a polynomial given by its ``{exponent tuple:
+    coefficient}`` terms, in which ``ix``, ``iy`` and ``iz`` are the
+    positions of x, y and z (the length of the tuple for an absent one,
+    which reads 0 there) and no other variable occurs.
+
+    One pass buckets the terms by their power ``i`` of z.  Then, slice by
+    slice in increasing ``i``, the slice is read into its coefficient row
+    ``r[k]`` of ``x^k y^(d-k)``, checked homogeneous as it is read and
+    then symmetric, and eliminated: basis ``(xy)^j (x+y)^(d-2j)`` is the
+    binomial row ``C(d-2j, k-j)``, so each step peels ``g_j = r[j]``, and
+    the row must end all zeros.  Returns ``(degree, entries)``: the
+    largest ``i + d`` (0 when there are no terms) and ``{(i, j): g_j}``
+    for every nonzero ``g_j``.  At the first failing slice it returns
+    ``("homogeneous", i)``, ``("symmetric", i)`` or ``("residue", i,
+    row)`` instead.
+    """
+    if min(ix, iy, iz) < 0:
+        raise IndexError("tuple index out of range")
+    buckets = {}
+    for evec, c in terms.items():
+        evec += (0,)
+        buckets.setdefault(evec[iz], {})[evec[ix], evec[iy]] = c
+    degree, entries = 0, {}
+    for i in sorted(buckets):
+        row = []
+        for (ex, ey), c in buckets[i].items():
+            if not row:
+                row = [0] * (ex + ey + 1)
+            elif len(row) != ex + ey + 1:
+                return ("homogeneous", i)
+            row[ex] = c
+        if row != row[::-1]:
+            return ("symmetric", i)
+        d = len(row) - 1
+        for j in range(d // 2 + 1):
+            g = row[j]
+            if g:
+                entries[i, j] = g
+                for k in range(d - 2 * j + 1):
+                    row[j + k] -= g * comb(d - 2 * j, k)
+        if any(row):
+            return ("residue", i, row)
+        degree = max(degree, i + d)
+    return degree, entries
+
+
+def _pseudo_rem(f, g):
+    """Remainder of ``lc(g)^(deg f - deg g + 1) * f`` modulo ``g``, on
+    coefficient lists with no trailing zeros."""
+    r = list(f)
+    d = len(g) - 1
+    lg = g[-1]
+    for top in range(len(f) - 1, d - 1, -1):
+        # r <- lg * r - r[top] * x^(top - d) * g, which cancels r[top]
+        q = r.pop()
+        off = top - d
+        for i in range(off):
+            r[i] *= lg
+        if q:
+            for i in range(d):
+                r[off + i] = r[off + i] * lg - q * g[i]
+        else:
+            for i in range(off, top):
+                r[i] *= lg
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def sturm_walk(coeffs):
+    """Count of distinct real roots of a nonzero integer polynomial ``p``
+    (its coefficients, lowest first), and the coefficient count of each
+    member of its Sturm chain.
+
+    The count is the sign variations at minus infinity less those at plus
+    infinity, read off each member's length and leading sign as it is
+    built; only the last two members are kept.  The chain is the
+    remainder sequence of ``p`` and ``p'``, so it ends at ``gcd(p, p')``,
+    and every member is a multiple of that gcd, which changes no sign at
+    either infinity.  So ``p`` needs no squarefree reduction, and all its
+    roots are real exactly when the count is ``lengths[0] - lengths[-1]``,
+    that is ``deg p - deg gcd``, the number of distinct complex roots.
+    """
+    f = list(map(operator.index, coeffs))
+    lengths = [len(f)]
+    if len(f) < 2:
+        return 0, lengths
+    g = [i * c for i, c in enumerate(f)][1:]
+    # the sign of each member at plus infinity, and at minus infinity,
+    # where a member of odd degree (even length) flips it
+    at_pos = f[-1] > 0
+    at_neg = at_pos == len(f) % 2
+    changes = 0
+    while True:
+        lengths.append(len(g))
+        pos = g[-1] > 0
+        neg = pos == len(g) % 2
+        changes += (at_neg != neg) - (at_pos != pos)
+        at_pos, at_neg = pos, neg
+        if len(g) < 2:
+            break
+        r = _pseudo_rem(f, g)
+        if not r:
+            break
+        # _pseudo_rem scaled f by lc(g)^(steps); divide by the content,
+        # negated when that scale factor is positive, so the chain agrees
+        # with the rational Sturm sequence up to positive multiples.
+        # p and p' keep their contents: a positive factor moves no sign.
+        d = gcd(*r)
+        if g[-1] > 0 or (len(f) - len(g)) % 2:
+            d = -d
+        f, g = g, [c // d for c in r]
+    return changes, lengths
 
 
 def classify_letter(word, x):

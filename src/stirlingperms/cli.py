@@ -419,7 +419,7 @@ def _cmd_realroot(args) -> int:
         return _answer(args, payload, "polynomial: 0 (empty slice)")
     # one walk of the chain of p itself gives the root count, the lengths
     # reported and, as the chain ends at gcd(p, p'), the certificate
-    distinct, lengths = roots_mod._sturm_walk(p.coeffs)
+    distinct, lengths = _backend.kernel.sturm_walk(p.coeffs)
     payload = {
         "m": list(parts),
         "i": args.i,

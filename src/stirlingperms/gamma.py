@@ -5,7 +5,10 @@ generalized Stirling words with content ``m``.  Its coefficient of
 ``z^i`` is a homogeneous polynomial symmetric in x and y, and therefore
 expands uniquely over the basis ``(xy)^j (x+y)^(d-2j)``.  The expansion
 coefficients are recovered by elimination on each slice's integer
-coefficient row; the same table is produced purely combinatorially by
+coefficient row, every slice in one call of the kernel's
+``gamma_table``, which also checks each slice homogeneous and symmetric
+and the elimination free of residue; this module turns a failure into
+its error.  The same table is produced purely combinatorially by
 counting the words free of single double-descents and free
 descent-plateaux, refined by (mdup, ascpp), and the two routes are
 compared entry by entry.
@@ -18,9 +21,9 @@ power sums ``sum k^n t^k`` and ``sum S(n+k, k) t^k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Mapping
 
+from ._backend import kernel
 from .poly import MultiPoly, series_divide
 from .stats import project_counts
 from .words import check_composition
@@ -79,38 +82,27 @@ def s_poly(parts: Iterable[int]) -> MultiPoly:
     return MultiPoly._canonical(("x", "y", "z"), counts)
 
 
-def _row_gammas(row: list[int]) -> list[int]:
-    """Eliminate a symmetric coefficient row in place: basis ``j`` is the
-    binomial row ``C(d-2j, k-j)``, so each step peels ``g_j = r[j]``,
-    and the row must end all zeros."""
-    d = len(row) - 1
-    gammas: list[int] = []
-    for j in range(d // 2 + 1):
-        g = row[j]
-        gammas.append(g)
-        if g:
-            for k in range(d - 2 * j + 1):
-                row[j + k] -= g * comb(d - 2 * j, k)
-    if any(row):
-        raise InternalResidueError(f"nonzero residue row {row}")
-    return gammas
+def _need_multipoly(p, name: str) -> None:
+    if not isinstance(p, MultiPoly):
+        raise TypeError(f"{name} needs a MultiPoly, got {type(p).__name__}")
 
 
-def _slice_gammas(terms: Mapping[tuple[int, int], int]) -> tuple[int, list[int]]:
-    """Degree and gamma coefficients of one z-slice, given as its
-    ``(ex, ey) -> c`` terms: checks that it is homogeneous and symmetric
-    while reading it into its coefficient row ``r[k]`` of ``x^k y^(d-k)``,
-    then eliminates."""
-    row: list[int] = []
-    for (ex, ey), c in terms.items():
-        if not row:
-            row = [0] * (ex + ey + 1)
-        elif len(row) != ex + ey + 1:
-            raise NotHomogeneousError(f"not homogeneous: {MultiPoly._canonical(('x', 'y'), terms)}")
-        row[ex] = c
-    if row != row[::-1]:
-        raise NotSymmetricError(f"not symmetric in x, y: {MultiPoly._canonical(('x', 'y'), terms)}")
-    return len(row) - 1, _row_gammas(row)
+def _expand(p: MultiPoly, prefix: bool) -> tuple[int, dict[tuple[int, int], int]]:
+    """``(degree, entries)`` of the kernel's ``gamma_table`` on ``p``.  A
+    failing slice raises its error, formatted from that slice of
+    :meth:`MultiPoly._z_buckets` (only on this path) and prefixed
+    ``slice i=`` when ``prefix`` is set."""
+    out = kernel.gamma_table(p.terms, *p._xyz())
+    if not isinstance(out[0], str):
+        return out
+    check, i = out[0], out[1]
+    head = f"slice i={i}: " if prefix else ""
+    if check == "residue":
+        raise InternalResidueError(f"{head}nonzero residue row {out[2]}")
+    s = MultiPoly._canonical(("x", "y"), p._z_buckets()[i])
+    if check == "homogeneous":
+        raise NotHomogeneousError(f"{head}not homogeneous: {s}")
+    raise NotSymmetricError(f"{head}not symmetric in x, y: {s}")
 
 
 def gamma_expand(h: MultiPoly) -> list[int]:
@@ -122,11 +114,13 @@ def gamma_expand(h: MultiPoly) -> list[int]:
     :func:`partial_gamma`: ``h`` is its own ``z^0`` slice, read and
     expanded as each slice there is, without the ``slice i=`` prefix.
     """
+    _need_multipoly(h, "gamma_expand")
     for evec in h.terms:
         for v, e in zip(h.vars, evec):
             if e and v not in ("x", "y"):
                 raise ValueError(f"gamma_expand needs a polynomial in x, y; found {v}")
-    return _slice_gammas(h._z_buckets().get(0, {}))[1]
+    degree, entries = _expand(h, False)
+    return [entries.get((0, j), 0) for j in range(degree // 2 + 1)] if h.terms else []
 
 
 def partial_gamma(p: MultiPoly) -> GammaTable:
@@ -135,24 +129,13 @@ def partial_gamma(p: MultiPoly) -> GammaTable:
     Each z-slice must be homogeneous in x, y (degrees may differ across
     slices) and symmetric; nonzero coefficients land in
     ``entries[(i, j)]`` and the table is flagged positive when all of
-    them are nonnegative.  One pass, :meth:`MultiPoly._z_buckets`, reads
-    every slice; they are expanded in increasing i, as :func:`gamma_expand`
-    expands its one slice, and an error names its slice (``slice i=``).
+    them are nonnegative.  One kernel call, ``gamma_table``, reads and
+    expands every slice in increasing i, as :func:`gamma_expand` expands
+    its one slice, and an error names its slice (``slice i=``).
     """
-    entries: dict[tuple[int, int], int] = {}
-    degree = 0
-    buckets = p._z_buckets()
-    for i in sorted(buckets):
-        try:
-            d, gammas = _slice_gammas(buckets[i])
-        except (NotHomogeneousError, NotSymmetricError, InternalResidueError) as exc:
-            raise type(exc)(f"slice i={i}: {exc}") from None
-        degree = max(degree, i + d)
-        for j, g in enumerate(gammas):
-            if g:
-                entries[(i, j)] = g
-    positive = all(g >= 0 for g in entries.values())
-    return GammaTable(degree, entries, positive)
+    _need_multipoly(p, "partial_gamma")
+    degree, entries = _expand(p, True)
+    return GammaTable(degree, entries, all(g >= 0 for g in entries.values()))
 
 
 def gamma_combinatorial(parts: Iterable[int]) -> GammaTable:

@@ -205,17 +205,23 @@ class MultiPoly:
         buckets = self._z_buckets()
         return [(i, MultiPoly._canonical(("x", "y"), buckets[i])) for i in sorted(buckets)]
 
-    def _z_buckets(self) -> dict[int, dict[tuple[int, int], int]]:
-        """Terms grouped by the power of z and keyed by their (x, y)
-        exponents.  Any other variable may be listed, as equality ignores
-        it, but must not occur."""
+    def _xyz(self) -> tuple[int, int, int]:
+        """The positions of x, y and z in each exponent vector, its length
+        for an absent one.  Any other variable may be listed, as equality
+        ignores it, but must not occur."""
         vs = self.vars
         others = [i for i, v in enumerate(vs) if v not in ("x", "y", "z")]
         found = sorted({vs[i] for evec in self.terms for i in others if evec[i]}) if others else []
         if found:
             raise ValueError(f"z_slices needs variables within x,y,z, got {found}")
-        # an absent variable reads the 0 appended to each exponent vector
         ix, iy, iz = (vs.index(v) if v in vs else len(vs) for v in ("x", "y", "z"))
+        return ix, iy, iz
+
+    def _z_buckets(self) -> dict[int, dict[tuple[int, int], int]]:
+        """Terms grouped by the power of z and keyed by their (x, y)
+        exponents, with the variable rule of :meth:`_xyz`."""
+        # an absent variable reads the 0 appended to each exponent vector
+        ix, iy, iz = self._xyz()
         buckets: dict[int, dict[tuple[int, int], int]] = {}
         for evec, c in self.terms.items():
             evec += (0,)

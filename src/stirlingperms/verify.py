@@ -250,10 +250,8 @@ def check_jacobi(n: int) -> dict | None:
 def check_realroot(parts: Composition) -> dict | None:
     """Every nonzero plateau-refined descent polynomial is palindromic
     and certified real-rooted."""
-    for level, row in enumerate(roots_mod._plateau_rows(parts)):
+    for level, row in roots_mod._plateau_rows(parts).items():
         p = roots_mod.UniPoly.of(row)
-        if p.is_zero():
-            continue
         for kind, holds in (
             ("palindromic", roots_mod.is_palindromic),
             ("real-rooted", roots_mod.is_real_rooted),

@@ -18,13 +18,14 @@ import sysconfig
 import tracemalloc
 import types
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import _pure, grammar, verify, words
+from stirlingperms import _pure, gamma, grammar, jacobi, verify, words
 from stirlingperms.grammar import Grammar
 from stirlingperms.poly import MultiPoly
 from conftest import (
@@ -626,3 +627,188 @@ def test_verify_text_agrees_across_backends():
     assert [line for line in pure if not line.startswith("backend:")] == [
         line for line in imported if not line.startswith("backend:")
     ]
+
+
+def gamma_args(p):
+    """The arguments with which ``gamma.partial_gamma`` calls the kernel."""
+    return (p.terms, *p._xyz())
+
+
+def gamma_outcome(kernel, p):
+    """``gamma_table``'s answer on ``p`` with its entries in order, or the
+    type and message of what it raised."""
+    try:
+        out = kernel.gamma_table(*gamma_args(p))
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out if isinstance(out[0], str) else (out[0], list(out[1].items()))
+
+
+@pytest.mark.parametrize("total", range(9))
+def test_gamma_table_agrees_on_every_s_poly(core, total):
+    for parts in words.compositions_of(total):
+        p = gamma.s_poly(parts)
+        got = gamma_outcome(core, p)
+        assert got == gamma_outcome(_pure, p), parts
+        # the empty word's s_poly is x, which is not symmetric
+        assert isinstance(got[0], str) == (parts == ()), parts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gamma_table_agrees_on_every_jacobi_level(core, n):
+    for level in range(n + 1):
+        p = jacobi.jsp_level_poly(n, level)
+        assert gamma_outcome(core, p) == gamma_outcome(_pure, p), level
+
+
+@st.composite
+def gamma_inputs(draw):
+    """A polynomial in x, y, z built slice by slice: each slice is a
+    symmetric homogeneous row, sometimes with one term changed, which
+    breaks its symmetry or homogeneity; half the draws take arbitrary
+    terms instead.  Coefficients reach past 2**64 and powers of z past
+    sys.maxsize."""
+    vs = draw(st.sampled_from([("x", "y", "z"), ("x", "y"), ("x", "z"), ("z",), ()]))
+    coef = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80))
+    zs = st.one_of(st.integers(0, 6), st.integers(sys.maxsize - 1, sys.maxsize + 2), st.just(10**20))
+    terms = {}
+    if draw(st.booleans()):
+        for i in draw(st.lists(zs, max_size=4, unique=True)):
+            d = draw(st.integers(0, 7))
+            half = draw(st.lists(coef, min_size=d // 2 + 1, max_size=d // 2 + 1))
+            row = half + half[: (d + 1) // 2][::-1]
+            terms.update({(k, d - k, i): c for k, c in enumerate(row) if c})
+            if draw(st.booleans()):
+                terms[draw(st.integers(0, 8)), draw(st.integers(0, 8)), i] = draw(coef)
+    else:
+        exps = st.tuples(st.integers(0, 4), st.integers(0, 4), zs)
+        terms = draw(st.dictionaries(exps, coef, max_size=6))
+    # keep the exponents of the variables listed, and each term's last value
+    out = {}
+    for (ex, ey, ez), c in terms.items():
+        key = tuple(e for v, e in zip(("x", "y", "z"), (ex, ey, ez)) if v in vs)
+        out[key] = c
+    return MultiPoly(vs, out)
+
+
+@given(gamma_inputs())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_gamma_table_matches_the_pure_elimination(core, p):
+    assert gamma_outcome(core, p) == gamma_outcome(_pure, p)
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0, 10**20): 1, (0, 1, 10**20): 1, (0, 0, 0): 5},  # a slice past sys.maxsize
+    {(1, 0, 10**20): 1, (0, 2, 10**20): 1},  # not homogeneous there
+    {(1, 1, 10**20): 1, (2, 0, 3): 1},  # a lower slice fails first
+    {(10**20, 0, 0): 1},  # a row length past sys.maxsize
+    {(2**62, 2**62, 1): 1},
+    {(1, 1, 0): 1, (2**64, 0, 0): 1},  # an oversized term after the first is not homogeneous
+    {(1, 1, 0): 2**70, (2, 0, 0): 2**64, (0, 2, 0): 2**64},
+    # binomials past 2**63 from degree 67 up: (x + y)^90 z + 3 (xy)^40 z
+    {**{(k, 90 - k, 1): comb(90, k) for k in range(91)}, (40, 40, 0): 3},
+    {(k, 80 - k, 2): (k * (80 - k)) ** 3 + 1 for k in range(81)},
+])
+def test_gamma_table_agrees_past_64_bits(core, terms):
+    p = MultiPoly(("x", "y", "z"), terms)
+    assert gamma_outcome(core, p) == gamma_outcome(_pure, p)
+
+
+def test_gamma_table_reads_an_absent_variable_as_0(backend):
+    # x at 0, y absent (position 2 = the key length), z at 1
+    assert backend.gamma_table({(2, 0): 3, (0, 5): 1}, 0, 2, 1) == ("symmetric", 0)
+    assert backend.gamma_table({(0, 4): 3}, 2, 2, 1) == (4, {(4, 0): 3})
+
+
+@pytest.mark.parametrize("at", [(-1, 1, 2), (0, 4, 2), (0, 1, 2**70)])
+def test_gamma_table_refuses_a_position_outside_the_key(backend, at):
+    with pytest.raises(IndexError) as got:
+        backend.gamma_table({(1, 1, 0): 1}, *at)
+    with pytest.raises(IndexError) as expected:
+        _pure.gamma_table({(1, 1, 0): 1}, *at)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("args, error", [
+    (([(1, 1)], 0, 1, 2), TypeError),  # not a dict
+    (({(1, 1)}, 0, 1, 2), TypeError),
+    (({"ab": 1}, 0, 1, 2), TypeError),  # a key that is no tuple
+    (({(1.0, 1): 1}, 0, 1, 2), TypeError),
+    (({(-1, 1): 1}, 0, 1, 2), ValueError),
+    (({(1, -2**70): 1}, 0, 1, 2), ValueError),
+    (({(1, 1): 1}, 0, 1), TypeError),  # three arguments
+])
+def test_gamma_table_refuses_malformed_input(core, args, error):
+    with pytest.raises(error):
+        core.gamma_table(*args)
+
+
+# (coefficients, lowest first) -> (distinct real roots, chain lengths)
+STURM_CASES = [
+    ([-2, -2, 1, 0, 0, 1], (3, [6, 5, 3, 2, 1])),  # a remainder two degrees down
+    ([-2, -2, -2, 0, 0, 1], (1, [6, 5, 3, 2, 1])),
+    ([1, 0, -1], (2, [3, 2, 1])),  # a negative leading coefficient
+    ([0, 1, 0, -1], (3, [4, 3, 2, 1])),
+    ([2, -3, 0, 1], (2, [4, 3, 2])),  # (x - 1)^2 (x + 2): the chain ends at gcd x - 1
+    ([1, -2, 1], (1, [3, 2])),  # the first remainder is zero
+    ([0, 0, 0, 1], (1, [4, 3])),  # leading zeros: x^3
+    ([5], (0, [1])),
+    ([-5], (0, [1])),
+    ([], (0, [0])),
+    ([-3 * 2**70, 3 - 2**70, 1], (2, [3, 2, 1])),  # (x - 2^70)(x + 3)
+    ([2**65 + 1, 0, 2**64 + 7], (0, [3, 2, 1])),
+]
+
+
+@pytest.mark.parametrize("coeffs, walk", STURM_CASES)
+def test_sturm_walk_hand_cases(backend, coeffs, walk):
+    assert backend.sturm_walk(coeffs) == walk
+    assert backend.sturm_walk(tuple(coeffs)) == walk
+
+
+@given(st.lists(st.one_of(st.integers(-20, 20), st.integers(-2**70, 2**70)), max_size=9))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sturm_walk_matches_the_pure_walk(core, coeffs):
+    # any list, trailing zeros included: the two walks do the same arithmetic
+    assert core.sturm_walk(coeffs) == _pure.sturm_walk(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1.5], [1, "2"], 5, [None]])
+def test_sturm_walk_refuses_non_integers(backend, coeffs):
+    with pytest.raises(TypeError):
+        backend.sturm_walk(coeffs)
+
+
+def falling_product(n):
+    """Coefficients of (x - 1)(x - 2) ... (x - n), lowest first."""
+    p = [1]
+    for k in range(1, n + 1):
+        p = [a - k * b for a, b in zip([0] + p, p + [0])]
+    return p
+
+
+def test_sturm_walk_divides_each_member_by_its_content(backend):
+    # without the content division the pseudo-remainders of a chain of
+    # 15 members grow to megabytes; with it they stay a few hundred bits
+    p = falling_product(14)
+    assert backend.sturm_walk(p) == (14, list(range(15, 0, -1)))
+    assert traced_peak(backend.sturm_walk, p) < 64 * 1024
+
+
+def test_certification_memory_is_flat_over_1000_calls(core):
+    # as for derive_chain: coefficients past 256 are int objects of their
+    # own, so a leaked reference shows
+    p = gamma.s_poly((1, 2, 3))
+    args = gamma_args(p)
+    walk = falling_product(9)
+    tracemalloc.start()
+    try:
+        for _ in range(1000):
+            core.gamma_table(*args), core.sturm_walk(walk)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            core.gamma_table(*args), core.sturm_walk(walk)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096

@@ -401,8 +401,8 @@ def test_realroot_prints_the_chain_of_p(capsys):
 
 def test_realroot_builds_one_chain(capsys, monkeypatch):
     calls = []
-    walk = roots._sturm_walk
-    monkeypatch.setattr(roots, "_sturm_walk", lambda c: calls.append(c) or walk(c))
+    walk = _backend.kernel.sturm_walk
+    monkeypatch.setattr(_backend.kernel, "sturm_walk", lambda c: calls.append(c) or walk(c))
     for fmt in ("text", "json"):
         calls.clear()
         code, _, _ = run_cli(capsys, "realroot", "--m", "1,2,1", "--i", "1", "--format", fmt)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import gamma, grammar, stats, words
+from stirlingperms import _pure, gamma, grammar, stats, words
 from stirlingperms.poly import MultiPoly, series_divide
 from conftest import assert_canonical, compositions_up_to, naive_gamma_expand, power
 
@@ -53,6 +53,16 @@ def test_gamma_expand_examples():
     assert gamma.gamma_expand(MultiPoly.zero(("x", "y"))) == []
     # x or y absent from the variable list
     assert gamma.gamma_expand(MultiPoly.const(3)) == [3]
+
+
+@pytest.mark.parametrize("value", [5, "x", None, [1, 2]])
+@pytest.mark.parametrize("expand", [gamma.partial_gamma, gamma.gamma_expand])
+def test_expansions_need_a_multipoly(expand, value, monkeypatch):
+    # refused before any kernel call
+    monkeypatch.setattr(gamma, "kernel", None)
+    with pytest.raises(TypeError) as einfo:
+        expand(value)
+    assert str(einfo.value) == f"{expand.__name__} needs a MultiPoly, got {type(value).__name__}"
 
 
 def test_gamma_expand_errors():
@@ -213,9 +223,10 @@ def test_slice_readers_ignore_a_listed_variable_that_does_not_occur(p):
 
 
 def test_elimination_residue_is_reported(monkeypatch):
-    # with every binomial read as 0 the elimination subtracts nothing, so
-    # the symmetric row itself is left as the residue
-    monkeypatch.setattr(gamma, "comb", lambda n, k: 0)
+    # with every binomial read as 0 the pure elimination subtracts
+    # nothing, so the symmetric row itself is left as the residue
+    monkeypatch.setattr(gamma, "kernel", _pure)
+    monkeypatch.setattr(_pure, "comb", lambda n, k: 0)
     with pytest.raises(gamma.InternalResidueError) as einfo:
         gamma.gamma_expand(X * X * Y + X * Y * Y)
     assert type(einfo.value) is gamma.InternalResidueError

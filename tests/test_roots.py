@@ -7,7 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirlingperms import gamma, roots, verify
+from stirlingperms import _pure, gamma, roots, verify
+from stirlingperms._backend import kernel
 from stirlingperms.roots import UniPoly
 from conftest import compositions_up_to, unipoly_mul
 
@@ -33,10 +34,14 @@ def test_s_mi_rejects_a_non_integer_level():
 
 @pytest.mark.parametrize("parts", compositions_up_to(7))
 def test_plateau_rows_equal_s_mi_at_every_level(parts):
+    # only the levels that occur have a row, each nonzero, in increasing level
+    levels = range(max(sum(parts), 1))
     rows = roots._plateau_rows(parts)
-    assert len(rows) == max(sum(parts), 1)
-    for level, row in enumerate(rows):
-        assert UniPoly.of(row) == roots.s_mi(parts, level)
+    assert list(rows) == sorted(rows) and set(rows) <= set(levels)
+    for level in levels:
+        assert UniPoly.of(rows.get(level, ())) == roots.s_mi(parts, level)
+        assert (level in rows) == (not roots.s_mi(parts, level).is_zero())
+        assert roots._plateau_rows(parts, level) == {k: v for k, v in rows.items() if k == level}
 
 
 def test_plateau_rows_grow_only_to_the_descents_that_occur():
@@ -50,6 +55,20 @@ def test_plateau_rows_grow_only_to_the_descents_that_occur():
         tracemalloc.stop()
     assert p == UniPoly.of([0, 1])
     assert peak < 5 * 2**20
+
+
+def test_s_mi_builds_only_its_own_level():
+    # one word, one nonzero level: no list per level that no word reaches
+    parts = (143000,)
+    roots.s_mi(parts, 0)  # fill the histogram cache outside the trace
+    tracemalloc.start()
+    try:
+        p = roots.s_mi(parts, 142999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == UniPoly.of([0, 1])
+    assert peak < 2**20
 
 
 def test_realroot_failure_names_the_first_failing_level(monkeypatch):
@@ -75,7 +94,7 @@ def test_s_mi_matches_slice_substitution():
 
 def distinct_real_roots(p):
     """The root count of the Sturm walk of ``p`` itself, unstripped."""
-    return roots._sturm_walk(p.coeffs)[0]
+    return kernel.sturm_walk(p.coeffs)[0]
 
 
 def test_sturm_examples():
@@ -83,7 +102,7 @@ def test_sturm_examples():
     assert distinct_real_roots(UniPoly.of([-1, 0, 1])) == 2
     assert distinct_real_roots(UniPoly.of([0, 0, 0, 1])) == 1  # x^3, one distinct
     # the chain of x^3 ends at gcd(p, p') = x^2
-    assert roots._sturm_walk([0, 0, 0, 1]) == (1, [4, 3])
+    assert kernel.sturm_walk([0, 0, 0, 1]) == (1, [4, 3])
 
 
 def test_is_real_rooted_examples():
@@ -106,7 +125,7 @@ def test_unipoly_constructor_rejects_trailing_zeros():
     with pytest.raises(ValueError, match="trailing zero"):
         UniPoly((1, 0))
     assert UniPoly((1,)) == UniPoly.of([1, 0]) and UniPoly(()).is_zero()
-    assert roots._sturm_walk(UniPoly.of([1, 0]).coeffs) == (0, [1])
+    assert kernel.sturm_walk(UniPoly.of([1, 0]).coeffs) == (0, [1])
 
 
 def test_is_palindromic_examples():
@@ -114,6 +133,16 @@ def test_is_palindromic_examples():
     assert roots.is_palindromic(UniPoly.of([1, 2, 1]))
     assert not roots.is_palindromic(UniPoly.of([1, 2]))
     assert roots.is_palindromic(UniPoly.of([0, 0, 7]))
+
+
+@pytest.mark.parametrize("value", [[1, 2, 1], (0, 1, 1), 5, None])
+@pytest.mark.parametrize("check", [roots.is_real_rooted, roots.is_palindromic])
+def test_root_checks_need_a_unipoly(check, value, monkeypatch):
+    # refused before any kernel call
+    monkeypatch.setattr(roots, "kernel", None)
+    with pytest.raises(TypeError) as einfo:
+        check(value)
+    assert str(einfo.value) == f"{check.__name__} needs a UniPoly, got {type(value).__name__}"
 
 
 def test_zero_polynomial_is_excluded():
@@ -176,7 +205,7 @@ def test_pseudo_rem_against_sympy(f, g, multiple):
     x = sympy.Symbol("x")
     rem = sympy.prem(sympy.Poly(f[::-1], x), sympy.Poly(g[::-1], x))
     want = [] if rem.is_zero else [int(c) for c in rem.all_coeffs()[::-1]]
-    assert roots._pseudo_rem(f, g) == want
+    assert _pure._pseudo_rem(f, g) == want
 
 
 _factor = st.one_of(
@@ -214,11 +243,9 @@ def test_refined_descent_polys_real_rooted_palindromic(parts):
 def test_stripped_verdict_equals_the_walk_of_p_itself():
     # realroot prints the verdict of the unstripped chain of p
     for parts in compositions_up_to(8):
-        for level, row in enumerate(roots._plateau_rows(parts)):
+        for level, row in roots._plateau_rows(parts).items():
             p = UniPoly.of(row)
-            if p.is_zero():
-                continue
-            distinct, lengths = roots._sturm_walk(p.coeffs)
+            distinct, lengths = kernel.sturm_walk(p.coeffs)
             assert roots.is_real_rooted(p) == (distinct == lengths[0] - lengths[-1]), (parts, level)
 
 
