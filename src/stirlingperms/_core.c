@@ -1277,11 +1277,11 @@ eliminate(PyObject **row, Py_ssize_t d, PyObject *z, PyObject *entries)
     return 1;
 }
 
-/* The check that slice ``z`` fails, filling in and eliminating its row
- * of the ``len`` coefficients of its ``cnt`` terms ``ts``: NULL when it
- * passes, with the largest i + d so far in ``*degree`` and its entries
- * added to ``entries``; or "homogeneous", "symmetric" or "residue" (the
- * row left in ``row``).  Sets ``*failed`` with an exception on error. */
+/* The check that one slice fails, given its ``cnt`` terms ``ts`` and
+ * its zeroed row of ``len`` coefficients: NULL when it passes, with its
+ * entries added to ``entries`` and the largest i + d so far in
+ * ``*degree``; or "homogeneous", "symmetric" or "residue" (the residue
+ * left in ``row``).  Sets ``*failed``, with an exception, on error. */
 static const char *
 gamma_slice(gamma_term *term, const Py_ssize_t *ts, Py_ssize_t cnt, PyObject **row,
             Py_ssize_t len, PyObject *zero, PyObject *entries, PyObject **degree, int *failed)
